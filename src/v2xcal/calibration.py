@@ -8,9 +8,9 @@ genome. Every objective evaluation reuses the scenario's fixed simulation
 seed (common random numbers), so the fitness landscape is deterministic
 and the planted truth of a synthetic dataset scores exactly zero.
 
-Candidates whose deterministic gain is positive anywhere on the distance
-sweep would amplify the signal; they are scored a flat 1000.0 without
-being simulated.
+Candidates whose deterministic gain is positive at the reference distance,
+where the log-distance law peaks, would amplify the signal; they are scored
+a flat 1000.0 without being simulated.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from .simulator import (
     EnuTrace,
     PdrCurve,
     ScenarioConfig,
-    max_link_distance,
     pdr_curve,
     rmse,
     run_scenario,
@@ -311,15 +310,14 @@ def objective(
 ) -> float:
     """Score a genome against the observed curve; lower is better.
 
-    A genome whose deterministic gain is positive at any whole-meter
-    distance from the reference out to the farthest trace sample scores
-    INFEASIBLE_RMSE immediately, without simulating.
+    A genome whose deterministic gain is positive at the reference distance
+    scores INFEASIBLE_RMSE immediately, without simulating. The gain is
+    clamped inside that distance and falls beyond it (alpha > 0), so no
+    link distance sees a higher gain.
     """
     radio, fading = genome.to_params(base_radio, base_fading)
-    d0 = fading.reference_distance_m
-    d_max = max(max_link_distance(trace, scenario), d0)
-    sweep = np.arange(d0, d_max + 1.0, 1.0)
-    if np.any(deterministic_gain_db(radio, fading, sweep) > 0.0):
+    d0 = np.array([fading.reference_distance_m])
+    if deterministic_gain_db(radio, fading, d0)[0] > 0.0:
         return INFEASIBLE_RMSE
     log = run_scenario(trace, scenario, radio, fading)
     simulated = pdr_curve(log, scenario.bin_width_m)

@@ -19,10 +19,9 @@ from datetime import datetime, timedelta, timezone
 
 import numpy as np
 
-from .propagation import FadingParams, RadioParams, DeliveryReason
+from .propagation import DELIVERED, REASONS, FadingParams, RadioParams
 from .simulator import (
     DeliveryLog,
-    DeliveryRecord,
     Direction,
     EnuTrace,
     HeatmapCell,
@@ -30,6 +29,7 @@ from .simulator import (
     PdrBin,
     PdrCurve,
     ScenarioConfig,
+    link_distance_m,
     pdr_curve,
     run_scenario,
 )
@@ -43,6 +43,10 @@ MPH_TO_MPS = 0.44704
 MAX_PROJECTION_RANGE_M = 50_000.0
 
 _FLOAT_FMT = "{:.9f}"
+
+#: Slack on parsed PDR bin edges: far above the 9-decimal rounding of an
+#: exported edge, far below any bin width in use.
+_BIN_EDGE_TOL_M = 1e-6
 
 
 class TraceParseError(ValueError):
@@ -459,70 +463,76 @@ def export_log_csv(log: DeliveryLog) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(LOG_HEADERS)
-    for r in log:
+    directions = {d.stream_code: d.value for d in Direction}
+    fmt = _FLOAT_FMT.format
+    for t, code, tx, rx, dist, power, reason in zip(
+        log.timestamp_s.tolist(),
+        log.direction_code.tolist(),
+        log.tx_position_m.tolist(),
+        log.rx_position_m.tolist(),
+        log.distance_m.tolist(),
+        log.rx_power_dbm.tolist(),
+        log.reason_code.tolist(),
+    ):
         writer.writerow(
-            [
-                _FLOAT_FMT.format(r.timestamp_s),
-                r.direction.value,
-                _FLOAT_FMT.format(r.tx_position_m[0]),
-                _FLOAT_FMT.format(r.tx_position_m[1]),
-                _FLOAT_FMT.format(r.tx_position_m[2]),
-                _FLOAT_FMT.format(r.rx_position_m[0]),
-                _FLOAT_FMT.format(r.rx_position_m[1]),
-                _FLOAT_FMT.format(r.rx_position_m[2]),
-                _FLOAT_FMT.format(r.distance_m),
-                _FLOAT_FMT.format(r.rx_power_dbm),
-                "true" if r.delivered else "false",
-                r.reason.value,
-            ]
+            [fmt(t), directions[code], *map(fmt, tx), *map(fmt, rx), fmt(dist), fmt(power),
+             "true" if reason == DELIVERED else "false", REASONS[reason].value]
         )
     return out.getvalue()
 
 
 def parse_log_csv(text: str) -> DeliveryLog:
-    """Parse a delivery-log CSV; the distance column is rederived from positions."""
+    """Parse a delivery-log CSV; the distance column is rederived from positions.
+
+    A row whose delivered flag disagrees with its reason is refused, so the
+    reason column alone carries the outcome.
+    """
     reader = csv.reader(io.StringIO(text))
     rows = list(reader)
     if not rows or tuple(rows[0]) != LOG_HEADERS:
         raise ValueError(f"expected log header {','.join(LOG_HEADERS)}")
-    directions = {d.value: d for d in Direction}
-    reasons = {r.value: r for r in DeliveryReason}
-    records = []
+    directions = {d.value: d.stream_code for d in Direction}
+    reasons = {r.value: code for code, r in enumerate(REASONS)}
+    delivered_flags = {"true": True, "false": False}
+    row_nums, numbers, direction_codes, reason_codes = [], [], [], []
     for row_num, row in enumerate(rows[1:], start=2):
         if not row:
             continue
         if len(row) != len(LOG_HEADERS):
             raise ValueError(f"row {row_num}: expected {len(LOG_HEADERS)} fields, got {len(row)}")
         try:
-            direction = directions[row[1]]
-            reason = reasons[row[11]]
-            tx = (float(row[2]), float(row[3]), float(row[4]))
-            rx = (float(row[5]), float(row[6]), float(row[7]))
-            distance = math.dist(tx, rx)
-            stated = float(row[8])
-            if abs(stated - distance) > 1e-6:
-                raise ValueError(
-                    f"distance column {stated} disagrees with positions ({distance:.9f})"
-                )
-            if row[10] not in ("true", "false"):
+            direction_codes.append(directions[row[1]])
+            reason_codes.append(reasons[row[11]])
+            if row[10] not in delivered_flags:
                 raise ValueError(f"delivered must be true or false, got {row[10]!r}")
-            records.append(
-                DeliveryRecord(
-                    timestamp_s=float(row[0]),
-                    direction=direction,
-                    tx_position_m=tx,
-                    rx_position_m=rx,
-                    distance_m=distance,
-                    rx_power_dbm=float(row[9]),
-                    delivered=row[10] == "true",
-                    reason=reason,
-                )
-            )
+            if delivered_flags[row[10]] != (reason_codes[-1] == DELIVERED):
+                raise ValueError(f"delivered {row[10]} contradicts reason {row[11]}")
+            numbers.append([float(row[k]) for k in (0, 2, 3, 4, 5, 6, 7, 8, 9)])
         except KeyError as exc:
             raise ValueError(f"row {row_num}: unknown enum value {exc}") from None
         except ValueError as exc:
             raise ValueError(f"row {row_num}: {exc}") from None
-    return DeliveryLog(records=records)
+        row_nums.append(row_num)
+
+    values = np.array(numbers, dtype=float).reshape(-1, 9)
+    tx, rx = values[:, 1:4], values[:, 4:7]
+    distance = link_distance_m(tx, rx)
+    mismatched = np.flatnonzero(np.abs(values[:, 7] - distance) > 1e-6)
+    if mismatched.size:
+        k = int(mismatched[0])
+        raise ValueError(
+            f"row {row_nums[k]}: distance column {values[k, 7]} disagrees with "
+            f"positions ({distance[k]:.9f})"
+        )
+    return DeliveryLog(
+        timestamp_s=values[:, 0],
+        direction_code=np.array(direction_codes, dtype=int),
+        tx_position_m=tx,
+        rx_position_m=rx,
+        distance_m=distance,
+        rx_power_dbm=values[:, 8],
+        reason_code=np.array(reason_codes, dtype=int),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -551,7 +561,11 @@ def export_pdr_csv(curve: PdrCurve) -> str:
 
 
 def parse_pdr_csv(text: str) -> PdrCurve:
-    """Parse a PDR CSV; pdr_pct is rederived from the sent/delivered counts."""
+    """Parse a PDR CSV; pdr_pct is rederived from the sent/delivered counts.
+
+    Row k must hold bin k of one fixed-width grid from zero, whose width
+    the first row sets, with 0 <= delivered <= sent.
+    """
     reader = csv.reader(io.StringIO(text))
     rows = list(reader)
     if not rows or tuple(rows[0]) != PDR_HEADERS:
@@ -561,19 +575,25 @@ def parse_pdr_csv(text: str) -> PdrCurve:
         if not row:
             continue
         try:
-            bins.append(
-                PdrBin(
-                    bin_start_m=float(row[0]),
-                    bin_end_m=float(row[1]),
-                    sent=int(row[2]),
-                    delivered=int(row[3]),
-                )
+            b = PdrBin(
+                bin_start_m=float(row[0]),
+                bin_end_m=float(row[1]),
+                sent=int(row[2]),
+                delivered=int(row[3]),
             )
+            if not bins:
+                width = b.bin_end_m - b.bin_start_m
+            k = len(bins)
+            if not (math.isclose(b.bin_start_m, k * width, abs_tol=_BIN_EDGE_TOL_M)
+                    and math.isclose(b.bin_end_m, (k + 1) * width, abs_tol=_BIN_EDGE_TOL_M)):
+                raise ValueError(
+                    f"bin {row[0]}-{row[1]} m is not bin {k} of a {width} m grid from 0"
+                )
+            bins.append(b)
         except (ValueError, IndexError) as exc:
             raise ValueError(f"row {row_num}: {exc}") from None
     if not bins:
         raise ValueError("PDR document has no bins")
-    width = bins[0].bin_end_m - bins[0].bin_start_m
     return PdrCurve(bin_width_m=width, bins=bins)
 
 

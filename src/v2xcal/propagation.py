@@ -27,11 +27,6 @@ SNR_THRESHOLDS_DB = {6: 5.0, 12: 11.0, 18: 15.0, 27: 20.0}
 
 SUPPORTED_DATA_RATES_MBPS = (6, 12, 18, 27)
 
-#: 5.9 GHz ITS band edges and the regulatory transmit-power ceiling used by
-#: :func:`validate_dsrc_profile`.
-DSRC_BAND_HZ = (5.850e9, 5.925e9)
-DSRC_MAX_TX_POWER_MW = 1000.0
-
 
 class SlowFadingModel(enum.Enum):
     """Distance-driven stage of the channel."""
@@ -53,6 +48,12 @@ class DeliveryReason(enum.Enum):
     DELIVERED = "delivered"
     BELOW_SENSITIVITY = "below_sensitivity"
     BELOW_SNR = "below_snr"
+
+
+#: Array form of DeliveryReason: a reason code is the reason's index here,
+#: so the three codes follow the enum's member order.
+REASONS = tuple(DeliveryReason)
+DELIVERED, BELOW_SENSITIVITY, BELOW_SNR = range(len(REASONS))
 
 
 def to_db(linear):
@@ -134,18 +135,6 @@ class FadingParams:
             raise ValueError(f"nakagami_m must be >= 0.5, got {self.nakagami_m}")
         if not (self.reference_distance_m > 0.0 and math.isfinite(self.reference_distance_m)):
             raise ValueError(f"reference_distance_m must be positive, got {self.reference_distance_m}")
-
-
-def validate_dsrc_profile(radio: RadioParams) -> None:
-    """Raise ValueError if the radio violates the 5.9 GHz ITS deployment limits."""
-    lo, hi = DSRC_BAND_HZ
-    if not (lo <= radio.carrier_frequency_hz <= hi):
-        raise ValueError(
-            f"carrier {radio.carrier_frequency_hz/1e9:.4f} GHz outside the "
-            f"{lo/1e9:.3f}-{hi/1e9:.3f} GHz ITS band"
-        )
-    if radio.tx_power_mw > DSRC_MAX_TX_POWER_MW:
-        raise ValueError(f"tx power {radio.tx_power_mw} mW exceeds {DSRC_MAX_TX_POWER_MW} mW")
 
 
 def free_space_rx_power(radio: RadioParams, fading: FadingParams) -> float:
@@ -263,16 +252,23 @@ def snr_threshold_db(data_rate_mbps: int, table=None) -> float:
         raise ValueError(f"no SNR threshold for data rate {data_rate_mbps} Mbps") from None
 
 
-def is_received(rx_power_dbm: float, radio: RadioParams, snr_table=None):
-    """Decide delivery of a packet received at rx_power_dbm.
+def reception_codes(rx_power_dbm, radio: RadioParams, snr_table=None) -> np.ndarray:
+    """Reason code (an index into REASONS) for each received power, in dBm.
 
-    Returns (delivered, reason). A packet is delivered iff the power clears
-    the receiver sensitivity and the margin over the noise floor clears the
-    data rate's SNR threshold. Sensitivity is checked first.
+    A packet is delivered iff the power clears the receiver sensitivity and
+    the margin over the noise floor clears the data rate's SNR threshold;
+    both comparisons are inclusive, and sensitivity is checked first.
     """
-    if rx_power_dbm < radio.rx_sensitivity_dbm:
-        return False, DeliveryReason.BELOW_SENSITIVITY
+    power = np.asarray(rx_power_dbm, dtype=float)
     threshold = snr_threshold_db(radio.data_rate_mbps, snr_table)
-    if rx_power_dbm - radio.noise_floor_dbm < threshold:
-        return False, DeliveryReason.BELOW_SNR
-    return True, DeliveryReason.DELIVERED
+    above_snr = np.where(power - radio.noise_floor_dbm >= threshold, DELIVERED, BELOW_SNR)
+    return np.where(power >= radio.rx_sensitivity_dbm, above_snr, BELOW_SENSITIVITY)
+
+
+def is_received(rx_power_dbm: float, radio: RadioParams, snr_table=None):
+    """Decide delivery of one packet received at rx_power_dbm.
+
+    Returns (delivered, reason) under the rule of :func:`reception_codes`.
+    """
+    reason = REASONS[int(reception_codes(rx_power_dbm, radio, snr_table))]
+    return reason is DeliveryReason.DELIVERED, reason

@@ -17,18 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .propagation import (
-    DeliveryReason,
-    FadingParams,
-    FastFadingModel,
-    RadioParams,
-    SlowFadingModel,
-    log_distance_rx_power,
-    nakagami_power_sample,
-    snr_threshold_db,
-    to_db,
-    to_linear,
-)
+from .propagation import DELIVERED, FadingParams, RadioParams, cascade_rx_power, reception_codes
+# Not called here: bench/tracing.py times these two under the v2xcal.simulator names.
+from .propagation import log_distance_rx_power, nakagami_power_sample  # noqa: F401
 
 #: Decimal places kept on logged floats so CSV round trips are lossless.
 LOG_DECIMALS = 9
@@ -124,37 +115,38 @@ class ScenarioConfig:
         return dict(self.snr_thresholds_db) if self.snr_thresholds_db is not None else None
 
 
-@dataclass(frozen=True)
-class DeliveryRecord:
-    """One packet's outcome."""
-
-    timestamp_s: float
-    direction: Direction
-    tx_position_m: tuple
-    rx_position_m: tuple
-    distance_m: float
-    rx_power_dbm: float
-    delivered: bool
-    reason: DeliveryReason
-
-
-@dataclass
+@dataclass(eq=False)
 class DeliveryLog:
-    """Ordered per-packet outcomes for one scenario run."""
+    """Per-packet outcomes of one scenario run, one array per log column.
 
-    records: list
+    Packets are in chronological order, vehicle-to-RSU first on timestamp
+    ties. Positions are (n, 3) east-north-up rows; direction_code holds
+    Direction.stream_code and reason_code an index into propagation.REASONS.
+    """
+
+    timestamp_s: np.ndarray
+    direction_code: np.ndarray
+    tx_position_m: np.ndarray
+    rx_position_m: np.ndarray
+    distance_m: np.ndarray
+    rx_power_dbm: np.ndarray
+    reason_code: np.ndarray
 
     def __len__(self):
-        return len(self.records)
+        return self.timestamp_s.shape[0]
 
-    def __iter__(self):
-        return iter(self.records)
-
-    def __getitem__(self, i):
-        return self.records[i]
+    @property
+    def delivered(self) -> np.ndarray:
+        return self.reason_code == DELIVERED
 
     def delivered_count(self) -> int:
-        return sum(1 for r in self.records if r.delivered)
+        return int(np.count_nonzero(self.delivered))
+
+    def sent_in(self, direction: Direction | None) -> np.ndarray:
+        """Mask of the packets sent in direction; None selects every packet."""
+        if direction is None:
+            return np.ones(len(self), dtype=bool)
+        return self.direction_code == direction.stream_code
 
 
 @dataclass(frozen=True)
@@ -165,6 +157,13 @@ class PdrBin:
     bin_end_m: float
     sent: int
     delivered: int
+
+    def __post_init__(self):
+        if self.sent < 0 or self.delivered < 0:
+            raise ValueError(f"counts must be non-negative, got sent {self.sent}, "
+                             f"delivered {self.delivered}")
+        if self.delivered > self.sent:
+            raise ValueError(f"delivered {self.delivered} exceeds sent {self.sent}")
 
     @property
     def empty(self) -> bool:
@@ -246,6 +245,15 @@ def _round_log(arr):
     return np.round(arr, LOG_DECIMALS)
 
 
+def link_distance_m(tx_m: np.ndarray, rx_m: np.ndarray) -> np.ndarray:
+    """Distance between paired rows of two (n, 3) position arrays, in meters.
+
+    math.dist, not a vectorized sqrt: the log parser rederives the distance
+    column with this function, and the two must agree bit for bit.
+    """
+    return np.fromiter(map(math.dist, tx_m.tolist(), rx_m.tolist()), dtype=float, count=len(tx_m))
+
+
 def run_scenario(
     trace: EnuTrace,
     scenario: ScenarioConfig,
@@ -260,97 +268,31 @@ def run_scenario(
     floats are rounded to LOG_DECIMALS before the delivery decision so the
     log is exactly reproducible from its CSV form.
     """
-    duration = trace.duration_s
-    rsu = np.array([scenario.rsu_x_m, scenario.rsu_y_m, scenario.rsu_z_m], dtype=float)
-    snr_table = scenario.snr_table()
-    threshold_db = snr_threshold_db(radio.data_rate_mbps, snr_table)
-
-    per_direction = []
+    rsu = _round_log(np.array([scenario.rsu_x_m, scenario.rsu_y_m, scenario.rsu_z_m], dtype=float))
+    parts = []
     for direction, rate in (
         (Direction.VEHICLE_TO_RSU, scenario.bsm_rate_hz),
         (Direction.RSU_TO_VEHICLE, scenario.spat_rate_hz),
     ):
-        n = _send_count(duration, rate)
+        n = _send_count(trace.duration_s, rate)
         times = _round_log(np.arange(n, dtype=float) / rate)
-        per_direction.append((direction, times))
-
-    records = []
-    for direction, times in per_direction:
-        n = times.shape[0]
-        if n == 0:
-            continue
-        vx, vy, vz = trace.position_at(times)
-        vx, vy, vz = _round_log(vx), _round_log(vy), _round_log(vz)
-        rx_, ry_, rz_ = _round_log(rsu[0]), _round_log(rsu[1]), _round_log(rsu[2])
-        # math.dist, not a vectorized sqrt: the log parser rederives the
-        # distance from the position columns and the two must agree bit for bit.
-        site = (float(rx_), float(ry_), float(rz_))
-        dist = np.array([math.dist((vx[k], vy[k], vz[k]), site) for k in range(n)])
-
+        vehicle = _round_log(np.column_stack(trace.position_at(times)))
+        site = np.broadcast_to(rsu, vehicle.shape)
+        dist = link_distance_m(vehicle, site)
         ss = np.random.SeedSequence((scenario.master_seed, direction.stream_code))
         slow_seed, fast_seed = ss.spawn(2)
+        rx_power = _round_log(cascade_rx_power(
+            radio, fading, np.maximum(dist, 1e-12), np.random.default_rng(slow_seed),
+            size=n, fast_rng=np.random.default_rng(fast_seed),
+        ))
+        tx, rx = (vehicle, site) if direction is Direction.VEHICLE_TO_RSU else (site, vehicle)
+        reason = reception_codes(rx_power, radio, scenario.snr_table())
+        parts.append((times, np.full(n, direction.stream_code), tx, rx, dist, rx_power, reason))
 
-        if fading.slow_model is SlowFadingModel.LOGNORMAL:
-            slow_rng = np.random.default_rng(slow_seed)
-            rx_power = (
-                log_distance_rx_power(radio, fading, np.maximum(dist, 1e-12))
-                + fading.sigma_db * slow_rng.standard_normal(n)
-            )
-        else:
-            rx_power = np.asarray(log_distance_rx_power(radio, fading, np.maximum(dist, 1e-12)))
-
-        if fading.fast_model is FastFadingModel.NAKAGAMI:
-            fast_rng = np.random.default_rng(fast_seed)
-            omega_mw = to_linear(np.asarray(rx_power))
-            power_mw = nakagami_power_sample(omega_mw, fading.nakagami_m, fast_rng, size=n)
-            rx_power = to_db(power_mw)
-
-        rx_power = _round_log(rx_power)
-        above_sens = rx_power >= radio.rx_sensitivity_dbm
-        above_snr = rx_power - radio.noise_floor_dbm >= threshold_db
-        delivered = above_sens & above_snr
-
-        for k in range(n):
-            if delivered[k]:
-                reason = DeliveryReason.DELIVERED
-            elif not above_sens[k]:
-                reason = DeliveryReason.BELOW_SENSITIVITY
-            else:
-                reason = DeliveryReason.BELOW_SNR
-            vehicle = (float(vx[k]), float(vy[k]), float(vz[k]))
-            if direction is Direction.VEHICLE_TO_RSU:
-                tx_pos, rx_pos = vehicle, site
-            else:
-                tx_pos, rx_pos = site, vehicle
-            records.append(
-                DeliveryRecord(
-                    timestamp_s=float(times[k]),
-                    direction=direction,
-                    tx_position_m=tx_pos,
-                    rx_position_m=rx_pos,
-                    distance_m=float(dist[k]),
-                    rx_power_dbm=float(rx_power[k]),
-                    delivered=bool(delivered[k]),
-                    reason=reason,
-                )
-            )
-
+    columns = [np.concatenate(column) for column in zip(*parts)]
     # Chronological order; vehicle-to-RSU first on timestamp ties.
-    records.sort(key=lambda r: (r.timestamp_s, r.direction.stream_code))
-    return DeliveryLog(records=records)
-
-
-def vehicle_position(record: DeliveryRecord) -> tuple:
-    """The vehicle-side endpoint of a packet, whichever direction it flew."""
-    if record.direction is Direction.VEHICLE_TO_RSU:
-        return record.tx_position_m
-    return record.rx_position_m
-
-
-def _filter_direction(log: DeliveryLog, direction: Direction | None):
-    if direction is None:
-        return list(log.records)
-    return [r for r in log.records if r.direction is direction]
+    order = np.lexsort((columns[1], columns[0]))
+    return DeliveryLog(*(column[order] for column in columns))
 
 
 def pdr_curve(log: DeliveryLog, bin_width_m: float, direction: Direction | None = None) -> PdrCurve:
@@ -362,15 +304,10 @@ def pdr_curve(log: DeliveryLog, bin_width_m: float, direction: Direction | None 
     """
     if bin_width_m <= 0.0:
         raise ValueError("bin_width_m must be positive")
-    records = _filter_direction(log, direction)
-    if not records:
-        return PdrCurve(bin_width_m=bin_width_m, bins=[])
-    dist = np.array([r.distance_m for r in records])
-    ok = np.array([r.delivered for r in records], dtype=bool)
-    idx = np.floor(dist / bin_width_m).astype(int)
-    n_bins = int(idx.max()) + 1
-    sent = np.bincount(idx, minlength=n_bins)
-    delivered = np.bincount(idx, weights=ok.astype(float), minlength=n_bins).astype(int)
+    keep = log.sent_in(direction)
+    idx = np.floor(log.distance_m[keep] / bin_width_m).astype(int)
+    sent = np.bincount(idx)
+    delivered = np.bincount(idx[log.delivered[keep]], minlength=sent.size)
     bins = [
         PdrBin(
             bin_start_m=i * bin_width_m,
@@ -378,7 +315,7 @@ def pdr_curve(log: DeliveryLog, bin_width_m: float, direction: Direction | None 
             sent=int(sent[i]),
             delivered=int(delivered[i]),
         )
-        for i in range(n_bins)
+        for i in range(sent.size)
     ]
     return PdrCurve(bin_width_m=bin_width_m, bins=bins)
 
@@ -387,22 +324,30 @@ def heatmap(log: DeliveryLog, cell_m: float, direction: Direction | None = None)
     """Aggregate PDR over vehicle positions on a square grid of side cell_m."""
     if cell_m <= 0.0:
         raise ValueError("cell_m must be positive")
-    counts = {}
-    for r in _filter_direction(log, direction):
-        x, y, _ = vehicle_position(r)
-        key = (math.floor(x / cell_m), math.floor(y / cell_m))
-        sent, delivered = counts.get(key, (0, 0))
-        counts[key] = (sent + 1, delivered + (1 if r.delivered else 0))
+    keep = log.sent_in(direction)
+    # The vehicle is the transmitter of a vehicle-to-RSU packet, else the receiver.
+    v2r = log.direction_code[keep] == Direction.VEHICLE_TO_RSU.stream_code
+    vehicle = np.where(v2r[:, None], log.tx_position_m[keep], log.rx_position_m[keep])
+    keys = np.floor(vehicle[:, :2] / cell_m).astype(np.int64)
+    cell_keys, inverse = np.unique(keys, axis=0, return_inverse=True)
+    inverse = inverse.ravel()
+    sent = np.bincount(inverse)
+    delivered = np.bincount(inverse[log.delivered[keep]], minlength=sent.size)
     cells = [
         HeatmapCell(
             center_x_m=(ix + 0.5) * cell_m,
             center_y_m=(iy + 0.5) * cell_m,
-            sent=sent,
-            delivered=delivered,
+            sent=int(s),
+            delivered=int(d),
         )
-        for (ix, iy), (sent, delivered) in sorted(counts.items())
+        for (ix, iy), s, d in zip(cell_keys.tolist(), sent, delivered)
     ]
     return HeatmapGrid(cell_m=cell_m, cells=cells)
+
+
+def _pdr_by_bin_index(curve: PdrCurve) -> dict:
+    # Integer keys: a bin start read back from CSV need not equal i * width bit for bit.
+    return {round(start / curve.bin_width_m): pdr for start, pdr in curve.non_empty().items()}
 
 
 def rmse(observed: PdrCurve, simulated: PdrCurve) -> float:
@@ -416,23 +361,11 @@ def rmse(observed: PdrCurve, simulated: PdrCurve) -> float:
         raise ValueError(
             f"bin widths differ: {observed.bin_width_m} vs {simulated.bin_width_m}"
         )
-    a = observed.non_empty()
-    b = simulated.non_empty()
+    a = _pdr_by_bin_index(observed)
+    b = _pdr_by_bin_index(simulated)
     common = sorted(set(a) & set(b))
     if not common:
         raise ValueError("no overlapping non-empty bins between the two curves")
     diffs = np.array([a[k] - b[k] for k in common])
     return float(np.sqrt(np.mean(diffs**2)))
 
-
-def max_link_distance(trace: EnuTrace, scenario: ScenarioConfig) -> float:
-    """Largest distance from any trace sample to the RSU antenna.
-
-    Interpolated positions lie on segments between samples, and distance to
-    a fixed point is convex along a segment, so the sample maximum bounds
-    the whole replay.
-    """
-    dx = trace.x_m - scenario.rsu_x_m
-    dy = trace.y_m - scenario.rsu_y_m
-    dz = trace.z_m - scenario.rsu_z_m
-    return float(np.sqrt(dx**2 + dy**2 + dz**2).max())

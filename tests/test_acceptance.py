@@ -10,8 +10,11 @@ it by loosening tolerances. Every other test here, #6 as stated included,
 is expected to pass.
 """
 
+import hashlib
+import json
 import math
 from dataclasses import replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -366,7 +369,7 @@ def test_criterion_7_oracle_agreement():
     log = run_scenario(trace, scenario, radio, fading)
     curve = pdr_curve(log, scenario.bin_width_m)
 
-    distances = np.array([r.distance_m for r in log])
+    distances = log.distance_m
     probs = oracles.expected_pdr_pct(radio, fading, distances)
     index = np.floor(distances / scenario.bin_width_m).astype(int)
 
@@ -433,6 +436,26 @@ def test_criterion_8_byte_determinism(dataset, sim_run, small_calibrate_run, tmp
     print(f"ACCEPTANCE #8: {'PASS' if ok else 'FAIL'} - rerun bytes identical: "
           f"synth {synth_ok}, simulate {sim_ok}, calibrate {cal_ok}; "
           f"calibrate --jobs 1 vs --jobs 8 identical: {jobs_ok}")
+    assert ok
+
+
+def test_criterion_8_golden_bytes(dataset, sim_run):
+    """synth and simulate write the bytes the benchmark recorded for this
+    drive (bench/golden.json, synth seed 1729), so a change that shifts
+    output bytes identically on every rerun still fails."""
+    golden_path = Path(__file__).resolve().parents[1] / "bench" / "golden.json"
+    golden = json.loads(read(golden_path))["full"]["1729/42"]
+    outputs = {"synth": dataset["out"], "simulate": sim_run}
+    mismatched = [
+        f"{kind}/{name}"
+        for kind, out in outputs.items()
+        for name, digest in sorted(golden[kind].items())
+        if hashlib.sha256((out / name).read_bytes()).hexdigest() != digest
+    ]
+    checked = sum(len(golden[kind]) for kind in outputs)
+    ok = checked == 8 and not mismatched
+    print(f"ACCEPTANCE #8: {'PASS' if ok else 'FAIL'} - {checked} synth/simulate outputs "
+          f"hashed against bench/golden.json; mismatched: {', '.join(mismatched) or 'none'}")
     assert ok
 
 

@@ -1,6 +1,7 @@
 """Parsing, projection, synthesis, and CSV round-trip checks."""
 
 import math
+from dataclasses import fields
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
@@ -39,11 +40,16 @@ from v2xcal.simulator import (
     PdrBin,
     PdrCurve,
     ScenarioConfig,
+    rmse,
     run_scenario,
 )
 
 
 T0 = datetime(2024, 3, 14, 15, 0, 0, tzinfo=timezone.utc)
+
+
+def _columns(log):
+    return [getattr(log, f.name).tolist() for f in fields(DeliveryLog)]
 
 
 def make_record(seconds=0.0, lat=45.0, lon=-93.0, alt_ft=900.0, heading=90.0, speed=30.0):
@@ -291,7 +297,7 @@ def test_synthetic_is_deterministic():
     t1, l1, c1 = generate_synthetic(synthetic_spec(), scenario)
     t2, l2, c2 = generate_synthetic(synthetic_spec(), scenario)
     assert list(t1) == list(t2)
-    assert l1.records == l2.records
+    assert _columns(l1) == _columns(l2)
     assert export_pdr_csv(c1) == export_pdr_csv(c2)
 
 
@@ -362,12 +368,18 @@ def test_log_round_trip_exact():
     log = sample_log()
     text = export_log_csv(log)
     again = parse_log_csv(text)
-    assert again.records == log.records
+    assert _columns(again) == _columns(log)
     assert export_log_csv(again) == text
 
 
 def test_log_round_trip_empty():
-    assert parse_log_csv(export_log_csv(DeliveryLog(records=[]))).records == []
+    empty = DeliveryLog(
+        timestamp_s=np.empty(0), direction_code=np.empty(0, dtype=int),
+        tx_position_m=np.empty((0, 3)), rx_position_m=np.empty((0, 3)),
+        distance_m=np.empty(0), rx_power_dbm=np.empty(0), reason_code=np.empty(0, dtype=int),
+    )
+    again = parse_log_csv(export_log_csv(empty))
+    assert len(again) == 0 and _columns(again) == _columns(empty)
 
 
 def test_log_parse_rejects_wrong_header():
@@ -395,6 +407,14 @@ def test_log_parse_rejects_bad_values():
     first[1] = "sideways"
     with pytest.raises(ValueError, match="row 2"):
         parse_log_csv("\n".join([lines[0], ",".join(first)]) + "\n")
+
+
+def test_log_parse_rejects_delivered_flag_contradicting_reason():
+    lines = export_log_csv(sample_log()).splitlines()
+    k = next(i for i, line in enumerate(lines) if line.endswith(",true,delivered"))
+    lines[k] = lines[k][: -len("delivered")] + "below_snr"
+    with pytest.raises(ValueError, match=f"row {k + 1}: delivered true contradicts reason below_snr"):
+        parse_log_csv("\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -430,6 +450,51 @@ def test_pdr_parse_rejects_empty_and_malformed():
         parse_pdr_csv("x\n")
     with pytest.raises(ValueError, match="row 2"):
         parse_pdr_csv("bin_start_m,bin_end_m,sent,delivered,pdr_pct\n0,20,ten,5,\n")
+
+
+_PDR_HEADER = "bin_start_m,bin_end_m,sent,delivered,pdr_pct\n"
+
+
+def test_pdr_parse_rejects_more_delivered_than_sent():
+    with pytest.raises(ValueError, match="row 3: delivered 18 exceeds sent 10"):
+        parse_pdr_csv(_PDR_HEADER + "0,20,10,10,\n20,40,10,18,\n")
+
+
+def test_pdr_parse_rejects_negative_counts():
+    with pytest.raises(ValueError, match="row 2: counts must be non-negative"):
+        parse_pdr_csv(_PDR_HEADER + "0,20,-4,-5,\n")
+
+
+def test_pdr_parse_rejects_uneven_bin():
+    with pytest.raises(ValueError, match="row 4: bin 40-100 m is not bin 2"):
+        parse_pdr_csv(_PDR_HEADER + "0,20,10,5,\n20,40,10,5,\n40,100,10,5,\n")
+
+
+def test_pdr_parse_rejects_curve_not_starting_at_zero():
+    with pytest.raises(ValueError, match="row 2: bin 100-120 m is not bin 0"):
+        parse_pdr_csv(_PDR_HEADER + "100,120,10,5,\n120,140,10,5,\n")
+
+
+@settings(max_examples=40, derandomize=True)
+@given(
+    # Widths the 9-decimal CSV can carry; any other fails rmse's width check loudly.
+    width=st.floats(min_value=0.5, max_value=250.0).map(lambda w: round(w, 9)),
+    sent=st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=60),
+)
+def test_rmse_after_round_trip_compares_every_non_empty_bin(width, sent):
+    # Changing any one non-empty bin of the simulated side must move the
+    # RMSE against the re-parsed observed curve by exactly that bin's share.
+    def curve(changed=None):
+        return PdrCurve(bin_width_m=width, bins=[
+            PdrBin(bin_start_m=i * width, bin_end_m=(i + 1) * width, sent=s,
+                   delivered=s if i == changed else 0)
+            for i, s in enumerate(sent)
+        ])
+
+    observed = parse_pdr_csv(export_pdr_csv(curve()))
+    non_empty = [i for i, s in enumerate(sent) if s]
+    for i in non_empty:
+        assert rmse(observed, curve(changed=i)) == pytest.approx(100.0 / math.sqrt(len(non_empty)))
 
 
 def test_heatmap_round_trip():

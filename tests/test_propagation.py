@@ -8,8 +8,6 @@ from hypothesis import given, settings, strategies as st
 from scipy import special, stats
 
 from v2xcal.propagation import (
-    DSRC_BAND_HZ,
-    DSRC_MAX_TX_POWER_MW,
     SNR_THRESHOLDS_DB,
     SPEED_OF_LIGHT_M_S,
     DeliveryReason,
@@ -27,7 +25,6 @@ from v2xcal.propagation import (
     snr_threshold_db,
     to_db,
     to_linear,
-    validate_dsrc_profile,
 )
 
 import oracles
@@ -438,11 +435,3 @@ def test_fading_params_validation():
     with pytest.raises(ValueError, match="slow_model"):
         FadingParams(slow_model="lognormal")
 
-
-def test_dsrc_profile_limits():
-    validate_dsrc_profile(RadioParams())
-    lo, hi = DSRC_BAND_HZ
-    with pytest.raises(ValueError, match="ITS band"):
-        validate_dsrc_profile(RadioParams(carrier_frequency_hz=lo - 1e6))
-    with pytest.raises(ValueError, match="exceeds"):
-        validate_dsrc_profile(RadioParams(tx_power_mw=DSRC_MAX_TX_POWER_MW + 1.0))

@@ -1,13 +1,15 @@
 """Replay, binning, heatmap, and curve-distance checks for the simulator."""
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 from scipy import stats
 
 from v2xcal.propagation import (
-    DeliveryReason,
+    BELOW_SNR,
+    DELIVERED,
     FadingParams,
     FastFadingModel,
     RadioParams,
@@ -15,18 +17,15 @@ from v2xcal.propagation import (
 )
 from v2xcal.simulator import (
     DeliveryLog,
-    DeliveryRecord,
     Direction,
     EnuTrace,
     PdrBin,
     PdrCurve,
     ScenarioConfig,
     heatmap,
-    max_link_distance,
     pdr_curve,
     rmse,
     run_scenario,
-    vehicle_position,
 )
 
 import oracles
@@ -54,20 +53,30 @@ def drive_by_trace(half_m=670.0, y_m=8.0, duration_s=10.0):
     )
 
 
-def _record(distance_m, delivered, direction=Direction.VEHICLE_TO_RSU, t=0.0):
-    vehicle = (float(distance_m), 0.0, 0.0)
-    site = (0.0, 0.0, 0.0)
-    tx, rx = (vehicle, site) if direction is Direction.VEHICLE_TO_RSU else (site, vehicle)
-    return DeliveryRecord(
-        timestamp_s=t,
-        direction=direction,
-        tx_position_m=tx,
-        rx_position_m=rx,
-        distance_m=float(distance_m),
-        rx_power_dbm=-70.0,
-        delivered=delivered,
-        reason=DeliveryReason.DELIVERED if delivered else DeliveryReason.BELOW_SNR,
+def _record(distance_m, delivered, direction=Direction.VEHICLE_TO_RSU):
+    return float(distance_m), delivered, direction
+
+
+def _log(records):
+    """A log of _record packets: vehicle on the x axis, RSU at the origin, t = 0."""
+    n = len(records)
+    dist = np.array([r[0] for r in records], dtype=float)
+    vehicle = np.column_stack([dist, np.zeros(n), np.zeros(n)])
+    site = np.zeros((n, 3))
+    v2r = np.array([r[2] is Direction.VEHICLE_TO_RSU for r in records], dtype=bool)[:, None]
+    return DeliveryLog(
+        timestamp_s=np.zeros(n),
+        direction_code=np.array([r[2].stream_code for r in records], dtype=int),
+        tx_position_m=np.where(v2r, vehicle, site),
+        rx_position_m=np.where(v2r, site, vehicle),
+        distance_m=dist,
+        rx_power_dbm=np.full(n, -70.0),
+        reason_code=np.array([DELIVERED if r[1] else BELOW_SNR for r in records], dtype=int),
     )
+
+
+def _columns(log, mask=slice(None)):
+    return [getattr(log, f.name)[mask].tolist() for f in fields(DeliveryLog)]
 
 
 # ---------------------------------------------------------------------------
@@ -115,11 +124,11 @@ def test_packet_counts_and_cadence():
     scenario = ScenarioConfig(bsm_rate_hz=10.0, spat_rate_hz=10.0, master_seed=1)
     log = run_scenario(trace, scenario, CALIBRATED_RADIO, CALIBRATED_FADING)
     assert len(log) == 200
-    bsm = [r for r in log if r.direction is Direction.VEHICLE_TO_RSU]
-    spat = [r for r in log if r.direction is Direction.RSU_TO_VEHICLE]
+    bsm = log.timestamp_s[log.sent_in(Direction.VEHICLE_TO_RSU)]
+    spat = log.timestamp_s[log.sent_in(Direction.RSU_TO_VEHICLE)]
     assert len(bsm) == len(spat) == 100
-    assert bsm[0].timestamp_s == 0.0 and bsm[-1].timestamp_s == pytest.approx(9.9)
-    stamps = [r.timestamp_s for r in log]
+    assert bsm[0] == 0.0 and bsm[-1] == pytest.approx(9.9)
+    stamps = log.timestamp_s.tolist()
     assert stamps == sorted(stamps)
 
 
@@ -127,30 +136,29 @@ def test_asymmetric_rates():
     trace = drive_by_trace(duration_s=10.0)
     scenario = ScenarioConfig(bsm_rate_hz=10.0, spat_rate_hz=1.0, master_seed=1)
     log = run_scenario(trace, scenario, CALIBRATED_RADIO, CALIBRATED_FADING)
-    assert sum(1 for r in log if r.direction is Direction.VEHICLE_TO_RSU) == 100
-    assert sum(1 for r in log if r.direction is Direction.RSU_TO_VEHICLE) == 10
+    assert np.count_nonzero(log.sent_in(Direction.VEHICLE_TO_RSU)) == 100
+    assert np.count_nonzero(log.sent_in(Direction.RSU_TO_VEHICLE)) == 10
 
 
 def test_packet_positions_follow_trace():
     trace = EnuTrace(times_s=[0.0, 10.0], x_m=[0.0, 100.0], y_m=[0.0, 0.0], z_m=[0.0, 0.0])
     scenario = ScenarioConfig(bsm_rate_hz=1.0, spat_rate_hz=1.0, master_seed=3)
     log = run_scenario(trace, scenario, CALIBRATED_RADIO, CALIBRATED_FADING)
-    for r in log:
-        x, y, z = vehicle_position(r)
-        assert x == pytest.approx(10.0 * r.timestamp_s, abs=1e-9)
-        assert r.distance_m == pytest.approx(x, abs=1e-6)
+    v2r = log.sent_in(Direction.VEHICLE_TO_RSU)[:, None]
+    vehicle = np.where(v2r, log.tx_position_m, log.rx_position_m)
+    for (x, y, z), t, distance in zip(vehicle.tolist(), log.timestamp_s, log.distance_m):
+        assert x == pytest.approx(10.0 * t, abs=1e-9)
+        assert distance == pytest.approx(x, abs=1e-6)
 
 
 def test_direction_endpoints():
     trace = drive_by_trace()
     scenario = ScenarioConfig(rsu_x_m=3.0, rsu_y_m=-2.0, rsu_z_m=6.0, master_seed=5)
     log = run_scenario(trace, scenario, CALIBRATED_RADIO, CALIBRATED_FADING)
-    site = (3.0, -2.0, 6.0)
-    for r in log:
-        if r.direction is Direction.VEHICLE_TO_RSU:
-            assert r.rx_position_m == site
-        else:
-            assert r.tx_position_m == site
+    site = [3.0, -2.0, 6.0]
+    v2r = log.sent_in(Direction.VEHICLE_TO_RSU)
+    assert all(rx == site for rx in log.rx_position_m[v2r].tolist())
+    assert all(tx == site for tx in log.tx_position_m[~v2r].tolist())
 
 
 def test_parked_vehicle_next_to_antenna_gets_everything():
@@ -171,14 +179,14 @@ def test_rerun_is_identical():
     scenario = ScenarioConfig(master_seed=11)
     a = run_scenario(trace, scenario, CALIBRATED_RADIO, CALIBRATED_FADING)
     b = run_scenario(trace, scenario, CALIBRATED_RADIO, CALIBRATED_FADING)
-    assert a.records == b.records
+    assert _columns(a) == _columns(b)
 
 
 def test_seed_changes_outcomes():
     trace = drive_by_trace()
     a = run_scenario(trace, ScenarioConfig(master_seed=1), CALIBRATED_RADIO, CALIBRATED_FADING)
     b = run_scenario(trace, ScenarioConfig(master_seed=2), CALIBRATED_RADIO, CALIBRATED_FADING)
-    assert [r.rx_power_dbm for r in a] != [r.rx_power_dbm for r in b]
+    assert a.rx_power_dbm.tolist() != b.rx_power_dbm.tolist()
 
 
 def test_directions_draw_from_independent_streams():
@@ -188,18 +196,19 @@ def test_directions_draw_from_independent_streams():
                         CALIBRATED_RADIO, CALIBRATED_FADING)
     alt = run_scenario(trace, ScenarioConfig(master_seed=13, spat_rate_hz=2.0),
                        CALIBRATED_RADIO, CALIBRATED_FADING)
-    bsm_base = [r for r in base if r.direction is Direction.VEHICLE_TO_RSU]
-    bsm_alt = [r for r in alt if r.direction is Direction.VEHICLE_TO_RSU]
+    bsm_base = _columns(base, base.sent_in(Direction.VEHICLE_TO_RSU))
+    bsm_alt = _columns(alt, alt.sent_in(Direction.VEHICLE_TO_RSU))
     assert bsm_base == bsm_alt
 
 
 def test_logged_floats_are_quantized():
     trace = drive_by_trace()
     log = run_scenario(trace, ScenarioConfig(master_seed=17), CALIBRATED_RADIO, CALIBRATED_FADING)
-    for r in list(log)[:50]:
-        assert r.rx_power_dbm == round(r.rx_power_dbm, 9)
-        assert r.timestamp_s == round(r.timestamp_s, 9)
-        for coord in (*r.tx_position_m, *r.rx_position_m):
+    columns = (log.rx_power_dbm, log.timestamp_s, log.tx_position_m, log.rx_position_m)
+    for power, t, tx, rx in zip(*(column[:50].tolist() for column in columns)):
+        assert power == round(power, 9)
+        assert t == round(t, 9)
+        for coord in (*tx, *rx):
             assert coord == round(coord, 9)
 
 
@@ -216,11 +225,11 @@ def test_deterministic_channel_is_a_step_function():
     assert 100.0 < breakpoint_m < 300.0  # inside the drive below
     trace = drive_by_trace(half_m=300.0, y_m=0.0, duration_s=60.0)
     log = run_scenario(trace, ScenarioConfig(master_seed=19), radio, fading)
-    for r in log:
-        if r.distance_m <= breakpoint_m - 1e-6:
-            assert r.delivered, r
-        elif r.distance_m >= breakpoint_m + 1e-6:
-            assert not r.delivered and r.reason is DeliveryReason.BELOW_SNR
+    for distance, delivered, reason in zip(log.distance_m, log.delivered, log.reason_code):
+        if distance <= breakpoint_m - 1e-6:
+            assert delivered, distance
+        elif distance >= breakpoint_m + 1e-6:
+            assert not delivered and reason == BELOW_SNR
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +238,7 @@ def test_deterministic_channel_is_a_step_function():
 
 
 def test_pdr_curve_binning_and_conservation():
-    log = DeliveryLog(records=[
+    log = _log([
         _record(5.0, True),
         _record(15.0, True),
         _record(25.0, True),
@@ -246,13 +255,13 @@ def test_pdr_curve_binning_and_conservation():
 
 
 def test_pdr_curve_boundary_goes_to_upper_bin():
-    log = DeliveryLog(records=[_record(20.0, True)])
+    log = _log([_record(20.0, True)])
     curve = pdr_curve(log, 10.0)
     assert [b.sent for b in curve] == [0, 0, 1]
 
 
 def test_pdr_curve_keeps_empty_bins():
-    log = DeliveryLog(records=[_record(5.0, True), _record(45.0, False)])
+    log = _log([_record(5.0, True), _record(45.0, False)])
     curve = pdr_curve(log, 10.0)
     assert [b.empty for b in curve] == [False, True, True, True, False]
     assert [b.pdr_pct for b in curve] == [100.0, None, None, None, 0.0]
@@ -260,12 +269,12 @@ def test_pdr_curve_keeps_empty_bins():
 
 
 def test_pdr_curve_empty_log():
-    curve = pdr_curve(DeliveryLog(records=[]), 10.0)
+    curve = pdr_curve(_log([]), 10.0)
     assert len(curve) == 0 and curve.non_empty() == {}
 
 
 def test_pdr_curve_direction_filter():
-    log = DeliveryLog(records=[
+    log = _log([
         _record(5.0, True, Direction.VEHICLE_TO_RSU),
         _record(5.0, False, Direction.RSU_TO_VEHICLE),
     ])
@@ -279,7 +288,7 @@ def test_pdr_curve_direction_filter():
 
 def test_pdr_curve_rejects_bad_width():
     with pytest.raises(ValueError, match="bin_width_m"):
-        pdr_curve(DeliveryLog(records=[]), 0.0)
+        pdr_curve(_log([]), 0.0)
 
 
 def test_pdr_curve_contiguity_enforced():
@@ -296,7 +305,7 @@ def test_pdr_curve_contiguity_enforced():
 
 
 def test_heatmap_cells_and_conservation():
-    log = DeliveryLog(records=[
+    log = _log([
         _record(5.0, True),       # vehicle at (5, 0) -> cell (0, 0)
         _record(5.0, False),
         _record(25.0, True),      # cell (1, 0) under 20 m cells
@@ -310,7 +319,7 @@ def test_heatmap_cells_and_conservation():
 
 
 def test_heatmap_uses_vehicle_end_for_both_directions():
-    log = DeliveryLog(records=[
+    log = _log([
         _record(5.0, True, Direction.VEHICLE_TO_RSU),
         _record(5.0, True, Direction.RSU_TO_VEHICLE),
     ])
@@ -400,13 +409,5 @@ def test_snr_override_changes_decisions():
     log_harsh = run_scenario(trace, harsh, CALIBRATED_RADIO, CALIBRATED_FADING)
     assert log_harsh.delivered_count() < log_base.delivered_count()
     # Same seed, same draws: the rx powers agree packet for packet.
-    assert [r.rx_power_dbm for r in log_harsh] == [r.rx_power_dbm for r in log_base]
+    assert log_harsh.rx_power_dbm.tolist() == log_base.rx_power_dbm.tolist()
 
-
-def test_max_link_distance():
-    trace = EnuTrace(times_s=[0.0, 1.0, 2.0], x_m=[-30.0, 0.0, 40.0],
-                     y_m=[0.0, 3.0, 0.0], z_m=[0.0, 4.0, 0.0])
-    scenario = ScenarioConfig(rsu_x_m=0.0, rsu_y_m=0.0, rsu_z_m=0.0)
-    assert max_link_distance(trace, scenario) == pytest.approx(40.0)
-    shifted = ScenarioConfig(rsu_x_m=40.0)
-    assert max_link_distance(trace, shifted) == pytest.approx(70.0)
