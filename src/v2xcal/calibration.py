@@ -5,8 +5,9 @@ sensitivity, the slow and fast model selectors, path-loss exponent, system
 loss, shadowing deviation, and the Nakagami shape. Fitness is the RMSE
 between an observed PDR curve and the curve simulated with the candidate
 genome. Every objective evaluation reuses the scenario's fixed simulation
-seed (common random numbers), so the fitness landscape is deterministic
-and the planted truth of a synthetic dataset scores exactly zero.
+seed (common random numbers), so the fitness landscape is deterministic,
+the planted truth of a synthetic dataset scores exactly zero, and a search
+prepares the drive and its draws once (PreparedSearch).
 
 Candidates whose deterministic gain is positive at the reference distance,
 where the log-distance law peaks, would amplify the signal; they are scored
@@ -17,33 +18,46 @@ from __future__ import annotations
 
 import csv
 import io
+import logging
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
-from functools import partial
+from time import perf_counter
 
 import numpy as np
 
 from .propagation import (
+    DELIVERED,
     FadingParams,
     FastFadingModel,
     RadioParams,
     SlowFadingModel,
     deterministic_gain_db,
+    reception_codes,
+    unit_gamma_draws,
 )
 from .simulator import (
     EnuTrace,
     PdrCurve,
     ScenarioConfig,
-    pdr_curve,
-    rmse,
-    run_scenario,
+    channel_pass,
+    check_bin_width,
+    pdr_by_bin_index,
+    pdr_rmse,
+    prepare_drive,
 )
+# Not called here: bench/tracing.py times these under the v2xcal.calibration names.
+from .simulator import pdr_curve, rmse, run_scenario  # noqa: F401
+
+log = logging.getLogger(__name__)
 
 INFEASIBLE_RMSE = 1000.0
 
 #: Decimal places kept on genes and scores so history CSVs are lossless.
 _GENE_DECIMALS = 9
+
+
+#: The genes that set RadioParams fields; the other six set FadingParams fields.
+_RADIO_GENES = ("tx_power_mw", "data_rate_mbps", "noise_floor_dbm", "rx_sensitivity_dbm")
 
 
 @dataclass(frozen=True)
@@ -64,38 +78,15 @@ class Genome:
     def to_params(self, base_radio: RadioParams | None = None,
                   base_fading: FadingParams | None = None):
         """Expand into (RadioParams, FadingParams); non-gene fields come from the bases."""
-        radio = replace(
-            base_radio if base_radio is not None else RadioParams(),
-            tx_power_mw=self.tx_power_mw,
-            data_rate_mbps=self.data_rate_mbps,
-            noise_floor_dbm=self.noise_floor_dbm,
-            rx_sensitivity_dbm=self.rx_sensitivity_dbm,
-        )
-        fading = replace(
-            base_fading if base_fading is not None else FadingParams(),
-            slow_model=self.slow_model,
-            fast_model=self.fast_model,
-            alpha=self.alpha,
-            system_loss_db=self.system_loss_db,
-            sigma_db=self.sigma_db,
-            nakagami_m=self.nakagami_m,
-        )
-        return radio, fading
+        genes = self.as_dict()
+        radio_genes = {name: genes.pop(name) for name in _RADIO_GENES}
+        return (replace(base_radio if base_radio is not None else RadioParams(), **radio_genes),
+                replace(base_fading if base_fading is not None else FadingParams(), **genes))
 
     @classmethod
     def from_params(cls, radio: RadioParams, fading: FadingParams) -> "Genome":
-        return cls(
-            tx_power_mw=radio.tx_power_mw,
-            data_rate_mbps=radio.data_rate_mbps,
-            noise_floor_dbm=radio.noise_floor_dbm,
-            rx_sensitivity_dbm=radio.rx_sensitivity_dbm,
-            slow_model=fading.slow_model,
-            fast_model=fading.fast_model,
-            alpha=fading.alpha,
-            system_loss_db=fading.system_loss_db,
-            sigma_db=fading.sigma_db,
-            nakagami_m=fading.nakagami_m,
-        )
+        return cls(**{f.name: getattr(radio if f.name in _RADIO_GENES else fading, f.name)
+                      for f in fields(cls)})
 
     def as_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -300,6 +291,57 @@ def _quantize_genome(genome: Genome) -> Genome:
     return replace(genome, **updates)
 
 
+class PreparedSearch:
+    """An observed curve and a drive made ready for many genome scores.
+
+    Under common random numbers only the channel depends on the genome, so
+    the drive, its draws and the compared bins are fixed here once. Unit
+    gamma draws are memoized by Nakagami m in gamma_by_m.
+    """
+
+    def __init__(self, observed: PdrCurve, trace: EnuTrace, scenario: ScenarioConfig,
+                 base_radio: RadioParams | None = None, base_fading: FadingParams | None = None):
+        check_bin_width(observed.bin_width_m, scenario.bin_width_m)
+        self.drive = drive = prepare_drive(trace, scenario)
+        self.base_radio, self.base_fading = base_radio, base_fading
+        self.snr_table = scenario.snr_table()
+        index, pdr = pdr_by_bin_index(observed)
+        shared = np.isin(index, np.flatnonzero(drive.sent))
+        if not shared.any():
+            span = (f"{drive.distance_m.min():.1f}-{drive.distance_m.max():.1f} m"
+                    if drive.distance_m.size else "no packets")
+            raise ValueError(f"no overlapping non-empty bins: the curve shares no non-empty "
+                             f"bin with the drive ({span})")
+        if not shared.all():
+            log.warning("%d of %d observed non-empty bins lie outside the drive and are "
+                        "not compared", np.count_nonzero(~shared), shared.size)
+        self.bins, self.observed_pdr = index[shared], pdr[shared]
+        self.gamma_by_m = {}
+        self.m_hits = self.m_misses = 0
+
+    def _unit_gamma(self, m):
+        if m in self.gamma_by_m:
+            self.m_hits += 1
+        else:
+            self.m_misses += 1
+            self.gamma_by_m[m] = unit_gamma_draws(m, self.drive.uniforms)
+        return self.gamma_by_m[m]
+
+    def score(self, genome: Genome) -> float:
+        """objective(genome, ...) on the prepared inputs."""
+        radio, fading = genome.to_params(self.base_radio, self.base_fading)
+        d0 = np.array([fading.reference_distance_m])
+        if deterministic_gain_db(radio, fading, d0)[0] > 0.0:
+            return INFEASIBLE_RMSE
+        unit_gamma = None
+        if fading.fast_model is FastFadingModel.NAKAGAMI:
+            unit_gamma = self._unit_gamma(fading.nakagami_m)
+        rx_power = channel_pass(self.drive, radio, fading, unit_gamma)
+        delivered = reception_codes(rx_power, radio, self.snr_table) == DELIVERED
+        counts = np.bincount(self.drive.bin_index[delivered], minlength=self.drive.sent.size)
+        return pdr_rmse(self.observed_pdr, 100.0 * counts[self.bins] / self.drive.sent[self.bins])
+
+
 def objective(
     genome: Genome,
     observed: PdrCurve,
@@ -307,21 +349,20 @@ def objective(
     scenario: ScenarioConfig,
     base_radio: RadioParams | None = None,
     base_fading: FadingParams | None = None,
+    search: PreparedSearch | None = None,
 ) -> float:
     """Score a genome against the observed curve; lower is better.
 
+    The RMSE of pdr_curve(run_scenario(...)) against the observed curve.
     A genome whose deterministic gain is positive at the reference distance
     scores INFEASIBLE_RMSE immediately, without simulating. The gain is
     clamped inside that distance and falls beyond it (alpha > 0), so no
-    link distance sees a higher gain.
+    link distance sees a higher gain. search, when given, must be the
+    PreparedSearch of these same inputs; one is prepared otherwise.
     """
-    radio, fading = genome.to_params(base_radio, base_fading)
-    d0 = np.array([fading.reference_distance_m])
-    if deterministic_gain_db(radio, fading, d0)[0] > 0.0:
-        return INFEASIBLE_RMSE
-    log = run_scenario(trace, scenario, radio, fading)
-    simulated = pdr_curve(log, scenario.bin_width_m)
-    return rmse(observed, simulated)
+    if search is None:
+        search = PreparedSearch(observed, trace, scenario, base_radio, base_fading)
+    return search.score(genome)
 
 
 def _slot_rng(master_seed: int, generation: int, individual: int) -> np.random.Generator:
@@ -370,12 +411,6 @@ def _make_child(rng, population, scores, config: GaConfig, space: SearchSpace) -
     return _quantize_genome(_apply_frozen(Genome(**child), config.frozen_genes))
 
 
-def _evaluate_population(population, eval_fn, jobs: int, executor) -> list:
-    if jobs == 1 or executor is None:
-        return [eval_fn(g) for g in population]
-    return list(executor.map(eval_fn, population, chunksize=max(1, len(population) // (jobs * 2))))
-
-
 def evolve(
     config: GaConfig,
     observed: PdrCurve,
@@ -388,22 +423,17 @@ def evolve(
     """Run the generational GA and return the best genome found.
 
     Exactly population_size * generations objective evaluations are logged
-    (elites are re-scored; under common random numbers the score repeats).
-    Individual i of generation g is produced from the random stream seeded
-    by (master_seed, g, i): generation 0 by uniform sampling, later ones by
+    (elites are re-scored; under common random numbers the score repeats,
+    so a genome is simulated once and its score reused). Individual i of
+    generation g is produced from the random stream seeded by
+    (master_seed, g, i): generation 0 by uniform sampling, later ones by
     tournament selection, uniform crossover, and clamped Gaussian mutation.
     Frozen genes are overridden after every variation step, which leaves
-    the other genes' draws untouched.
+    the other genes' draws untouched. The search runs in this process;
+    config.jobs is validated but changes nothing.
     """
     space = search_space if search_space is not None else table_search_space()
-    eval_fn = partial(
-        objective,
-        observed=observed,
-        trace=trace,
-        scenario=scenario,
-        base_radio=base_radio,
-        base_fading=base_fading,
-    )
+    search = PreparedSearch(observed, trace, scenario, base_radio, base_fading)
 
     population = [
         _quantize_genome(
@@ -415,34 +445,48 @@ def evolve(
     history = []
     best_genome = None
     best_rmse = math.inf
-    executor = ProcessPoolExecutor(max_workers=config.jobs) if config.jobs > 1 else None
-    try:
-        for gen in range(config.generations):
-            scores = _evaluate_population(population, eval_fn, config.jobs, executor)
-            scores = [_quantize(s) for s in scores]
-            for i, (genome, score) in enumerate(zip(population, scores)):
-                history.append(HistoryRecord(generation=gen, individual=i, genome=genome, rmse=score))
-                if score < best_rmse:
-                    best_rmse = score
-                    best_genome = genome
-            if gen == config.generations - 1:
-                break
-            ranked = sorted(range(len(population)), key=lambda i: (scores[i], i))
-            elites = [population[i] for i in ranked[: config.elite_count]]
-            children = [
-                _make_child(
-                    _slot_rng(config.master_seed, gen + 1, slot),
-                    population,
-                    scores,
-                    config,
-                    space,
-                )
-                for slot in range(config.elite_count, config.population_size)
-            ]
-            population = elites + children
-    finally:
-        if executor is not None:
-            executor.shutdown()
+    score_by_genome = {}
+    previous_m = set()
+    for gen in range(config.generations):
+        start, scored, m_hits, m_misses = (perf_counter(), len(score_by_genome),
+                                           search.m_hits, search.m_misses)
+        # The m memo keeps the m values of this generation and the last.
+        current_m = {g.nakagami_m for g in population}
+        search.gamma_by_m = {m: g for m, g in search.gamma_by_m.items()
+                             if m in previous_m or m in current_m}
+        previous_m = current_m
+        for genome in population:
+            if genome not in score_by_genome:
+                score_by_genome[genome] = _quantize(objective(
+                    genome, observed, trace, scenario, base_radio, base_fading, search=search))
+        scores = [score_by_genome[g] for g in population]
+        for i, (genome, score) in enumerate(zip(population, scores)):
+            history.append(HistoryRecord(generation=gen, individual=i, genome=genome, rmse=score))
+            if score < best_rmse:
+                best_rmse = score
+                best_genome = genome
+        m_hits, m_misses = search.m_hits - m_hits, search.m_misses - m_misses
+        log.info("generation %d: best rmse %.6f, median %.6f, infeasible %d, %.0f evaluations/s, "
+                 "score memo hits %d/%d, m memo hits %d/%d", gen, min(scores),
+                 float(np.median(scores)), scores.count(INFEASIBLE_RMSE),
+                 len(scores) / (perf_counter() - start),
+                 len(scores) - (len(score_by_genome) - scored), len(scores),
+                 m_hits, m_hits + m_misses)
+        if gen == config.generations - 1:
+            break
+        ranked = sorted(range(len(population)), key=lambda i: (scores[i], i))
+        elites = [population[i] for i in ranked[: config.elite_count]]
+        children = [
+            _make_child(
+                _slot_rng(config.master_seed, gen + 1, slot),
+                population,
+                scores,
+                config,
+                space,
+            )
+            for slot in range(config.elite_count, config.population_size)
+        ]
+        population = elites + children
 
     return CalibrationResult(
         best_genome=best_genome,
@@ -456,23 +500,18 @@ def evolve(
 # history CSV
 # ---------------------------------------------------------------------------
 
-HISTORY_HEADERS = (
-    "generation",
-    "individual",
-    "tx_power_mw",
-    "data_rate_mbps",
-    "noise_floor_dbm",
-    "rx_sensitivity_dbm",
-    "slow_model",
-    "fast_model",
-    "alpha",
-    "system_loss_db",
-    "sigma_db",
-    "nakagami_m",
-    "rmse",
-)
+HISTORY_HEADERS = ("generation", "individual", *GENE_NAMES, "rmse")
 
 _FLOAT_FMT = "{:.9f}"
+
+
+def format_gene_value(name: str, value, float_text=repr) -> str:
+    """Text form of one gene: model values, the integer data rate, float_text of the rest."""
+    if name in ("slow_model", "fast_model"):
+        return value.value
+    if name == "data_rate_mbps":
+        return str(value)
+    return float_text(float(value))
 
 
 def history_to_csv(result: CalibrationResult) -> str:
@@ -481,24 +520,10 @@ def history_to_csv(result: CalibrationResult) -> str:
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(HISTORY_HEADERS)
     for rec in result.history:
-        g = rec.genome
-        writer.writerow(
-            [
-                str(rec.generation),
-                str(rec.individual),
-                _FLOAT_FMT.format(g.tx_power_mw),
-                str(g.data_rate_mbps),
-                _FLOAT_FMT.format(g.noise_floor_dbm),
-                _FLOAT_FMT.format(g.rx_sensitivity_dbm),
-                g.slow_model.value,
-                g.fast_model.value,
-                _FLOAT_FMT.format(g.alpha),
-                _FLOAT_FMT.format(g.system_loss_db),
-                _FLOAT_FMT.format(g.sigma_db),
-                _FLOAT_FMT.format(g.nakagami_m),
-                _FLOAT_FMT.format(rec.rmse),
-            ]
-        )
+        writer.writerow([str(rec.generation), str(rec.individual),
+                         *(format_gene_value(name, value, _FLOAT_FMT.format)
+                           for name, value in rec.genome.as_dict().items()),
+                         _FLOAT_FMT.format(rec.rmse)])
     return out.getvalue()
 
 
@@ -507,53 +532,23 @@ def parse_history_csv(text: str) -> list:
     rows = list(reader)
     if not rows or tuple(rows[0]) != HISTORY_HEADERS:
         raise ValueError(f"expected history header {','.join(HISTORY_HEADERS)}")
-    slow = {m.value: m for m in SlowFadingModel}
-    fast = {m.value: m for m in FastFadingModel}
+    parse = {"data_rate_mbps": int, "slow_model": SlowFadingModel, "fast_model": FastFadingModel}
     history = []
     for row_num, row in enumerate(rows[1:], start=2):
         if not row:
             continue
         try:
-            genome = Genome(
-                tx_power_mw=float(row[2]),
-                data_rate_mbps=int(row[3]),
-                noise_floor_dbm=float(row[4]),
-                rx_sensitivity_dbm=float(row[5]),
-                slow_model=slow[row[6]],
-                fast_model=fast[row[7]],
-                alpha=float(row[8]),
-                system_loss_db=float(row[9]),
-                sigma_db=float(row[10]),
-                nakagami_m=float(row[11]),
-            )
-            history.append(
-                HistoryRecord(
-                    generation=int(row[0]),
-                    individual=int(row[1]),
-                    genome=genome,
-                    rmse=float(row[12]),
-                )
-            )
-        except (KeyError, ValueError, IndexError) as exc:
+            score = float(row[12])
+            genes = {name: parse.get(name, float)(text) for name, text in zip(GENE_NAMES, row[2:])}
+            history.append(HistoryRecord(int(row[0]), int(row[1]), Genome(**genes), score))
+        except (ValueError, IndexError) as exc:
             raise ValueError(f"row {row_num}: {exc}") from None
     return history
 
 
 def result_summary(result: CalibrationResult) -> str:
     """Key-value text form of a calibration outcome."""
-    g = result.best_genome
-    lines = [
-        f"tx_power_mw = {g.tx_power_mw!r}",
-        f"data_rate_mbps = {g.data_rate_mbps}",
-        f"noise_floor_dbm = {g.noise_floor_dbm!r}",
-        f"rx_sensitivity_dbm = {g.rx_sensitivity_dbm!r}",
-        f"slow_model = {g.slow_model.value}",
-        f"fast_model = {g.fast_model.value}",
-        f"alpha = {g.alpha!r}",
-        f"system_loss_db = {g.system_loss_db!r}",
-        f"sigma_db = {g.sigma_db!r}",
-        f"nakagami_m = {g.nakagami_m!r}",
-        f"best_rmse = {result.best_rmse!r}",
-        f"evaluations = {result.evaluations}",
-    ]
+    lines = [f"{name} = {format_gene_value(name, value)}"
+             for name, value in result.best_genome.as_dict().items()]
+    lines += [f"best_rmse = {result.best_rmse!r}", f"evaluations = {result.evaluations}"]
     return "\n".join(lines) + "\n"

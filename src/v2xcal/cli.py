@@ -41,7 +41,7 @@ from .dataio import (
     parse_trace_csv,
     project_enu,
 )
-from .simulator import Direction, heatmap, pdr_curve, run_scenario
+from .simulator import BinWidthError, Direction, heatmap, pdr_curve, run_scenario
 
 log = logging.getLogger(__name__)
 
@@ -71,9 +71,17 @@ def _read_text(path: str) -> str:
         raise UsageError(f"cannot read {path}: {exc}") from None
 
 
-def _write_text(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+def _write_outputs(args, documents: dict, summary: str) -> int:
+    """Write each {file name: text} into --out, then print summary and the paths."""
+    os.makedirs(args.out, exist_ok=True)
+    paths = [os.path.join(args.out, name) for name in documents]
+    for path, text in zip(paths, documents.values()):
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    print(summary.rstrip("\n"))
+    for path in paths:
+        print(f"wrote {path}")
+    return 0
 
 
 def _load_config(args) -> RunConfig:
@@ -131,12 +139,6 @@ def _freeze_from_flags(config: RunConfig, tokens) -> tuple:
     return tuple(entries)
 
 
-def _out_dir(args) -> str:
-    out = args.out
-    os.makedirs(out, exist_ok=True)
-    return out
-
-
 def _parse_enu_trace(args, config: RunConfig, path: str):
     try:
         trace = parse_trace_csv(_read_text(path), epoch_ms=getattr(args, "epoch_ms", False))
@@ -160,25 +162,17 @@ def cmd_simulate(args) -> int:
     curve = pdr_curve(delivery_log, config.scenario.bin_width_m, direction)
     grid = heatmap(delivery_log, config.scenario.heatmap_cell_m, direction)
 
-    out = _out_dir(args)
-    paths = {
-        "log": os.path.join(out, "log.csv"),
-        "pdr": os.path.join(out, "pdr.csv"),
-        "heatmap": os.path.join(out, "heatmap.csv"),
-        "config": os.path.join(out, "resolved_config.txt"),
+    documents = {
+        "log.csv": export_log_csv(delivery_log),
+        "pdr.csv": export_pdr_csv(curve),
+        "heatmap.csv": export_heatmap_csv(grid),
+        "resolved_config.txt": render_config(config),
     }
-    _write_text(paths["log"], export_log_csv(delivery_log))
-    _write_text(paths["pdr"], export_pdr_csv(curve))
-    _write_text(paths["heatmap"], export_heatmap_csv(grid))
-    _write_text(paths["config"], render_config(config))
-
     sent = len(delivery_log)
     delivered = delivery_log.delivered_count()
     overall = 100.0 * delivered / sent if sent else 0.0
-    print(f"packets sent {sent}, delivered {delivered}, overall pdr {overall:.4f}%")
-    for name in ("log", "pdr", "heatmap", "config"):
-        print(f"wrote {paths[name]}")
-    return 0
+    return _write_outputs(args, documents, f"packets sent {sent}, delivered {delivered}, "
+                                           f"overall pdr {overall:.4f}%")
 
 
 def cmd_calibrate(args) -> int:
@@ -212,11 +206,6 @@ def cmd_calibrate(args) -> int:
         observed = parse_pdr_csv(observed_text)
     except ValueError as exc:
         raise DataError(f"{args.observed_pdr}: {exc}") from None
-    if abs(observed.bin_width_m - config.scenario.bin_width_m) > 1e-9:
-        raise UsageError(
-            f"observed curve uses {observed.bin_width_m} m bins but the scenario "
-            f"is configured for {config.scenario.bin_width_m} m bins"
-        )
 
     log.info(
         "calibrating: population %d, generations %d, seed %d",
@@ -224,23 +213,20 @@ def cmd_calibrate(args) -> int:
         config.ga.generations,
         config.ga.master_seed,
     )
-    result = evolve(config.ga, observed, enu, config.scenario,
-                    base_radio=config.radio, base_fading=config.fading)
+    try:
+        result = evolve(config.ga, observed, enu, config.scenario,
+                        base_radio=config.radio, base_fading=config.fading)
+    except BinWidthError as exc:
+        raise UsageError(f"{args.observed_pdr}: {exc} m (observed vs configured)") from None
+    except ValueError as exc:
+        raise DataError(f"calibrating {args.observed_pdr} on {args.trace}: {exc}") from None
 
-    out = _out_dir(args)
-    paths = {
-        "history": os.path.join(out, "history.csv"),
-        "result": os.path.join(out, "calibration_result.txt"),
-        "config": os.path.join(out, "resolved_config.txt"),
-    }
-    _write_text(paths["history"], history_to_csv(result))
-    _write_text(paths["result"], result_summary(result))
-    _write_text(paths["config"], render_config(config))
-
-    print(result_summary(result), end="")
-    for name in ("history", "result", "config"):
-        print(f"wrote {paths[name]}")
-    return 0
+    summary = result_summary(result)
+    return _write_outputs(args, {
+        "history.csv": history_to_csv(result),
+        "calibration_result.txt": summary,
+        "resolved_config.txt": render_config(config),
+    }, summary)
 
 
 def cmd_pdr(args) -> int:
@@ -251,13 +237,10 @@ def cmd_pdr(args) -> int:
         raise DataError(f"{args.log}: {exc}") from None
     curve = pdr_curve(delivery_log, config.scenario.bin_width_m, DIRECTION_CHOICES[args.direction])
 
-    out = _out_dir(args)
-    path = os.path.join(out, "pdr.csv")
-    _write_text(path, export_pdr_csv(curve))
     total = sum(b.sent for b in curve)
-    print(f"{len(curve)} bins of {config.scenario.bin_width_m} m covering {total} packets")
-    print(f"wrote {path}")
-    return 0
+    return _write_outputs(args, {"pdr.csv": export_pdr_csv(curve)},
+                          f"{len(curve)} bins of {config.scenario.bin_width_m} m "
+                          f"covering {total} packets")
 
 
 def cmd_heatmap(args) -> int:
@@ -269,13 +252,10 @@ def cmd_heatmap(args) -> int:
     grid = heatmap(delivery_log, config.scenario.heatmap_cell_m,
                    DIRECTION_CHOICES[args.direction])
 
-    out = _out_dir(args)
-    path = os.path.join(out, "heatmap.csv")
-    _write_text(path, export_heatmap_csv(grid))
     total = sum(c.sent for c in grid)
-    print(f"{len(grid)} cells of {config.scenario.heatmap_cell_m} m covering {total} packets")
-    print(f"wrote {path}")
-    return 0
+    return _write_outputs(args, {"heatmap.csv": export_heatmap_csv(grid)},
+                          f"{len(grid)} cells of {config.scenario.heatmap_cell_m} m "
+                          f"covering {total} packets")
 
 
 def cmd_synth(args) -> int:
@@ -305,26 +285,17 @@ def cmd_synth(args) -> int:
 
     trace, delivery_log, curve = generate_synthetic(spec, config.scenario)
 
-    out = _out_dir(args)
-    paths = {
-        "trace": os.path.join(out, "trace.csv"),
-        "pdr": os.path.join(out, "observed_pdr.csv"),
-        "planted": os.path.join(out, "planted_params.txt"),
-        "config": os.path.join(out, "resolved_config.txt"),
+    documents = {
+        "trace.csv": export_trace_csv(trace),
+        "observed_pdr.csv": export_pdr_csv(curve),
+        "planted_params.txt": planted_params_text(config),
+        "resolved_config.txt": render_config(config),
     }
-    _write_text(paths["trace"], export_trace_csv(trace))
-    _write_text(paths["pdr"], export_pdr_csv(curve))
-    _write_text(paths["planted"], planted_params_text(config))
-    _write_text(paths["config"], render_config(config))
-
     sent = len(delivery_log)
     delivered = delivery_log.delivered_count()
     overall = 100.0 * delivered / sent if sent else 0.0
-    print(f"trace records {len(trace)}, packets sent {sent}, "
-          f"delivered {delivered}, overall pdr {overall:.4f}%")
-    for name in ("trace", "pdr", "planted", "config"):
-        print(f"wrote {paths[name]}")
-    return 0
+    return _write_outputs(args, documents, f"trace records {len(trace)}, packets sent {sent}, "
+                                           f"delivered {delivered}, overall pdr {overall:.4f}%")
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
@@ -364,7 +335,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--generations", type=int, metavar="N", help="number of generations")
     p.add_argument("--population", type=int, metavar="N", help="population size")
     p.add_argument("--jobs", type=int, metavar="N",
-                   help="parallel fitness workers (never changes results)")
+                   help="accepted for compatibility; the search runs in one process "
+                        "and its results never depend on N")
     p.add_argument("--freeze", action="append", metavar="GENE[=VALUE]", default=[],
                    help="pin a gene for the whole search (repeatable)")
     p.add_argument("--bin-width", type=float, metavar="M", help="PDR bin width, meters")

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import math
 
-from .calibration import GENE_NAMES, PRESET_GENOMES, GaConfig, Genome
+from .calibration import GENE_NAMES, PRESET_GENOMES, GaConfig, Genome, format_gene_value
 from .dataio import GeodeticPosition
 from .propagation import (
     FadingParams,
@@ -134,14 +134,6 @@ def parse_gene_value(name: str, text: str):
     if name == "fast_model":
         return _parse_enum(text, _FAST_BY_VALUE, "fast_model")
     return _parse_float(text)
-
-
-def format_gene_value(name: str, value) -> str:
-    if name in ("slow_model", "fast_model"):
-        return value.value
-    if name == "data_rate_mbps":
-        return str(value)
-    return repr(float(value))
 
 
 def _parse_freeze(text: str) -> tuple:

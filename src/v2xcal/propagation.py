@@ -177,6 +177,11 @@ def log_distance_rx_power(radio: RadioParams, fading: FadingParams, distance) ->
     return float(p) if np.isscalar(distance) or np.ndim(distance) == 0 else p
 
 
+def shadowed_rx_power(radio, fading, distance, normals):
+    """Log-distance power plus sigma_db times standard-normal draws, dBm."""
+    return log_distance_rx_power(radio, fading, distance) + fading.sigma_db * normals
+
+
 def lognormal_rx_power(radio, fading, distance, rng, size=None):
     """Slow-stage received power with Gaussian shadowing, dBm.
 
@@ -184,10 +189,23 @@ def lognormal_rx_power(radio, fading, distance, rng, size=None):
     float is returned; otherwise an array of independent draws at the same
     distance(s).
     """
-    mean = log_distance_rx_power(radio, fading, distance)
-    if size is None:
-        return float(mean + fading.sigma_db * rng.standard_normal())
-    return mean + fading.sigma_db * rng.standard_normal(size)
+    power = shadowed_rx_power(radio, fading, distance, rng.standard_normal(size))
+    return float(power) if size is None else power
+
+
+def unit_gamma_draws(m, uniforms):
+    """Gamma(shape m, scale 1) draws from uniforms: a Nakagami draw's only m-dependent factor."""
+    return special.gammaincinv(m, uniforms)
+
+
+def nakagami_power(omega_mw, m, unit_gamma):
+    """Nakagami-m received power (mW) with mean omega_mw from unit_gamma_draws(m, u)."""
+    omega = np.asarray(omega_mw, dtype=float)
+    if not np.all(np.isfinite(omega)) or np.any(omega <= 0.0):
+        raise ValueError("omega_mw must be finite and positive")
+    if not (m >= 0.5 and math.isfinite(m)):
+        raise ValueError(f"nakagami m must be >= 0.5, got {m}")
+    return omega / m * unit_gamma
 
 
 def nakagami_power_sample(omega_mw, m, rng, size=None):
@@ -199,13 +217,7 @@ def nakagami_power_sample(omega_mw, m, rng, size=None):
     uniform per draw), which keeps draws varying smoothly with m under a
     fixed random stream.
     """
-    omega = np.asarray(omega_mw, dtype=float)
-    if not np.all(np.isfinite(omega)) or np.any(omega <= 0.0):
-        raise ValueError("omega_mw must be finite and positive")
-    if not (m >= 0.5 and math.isfinite(m)):
-        raise ValueError(f"nakagami m must be >= 0.5, got {m}")
-    u = rng.random(size)
-    sample = omega / m * special.gammaincinv(m, u)
+    sample = nakagami_power(omega_mw, m, unit_gamma_draws(m, rng.random(size)))
     return float(sample) if size is None and np.ndim(omega_mw) == 0 else sample
 
 
@@ -217,8 +229,21 @@ def cascade_rx_power(radio, fading, distance, rng, size=None, fast_rng=None):
     Separate streams keep one stage's draws independent of whether the
     other stage is enabled.
     """
+    normals = unit_gamma = None
     if fading.slow_model is SlowFadingModel.LOGNORMAL:
-        slow_dbm = lognormal_rx_power(radio, fading, distance, rng, size=size)
+        normals = rng.standard_normal(size)
+    if fading.fast_model is FastFadingModel.NAKAGAMI:
+        uniforms = (fast_rng if fast_rng is not None else rng).random(size)
+        unit_gamma = unit_gamma_draws(fading.nakagami_m, uniforms)
+    return cascade_from_draws(radio, fading, distance, normals, unit_gamma, size)
+
+
+def cascade_from_draws(radio, fading, distance, normals, unit_gamma, size=None):
+    """cascade_rx_power for given draws: standard normals for the shadowing
+    and unit_gamma_draws(nakagami_m, u) for the fast stage, each read only
+    when its stage is enabled."""
+    if fading.slow_model is SlowFadingModel.LOGNORMAL:
+        slow_dbm = shadowed_rx_power(radio, fading, distance, normals)
     else:
         slow_dbm = log_distance_rx_power(radio, fading, distance)
         if size is not None:
@@ -226,10 +251,7 @@ def cascade_rx_power(radio, fading, distance, rng, size=None, fast_rng=None):
     if fading.fast_model is FastFadingModel.NONE:
         return slow_dbm
     omega_mw = to_linear(np.asarray(slow_dbm)) if size is not None else to_linear(float(slow_dbm))
-    power_mw = nakagami_power_sample(
-        omega_mw, fading.nakagami_m, fast_rng if fast_rng is not None else rng, size=size
-    )
-    out = to_db(power_mw)
+    out = to_db(nakagami_power(omega_mw, fading.nakagami_m, unit_gamma))
     return float(out) if size is None else out
 
 

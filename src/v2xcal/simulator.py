@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .propagation import DELIVERED, FadingParams, RadioParams, cascade_rx_power, reception_codes
+from .propagation import (DELIVERED, FadingParams, FastFadingModel, RadioParams,
+                          cascade_from_draws, reception_codes, unit_gamma_draws)
 # Not called here: bench/tracing.py times these two under the v2xcal.simulator names.
 from .propagation import log_distance_rx_power, nakagami_power_sample  # noqa: F401
 
@@ -254,19 +255,31 @@ def link_distance_m(tx_m: np.ndarray, rx_m: np.ndarray) -> np.ndarray:
     return np.fromiter(map(math.dist, tx_m.tolist(), rx_m.tolist()), dtype=float, count=len(tx_m))
 
 
-def run_scenario(
-    trace: EnuTrace,
-    scenario: ScenarioConfig,
-    radio: RadioParams,
-    fading: FadingParams,
-) -> DeliveryLog:
-    """Simulate every scheduled packet over the trace and log each outcome.
+@dataclass(frozen=True, eq=False)
+class PreparedDrive:
+    """The part of a scenario run that no channel parameter changes.
 
-    Deterministic for a given (trace, scenario, radio, fading): per
-    direction, shadowing and fast-fading draws come from two child streams
-    seeded by (master_seed, direction), consumed in packet order. Logged
-    floats are rounded to LOG_DECIMALS before the delivery decision so the
-    log is exactly reproducible from its CSV form.
+    Per packet, vehicle-to-RSU first and each direction in send order: the
+    logged columns up to distance_m, the distance bin, and the normal and
+    uniform drawn for its shadowing and fast fading. sent counts per bin.
+    """
+
+    timestamp_s: np.ndarray
+    direction_code: np.ndarray
+    tx_position_m: np.ndarray
+    rx_position_m: np.ndarray
+    distance_m: np.ndarray
+    bin_index: np.ndarray
+    normals: np.ndarray
+    uniforms: np.ndarray
+    sent: np.ndarray
+
+
+def prepare_drive(trace: EnuTrace, scenario: ScenarioConfig) -> PreparedDrive:
+    """Schedule every packet of the trace and draw its random numbers.
+
+    Per direction, the shadowing and fast-fading draws come from two child
+    streams seeded by (master_seed, direction), consumed in packet order.
     """
     rsu = _round_log(np.array([scenario.rsu_x_m, scenario.rsu_y_m, scenario.rsu_z_m], dtype=float))
     parts = []
@@ -278,20 +291,50 @@ def run_scenario(
         times = _round_log(np.arange(n, dtype=float) / rate)
         vehicle = _round_log(np.column_stack(trace.position_at(times)))
         site = np.broadcast_to(rsu, vehicle.shape)
-        dist = link_distance_m(vehicle, site)
-        ss = np.random.SeedSequence((scenario.master_seed, direction.stream_code))
-        slow_seed, fast_seed = ss.spawn(2)
-        rx_power = _round_log(cascade_rx_power(
-            radio, fading, np.maximum(dist, 1e-12), np.random.default_rng(slow_seed),
-            size=n, fast_rng=np.random.default_rng(fast_seed),
-        ))
+        slow_seed, fast_seed = np.random.SeedSequence(
+            (scenario.master_seed, direction.stream_code)).spawn(2)
         tx, rx = (vehicle, site) if direction is Direction.VEHICLE_TO_RSU else (site, vehicle)
-        reason = reception_codes(rx_power, radio, scenario.snr_table())
-        parts.append((times, np.full(n, direction.stream_code), tx, rx, dist, rx_power, reason))
+        parts.append((times, np.full(n, direction.stream_code), tx, rx,
+                      link_distance_m(vehicle, site),
+                      np.random.default_rng(slow_seed).standard_normal(n),
+                      np.random.default_rng(fast_seed).random(n)))
+    times, codes, tx, rx, dist, normals, uniforms = (np.concatenate(c) for c in zip(*parts))
+    bins = np.floor(dist / scenario.bin_width_m).astype(int)
+    return PreparedDrive(times, codes, tx, rx, dist, bins, normals, uniforms, np.bincount(bins))
 
-    columns = [np.concatenate(column) for column in zip(*parts)]
+
+def channel_pass(drive: PreparedDrive, radio: RadioParams, fading: FadingParams,
+                 unit_gamma=None) -> np.ndarray:
+    """Logged received power (dBm) of every prepared packet under one channel.
+
+    unit_gamma: unit_gamma_draws(nakagami_m, drive.uniforms), if the caller keeps it.
+    """
+    if unit_gamma is None and fading.fast_model is FastFadingModel.NAKAGAMI:
+        unit_gamma = unit_gamma_draws(fading.nakagami_m, drive.uniforms)
+    return _round_log(cascade_from_draws(radio, fading, np.maximum(drive.distance_m, 1e-12),
+                                         drive.normals, unit_gamma, size=len(drive.distance_m)))
+
+
+def run_scenario(
+    trace: EnuTrace,
+    scenario: ScenarioConfig,
+    radio: RadioParams,
+    fading: FadingParams,
+) -> DeliveryLog:
+    """Simulate every scheduled packet over the trace and log each outcome.
+
+    Deterministic for a given (trace, scenario, radio, fading): the drive's
+    draws are fixed by prepare_drive. Logged floats are rounded to
+    LOG_DECIMALS before the delivery decision so the log is exactly
+    reproducible from its CSV form.
+    """
+    drive = prepare_drive(trace, scenario)
+    rx_power = channel_pass(drive, radio, fading)
+    reason = reception_codes(rx_power, radio, scenario.snr_table())
     # Chronological order; vehicle-to-RSU first on timestamp ties.
-    order = np.lexsort((columns[1], columns[0]))
+    order = np.lexsort((drive.direction_code, drive.timestamp_s))
+    columns = (drive.timestamp_s, drive.direction_code, drive.tx_position_m,
+               drive.rx_position_m, drive.distance_m, rx_power, reason)
     return DeliveryLog(*(column[order] for column in columns))
 
 
@@ -345,9 +388,27 @@ def heatmap(log: DeliveryLog, cell_m: float, direction: Direction | None = None)
     return HeatmapGrid(cell_m=cell_m, cells=cells)
 
 
-def _pdr_by_bin_index(curve: PdrCurve) -> dict:
+class BinWidthError(ValueError):
+    """Two PDR curves, or a curve and a scenario, use different bin widths."""
+
+
+def check_bin_width(observed_m: float, simulated_m: float) -> None:
+    """The one bin-width rule: widths agree to the 1e-9 m a PDR CSV carries."""
+    if abs(observed_m - simulated_m) > 1e-9:
+        raise BinWidthError(f"bin widths differ: {observed_m} vs {simulated_m}")
+
+
+def pdr_by_bin_index(curve: PdrCurve):
+    """Bin index and pdr_pct arrays over the curve's non-empty bins."""
+    pairs = curve.non_empty().items()
     # Integer keys: a bin start read back from CSV need not equal i * width bit for bit.
-    return {round(start / curve.bin_width_m): pdr for start, pdr in curve.non_empty().items()}
+    index = np.array([round(start / curve.bin_width_m) for start, _ in pairs], dtype=int)
+    return index, np.array([pdr for _, pdr in pairs], dtype=float)
+
+
+def pdr_rmse(observed_pdr: np.ndarray, simulated_pdr: np.ndarray) -> float:
+    """RMSE in percent between two PDR arrays over the same bins."""
+    return float(np.sqrt(np.mean((observed_pdr - simulated_pdr) ** 2)))
 
 
 def rmse(observed: PdrCurve, simulated: PdrCurve) -> float:
@@ -357,15 +418,10 @@ def rmse(observed: PdrCurve, simulated: PdrCurve) -> float:
     must share the same bin width (and the implicit zero origin); having
     no overlapping non-empty bin is an error.
     """
-    if not math.isclose(observed.bin_width_m, simulated.bin_width_m, rel_tol=1e-12):
-        raise ValueError(
-            f"bin widths differ: {observed.bin_width_m} vs {simulated.bin_width_m}"
-        )
-    a = _pdr_by_bin_index(observed)
-    b = _pdr_by_bin_index(simulated)
-    common = sorted(set(a) & set(b))
-    if not common:
+    check_bin_width(observed.bin_width_m, simulated.bin_width_m)
+    obs_index, obs_pdr = pdr_by_bin_index(observed)
+    sim_index, sim_pdr = pdr_by_bin_index(simulated)
+    common, a, b = np.intersect1d(obs_index, sim_index, return_indices=True)
+    if not common.size:
         raise ValueError("no overlapping non-empty bins between the two curves")
-    diffs = np.array([a[k] - b[k] for k in common])
-    return float(np.sqrt(np.mean(diffs**2)))
-
+    return pdr_rmse(obs_pdr[a], sim_pdr[b])

@@ -459,6 +459,29 @@ def test_criterion_8_golden_bytes(dataset, sim_run):
     assert ok
 
 
+def test_criterion_8_golden_calibrate_bytes(dataset, tmp_path):
+    """The benchmark's search on this drive (population 24, 2 generations,
+    seed 42, noise floor and data rate frozen) writes the bytes recorded in
+    bench/golden.json at --jobs 1 and --jobs 2."""
+    golden_path = Path(__file__).resolve().parents[1] / "bench" / "golden.json"
+    golden = json.loads(read(golden_path))["full"]["1729/42"]
+    mismatched, checked = [], 0
+    for jobs in (1, 2):
+        out = tmp_path / f"calibrate_jobs{jobs}"
+        assert main(["calibrate", dataset["observed_path"], dataset["trace_path"],
+                     "--population", "24", "--generations", "2", "--seed", "42",
+                     "--freeze", "noise_floor_dbm=-90.0", "--freeze", "data_rate_mbps=18",
+                     "--jobs", str(jobs), "--out", str(out)]) == 0
+        for name, digest in sorted(golden[out.name].items()):
+            checked += 1
+            if hashlib.sha256((out / name).read_bytes()).hexdigest() != digest:
+                mismatched.append(f"{out.name}/{name}")
+    ok = checked == 6 and not mismatched
+    print(f"ACCEPTANCE #8: {'PASS' if ok else 'FAIL'} - {checked} calibrate outputs hashed "
+          f"against bench/golden.json; mismatched: {', '.join(mismatched) or 'none'}")
+    assert ok
+
+
 # ---------------------------------------------------------------------------
 # 9. lossless export/parse pairs
 # ---------------------------------------------------------------------------

@@ -1,13 +1,16 @@
 """End-to-end command-line checks: exit codes, artifacts, determinism."""
 
 import os
+import re
+from dataclasses import replace
 
 import pytest
 
 from v2xcal.calibration import parse_history_csv
 from v2xcal.cli import main
 from v2xcal.config import RunConfig, apply_preset, parse_config, planted_params_text, render_config
-from v2xcal.dataio import parse_log_csv, parse_pdr_csv
+from v2xcal.dataio import export_pdr_csv, parse_log_csv, parse_pdr_csv
+from v2xcal.simulator import PdrBin, PdrCurve
 
 SHORT_ROUTE = (
     "synth.waypoints_enu_m = -400.0,8.0,0.0; 400.0,8.0,0.0\n"
@@ -235,6 +238,69 @@ def test_calibrate_bin_width_mismatch_names_both(dataset, tmp_path, capsys):
                  "--bin-width", "25.0", "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert "20.0" in err and "25.0" in err
+
+
+def test_calibrate_accepts_a_width_the_csv_rounds(tmp_path, capsys):
+    # The observed CSV carries the width to 9 decimals (12.345678901 m);
+    # the configured 12.3456789012 m must still match it.
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text("scenario.bin_width_m = 12.3456789012\n", encoding="utf-8")
+    spec = tmp_path / "route.txt"
+    spec.write_text(SHORT_ROUTE, encoding="utf-8")
+    data = tmp_path / "synth"
+    assert main(["synth", str(spec), "--config", str(cfg), "--preset", "calibrated",
+                 "--out", str(data)]) == 0
+    assert parse_pdr_csv(read(str(data / "observed_pdr.csv"))).bin_width_m != 12.3456789012
+    assert main(["calibrate", str(data / "observed_pdr.csv"), str(data / "trace.csv"),
+                 "--config", str(cfg), "--population", "4", "--generations", "2",
+                 "--out", str(tmp_path / "cal")]) == 0
+    assert "error" not in capsys.readouterr().err
+
+
+def _observed_with_bins(dataset, tmp_path, extra_bins):
+    """The dataset's observed curve, or only its empty skeleton, extended by
+    extra_bins non-empty 20 m bins beyond the drive."""
+    curve = parse_pdr_csv(read(dataset["observed"]))
+    bins = list(curve.bins) if extra_bins else [replace(b, sent=0, delivered=0) for b in curve]
+    start = len(bins)
+    bins += [PdrBin(k * 20.0, (k + 1) * 20.0, 0, 0) for k in range(start, 100)]
+    bins += [PdrBin(k * 20.0, (k + 1) * 20.0, 10, 5) for k in range(100, 100 + max(extra_bins, 1))]
+    path = tmp_path / "observed.csv"
+    path.write_text(export_pdr_csv(PdrCurve(bin_width_m=20.0, bins=bins)), encoding="utf-8")
+    return str(path), sum(1 for b in curve if not b.empty)
+
+
+def test_calibrate_refuses_a_curve_beyond_the_drive(dataset, tmp_path, capsys):
+    observed, _ = _observed_with_bins(dataset, tmp_path, extra_bins=0)
+    assert main(["calibrate", observed, dataset["trace"], "--population", "4",
+                 "--generations", "2", "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert observed in err and dataset["trace"] in err
+    assert "no overlapping non-empty bins" in err
+    assert re.search(r"\(\d+\.\d-\d+\.\d m\)", err)
+    assert not (tmp_path / "o" / "history.csv").exists()
+
+
+def test_calibrate_warns_of_observed_bins_outside_the_drive(dataset, tmp_path, capsys):
+    observed, inside = _observed_with_bins(dataset, tmp_path, extra_bins=3)
+    assert main(["calibrate", observed, dataset["trace"], "--population", "4",
+                 "--generations", "2", "--out", str(tmp_path / "o")]) == 0
+    err = capsys.readouterr().err
+    assert f"3 of {inside + 3} observed non-empty bins lie outside the drive" in err
+
+
+def test_calibrate_verbose_logs_each_generation_and_changes_no_output(dataset, tmp_path, capsys):
+    out = tmp_path / "cal"
+    names = ("history.csv", "calibration_result.txt", "resolved_config.txt")
+    assert main(calibrate_args(dataset, out)) == 0
+    quiet = capsys.readouterr()
+    quiet_files = [(out / name).read_bytes() for name in names]
+    assert main(calibrate_args(dataset, out, extra=["-v"])) == 0
+    loud = capsys.readouterr()
+    assert [(out / name).read_bytes() for name in names] == quiet_files
+    assert loud.out == quiet.out
+    assert quiet.err == ""
+    assert re.findall(r": generation (\d+): best rmse", loud.err) == ["0", "1"]
 
 
 def test_calibrate_freeze_bare_gene_uses_base_value(dataset, tmp_path):
