@@ -17,6 +17,7 @@ a flat 1000.0 without being simulated.
 from __future__ import annotations
 
 import csv
+import enum
 import io
 import logging
 import math
@@ -94,17 +95,11 @@ class Genome:
 
 GENE_NAMES = tuple(f.name for f in fields(Genome))
 
-CONTINUOUS_GENES = (
-    "tx_power_mw",
-    "noise_floor_dbm",
-    "rx_sensitivity_dbm",
-    "alpha",
-    "system_loss_db",
-    "sigma_db",
-    "nakagami_m",
-)
+#: The package defaults as a genome; the type of each value is its gene's type.
+_PACKAGE_GENOME = Genome.from_params(RadioParams(), FadingParams())
 
-CATEGORICAL_GENES = ("data_rate_mbps", "slow_model", "fast_model")
+CONTINUOUS_GENES = tuple(n for n in GENE_NAMES if isinstance(getattr(_PACKAGE_GENOME, n), float))
+CATEGORICAL_GENES = tuple(n for n in GENE_NAMES if n not in CONTINUOUS_GENES)
 
 
 def default_genome() -> Genome:
@@ -118,7 +113,7 @@ def default_genome() -> Genome:
     about 3.2 km. FadingParams() itself still defaults to alpha 1.0, so a
     run without a preset uses 10 dB per decade.
     """
-    return replace(Genome.from_params(RadioParams(), FadingParams()), alpha=2.0)
+    return replace(_PACKAGE_GENOME, alpha=2.0)
 
 
 def calibrated_genome() -> Genome:
@@ -234,12 +229,12 @@ class GaConfig:
     population_size: int = 24
     generations: int = 200
     tournament_size: int = 3
-    crossover_prob: float = 0.9
-    mutation_prob_per_gene: float = 0.15
-    mutation_sigma_fraction: float = 0.1
     elite_count: int = 2
     master_seed: int = 42
     jobs: int = 1
+    crossover_prob: float = 0.9
+    mutation_prob_per_gene: float = 0.15
+    mutation_sigma_fraction: float = 0.1
     frozen_genes: tuple = ()  # ((name, value), ...) pinned for the whole run
 
     def __post_init__(self):
@@ -257,6 +252,8 @@ class GaConfig:
             raise ValueError("mutation_sigma_fraction must be within (0, 1]")
         if not 0 <= self.elite_count < self.population_size:
             raise ValueError("elite_count must be within [0, population_size)")
+        if self.master_seed < 0:
+            raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
         for name, _ in self.frozen_genes:
@@ -497,7 +494,7 @@ def evolve(
 
 
 # ---------------------------------------------------------------------------
-# history CSV
+# text forms and the history CSV
 # ---------------------------------------------------------------------------
 
 HISTORY_HEADERS = ("generation", "individual", *GENE_NAMES, "rmse")
@@ -505,13 +502,65 @@ HISTORY_HEADERS = ("generation", "individual", *GENE_NAMES, "rmse")
 _FLOAT_FMT = "{:.9f}"
 
 
-def format_gene_value(name: str, value, float_text=repr) -> str:
-    """Text form of one gene: model values, the integer data rate, float_text of the rest."""
-    if name in ("slow_model", "fast_model"):
+def parse_typed_value(name: str, text: str, like):
+    """Read text as a value of like's type; name labels the errors.
+
+    An enum member is read by its value, an int in base 10, and anything
+    else as a finite float.
+    """
+    if isinstance(like, enum.Enum):
+        by_value = {member.value: member for member in type(like)}
+        if text not in by_value:
+            options = ", ".join(sorted(by_value))
+            raise ValueError(f"unknown {name} {text!r} (expected one of: {options})")
+        return by_value[text]
+    if isinstance(like, int):
+        return int(text, 10)
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"value must be finite, got {text!r}")
+    return value
+
+
+def format_typed_value(value, like, float_text=repr) -> str:
+    """Text form of a value of like's type, which parse_typed_value reads back."""
+    if isinstance(like, enum.Enum):
         return value.value
-    if name == "data_rate_mbps":
+    if isinstance(like, int):
         return str(value)
     return float_text(float(value))
+
+
+def _known_gene(name: str) -> str:
+    if name not in GENE_NAMES:
+        raise ValueError(f"unknown gene {name!r} (expected one of: {', '.join(GENE_NAMES)})")
+    return name
+
+
+def parse_gene_value(name: str, text: str):
+    """Convert the text form of one gene to its typed value."""
+    return parse_typed_value(name, text, getattr(_PACKAGE_GENOME, _known_gene(name)))
+
+
+def format_gene_value(name: str, value, float_text=repr) -> str:
+    """Text form of one gene: model values, the integer data rate, float_text of the rest."""
+    return format_typed_value(value, getattr(_PACKAGE_GENOME, name), float_text)
+
+
+def parse_frozen_genes(entries, base: Genome | None = None) -> tuple:
+    """Read gene=value entries into ((name, value), ...).
+
+    With a base genome a bare gene name pins the gene to its base value;
+    without one every entry must be gene=value.
+    """
+    frozen = []
+    for entry in entries:
+        name, sep, text = (part.strip() for part in entry.partition("="))
+        if not sep and base is None:
+            raise ValueError(f"freeze entry {entry.strip()!r} must be gene=value")
+        frozen.append((name, parse_gene_value(name, text) if sep
+                       else getattr(base, _known_gene(name))))
+    return tuple(frozen)
 
 
 def history_to_csv(result: CalibrationResult) -> str:
@@ -528,20 +577,20 @@ def history_to_csv(result: CalibrationResult) -> str:
 
 
 def parse_history_csv(text: str) -> list:
-    reader = csv.reader(io.StringIO(text))
-    rows = list(reader)
+    rows = list(csv.reader(io.StringIO(text)))
     if not rows or tuple(rows[0]) != HISTORY_HEADERS:
         raise ValueError(f"expected history header {','.join(HISTORY_HEADERS)}")
-    parse = {"data_rate_mbps": int, "slow_model": SlowFadingModel, "fast_model": FastFadingModel}
     history = []
     for row_num, row in enumerate(rows[1:], start=2):
         if not row:
             continue
         try:
-            score = float(row[12])
-            genes = {name: parse.get(name, float)(text) for name, text in zip(GENE_NAMES, row[2:])}
-            history.append(HistoryRecord(int(row[0]), int(row[1]), Genome(**genes), score))
-        except (ValueError, IndexError) as exc:
+            if len(row) != len(HISTORY_HEADERS):
+                raise ValueError(f"expected {len(HISTORY_HEADERS)} fields, got {len(row)}")
+            genes = {name: parse_gene_value(name, text) for name, text in zip(GENE_NAMES, row[2:])}
+            history.append(HistoryRecord(int(row[0]), int(row[1]), Genome(**genes),
+                                         parse_typed_value("rmse", row[-1], 0.0)))
+        except ValueError as exc:
             raise ValueError(f"row {row_num}: {exc}") from None
     return history
 

@@ -19,15 +19,15 @@ import os
 import sys
 from dataclasses import replace
 
-from .calibration import GENE_NAMES, Genome, PRESET_GENOMES, evolve, history_to_csv, result_summary
-from .config import (
-    RunConfig,
-    apply_preset,
-    parse_config,
-    parse_gene_value,
-    planted_params_text,
-    render_config,
+from .calibration import (
+    Genome,
+    PRESET_GENOMES,
+    evolve,
+    history_to_csv,
+    parse_frozen_genes,
+    result_summary,
 )
+from .config import RunConfig, apply_preset, parse_config, planted_params_text, render_config
 from .dataio import (
     SyntheticSpec,
     TraceParseError,
@@ -103,40 +103,23 @@ def _apply_preset_flag(config: RunConfig, args) -> RunConfig:
     return config
 
 
-def _apply_grid_flags(config: RunConfig, args) -> RunConfig:
-    scenario_kw = {}
-    if getattr(args, "bin_width", None) is not None:
-        if args.bin_width <= 0.0:
-            raise UsageError("--bin-width must be positive")
-        scenario_kw["bin_width_m"] = args.bin_width
-    if getattr(args, "cell", None) is not None:
-        if args.cell <= 0.0:
-            raise UsageError("--cell must be positive")
-        scenario_kw["heatmap_cell_m"] = args.cell
-    if scenario_kw:
-        config = replace(config, scenario=replace(config.scenario, **scenario_kw))
+#: --bin-width and --cell: flag dest -> the "section.field" it sets.
+_GRID_FLAGS = {"bin_width": "scenario.bin_width_m", "cell": "scenario.heatmap_cell_m"}
+
+
+def _apply_field_flags(config: RunConfig, args, flags: dict) -> RunConfig:
+    """Set the "section.field" that each given flag names; that field's dataclass checks it."""
+    for dest, key in flags.items():
+        value = getattr(args, dest, None)
+        if value is None:
+            continue
+        section, _, name = key.partition(".")
+        try:
+            updated = replace(getattr(config, section), **{name: value})
+        except ValueError as exc:
+            raise UsageError(f"--{dest.replace('_', '-')}: {exc}") from None
+        config = replace(config, **{section: updated})
     return config
-
-
-def _freeze_from_flags(config: RunConfig, tokens) -> tuple:
-    base = Genome.from_params(config.radio, config.fading)
-    entries = []
-    for token in tokens:
-        name, sep, raw = token.partition("=")
-        name = name.strip()
-        if name not in GENE_NAMES:
-            raise UsageError(
-                f"--freeze: unknown gene {name!r} (expected one of: {', '.join(GENE_NAMES)})"
-            )
-        if sep:
-            try:
-                value = parse_gene_value(name, raw.strip())
-            except ValueError as exc:
-                raise UsageError(f"--freeze {token}: {exc}") from None
-        else:
-            value = getattr(base, name)
-        entries.append((name, value))
-    return tuple(entries)
 
 
 def _parse_enu_trace(args, config: RunConfig, path: str):
@@ -152,9 +135,8 @@ def _parse_enu_trace(args, config: RunConfig, path: str):
 
 
 def cmd_simulate(args) -> int:
-    config = _apply_grid_flags(_apply_preset_flag(_load_config(args), args), args)
-    if args.seed is not None:
-        config = replace(config, scenario=replace(config.scenario, master_seed=args.seed))
+    config = _apply_field_flags(_apply_preset_flag(_load_config(args), args), args,
+                                {**_GRID_FLAGS, "seed": "scenario.master_seed"})
 
     enu = _parse_enu_trace(args, config, args.trace)
     delivery_log = run_scenario(enu, config.scenario, config.radio, config.fading)
@@ -176,29 +158,19 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    config = _apply_grid_flags(_apply_preset_flag(_load_config(args), args), args)
-    ga_kw = {}
-    if args.seed is not None:
-        ga_kw["master_seed"] = args.seed
-    if args.generations is not None:
-        if args.generations < 1:
-            raise UsageError("--generations must be >= 1")
-        ga_kw["generations"] = args.generations
-    if args.population is not None:
-        if args.population < 2:
-            raise UsageError("--population must be >= 2")
-        ga_kw["population_size"] = args.population
-    if args.jobs is not None:
-        if args.jobs < 1:
-            raise UsageError("--jobs must be >= 1")
-        ga_kw["jobs"] = args.jobs
-    if args.freeze:
-        ga_kw["frozen_genes"] = _freeze_from_flags(config, args.freeze)
-    if ga_kw:
-        try:
-            config = replace(config, ga=replace(config.ga, **ga_kw))
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
+    config = _apply_field_flags(_apply_preset_flag(_load_config(args), args), args, {
+        **_GRID_FLAGS, "seed": "ga.master_seed", "generations": "ga.generations",
+        "population": "ga.population_size", "jobs": "ga.jobs"})
+    base = Genome.from_params(config.radio, config.fading)
+    try:
+        if args.freeze:
+            frozen = parse_frozen_genes(args.freeze, base)
+            config = replace(config, ga=replace(config.ga, frozen_genes=frozen))
+        # The frozen genes must make a valid channel before any input is read.
+        replace(base, **dict(config.ga.frozen_genes)).to_params(config.radio, config.fading)
+    except ValueError as exc:
+        source = "--freeze" if args.freeze else f"{args.config}: ga.freeze"
+        raise UsageError(f"{source}: {exc}") from None
 
     observed_text = _read_text(args.observed_pdr)
     enu = _parse_enu_trace(args, config, args.trace)
@@ -230,7 +202,7 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_pdr(args) -> int:
-    config = _apply_grid_flags(_load_config(args), args)
+    config = _apply_field_flags(_load_config(args), args, _GRID_FLAGS)
     try:
         delivery_log = parse_log_csv(_read_text(args.log))
     except ValueError as exc:
@@ -244,7 +216,7 @@ def cmd_pdr(args) -> int:
 
 
 def cmd_heatmap(args) -> int:
-    config = _apply_grid_flags(_load_config(args), args)
+    config = _apply_field_flags(_load_config(args), args, _GRID_FLAGS)
     try:
         delivery_log = parse_log_csv(_read_text(args.log))
     except ValueError as exc:
@@ -265,9 +237,7 @@ def cmd_synth(args) -> int:
             config = parse_config(_read_text(args.spec), base=config)
         except ValueError as exc:
             raise UsageError(f"{args.spec}: {exc}") from None
-    config = _apply_grid_flags(_apply_preset_flag(config, args), args)
-    if args.seed is not None:
-        config = replace(config, synth=replace(config.synth, seed=args.seed))
+    config = _apply_field_flags(_apply_preset_flag(config, args), args, {"seed": "synth.seed"})
 
     try:
         spec = SyntheticSpec(

@@ -99,16 +99,16 @@ class ScenarioConfig:
     rsu_z_m: float = 0.0
     bsm_rate_hz: float = 10.0
     spat_rate_hz: float = 10.0
-    master_seed: int = 1729
     bin_width_m: float = 20.0
     heatmap_cell_m: float = 20.0
+    master_seed: int = 1729
     snr_thresholds_db: tuple | None = None  # ((rate, dB), ...) override, else defaults
 
     def __post_init__(self):
-        if self.bsm_rate_hz <= 0.0 or self.spat_rate_hz <= 0.0:
-            raise ValueError("message rates must be positive")
-        if self.bin_width_m <= 0.0 or self.heatmap_cell_m <= 0.0:
-            raise ValueError("bin_width_m and heatmap_cell_m must be positive")
+        if not (0.0 < self.bsm_rate_hz < math.inf and 0.0 < self.spat_rate_hz < math.inf):
+            raise ValueError("message rates must be positive and finite")
+        if not (0.0 < self.bin_width_m < math.inf and 0.0 < self.heatmap_cell_m < math.inf):
+            raise ValueError("bin_width_m and heatmap_cell_m must be positive and finite")
         if not isinstance(self.master_seed, int) or self.master_seed < 0:
             raise ValueError(f"master_seed must be a non-negative integer, got {self.master_seed!r}")
 

@@ -10,6 +10,7 @@ from v2xcal.calibration import (
     CATEGORICAL_GENES,
     CONTINUOUS_GENES,
     GENE_NAMES,
+    HISTORY_HEADERS,
     INFEASIBLE_RMSE,
     CalibrationResult,
     GaConfig,
@@ -356,6 +357,8 @@ def test_ga_config_validation():
         GaConfig(mutation_sigma_fraction=1.2)
     with pytest.raises(ValueError, match="elite_count"):
         GaConfig(population_size=4, elite_count=4)
+    with pytest.raises(ValueError, match="master_seed"):
+        GaConfig(master_seed=-1)
     with pytest.raises(ValueError, match="jobs"):
         GaConfig(jobs=0)
     with pytest.raises(ValueError, match="unknown frozen gene"):
@@ -391,6 +394,29 @@ def test_history_parse_rejects_bad_documents():
         history=[HistoryRecord(0, 0, default_genome(), 1.5)], evaluations=1))
     with pytest.raises(ValueError, match="row 2"):
         parse_history_csv(good.replace("fsm", "psm"))
+
+
+def _one_row_history() -> str:
+    return history_to_csv(CalibrationResult(
+        best_genome=default_genome(), best_rmse=0.0,
+        history=[HistoryRecord(0, 0, default_genome(), 1.5)], evaluations=1))
+
+
+@pytest.mark.parametrize("edit", [lambda row: row + ",0.5", lambda row: row.rpartition(",")[0]],
+                         ids=["extra_field", "missing_field"])
+def test_history_parse_refuses_a_row_of_the_wrong_width(edit):
+    header, row = _one_row_history().splitlines()
+    with pytest.raises(ValueError, match=f"row 2: expected {len(HISTORY_HEADERS)} fields"):
+        parse_history_csv(f"{header}\n{edit(row)}\n")
+
+
+@pytest.mark.parametrize("text", ["nan", "inf"])
+def test_history_parse_refuses_a_non_finite_gene(text):
+    header, row = _one_row_history().splitlines()
+    cells = row.split(",")
+    cells[HISTORY_HEADERS.index("alpha")] = text
+    with pytest.raises(ValueError, match=r"row 2: value must be finite"):
+        parse_history_csv(f"{header}\n{','.join(cells)}\n")
 
 
 def test_result_summary_contents():

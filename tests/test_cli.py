@@ -230,6 +230,7 @@ def test_calibrate_flag_validation(dataset, tmp_path, capsys):
     assert main(base + ["--generations", "0"]) == 2
     assert main(base + ["--population", "1"]) == 2
     assert main(base + ["--jobs", "0"]) == 2
+    assert main(base + ["--seed", "-1"]) == 2
     capsys.readouterr()
 
 
@@ -322,6 +323,36 @@ def test_calibrate_freeze_unknown_gene(dataset, tmp_path, capsys):
     assert main(calibrate_args(dataset, tmp_path / "o",
                                extra=["--freeze", "bandwidth"])) == 2
     assert "unknown gene" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("entry", ["noise_floor_dbm=5", "nakagami_m=0.2", "alpha=-1",
+                                   "data_rate_mbps=7"])
+def test_calibrate_refuses_an_invalid_frozen_value_before_reading_inputs(dataset, tmp_path,
+                                                                         capsys, entry):
+    bad_trace = tmp_path / "bad_trace.csv"
+    bad_trace.write_text("not a trace\n", encoding="utf-8")
+    args = ["calibrate", dataset["observed"], str(bad_trace), "--out", str(tmp_path / "o")]
+    assert main(args + ["--freeze", entry]) == 2
+    err = capsys.readouterr().err
+    assert "--freeze" in err and entry.partition("=")[0] in err and "bad_trace" not in err
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(f"ga.freeze = {entry}\n", encoding="utf-8")
+    assert main(args + ["--config", str(cfg)]) == 2
+    assert f"{cfg}: ga.freeze: " in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_calibrate_accepts_a_frozen_value_outside_the_search_range(dataset, tmp_path):
+    out = tmp_path / "cal"
+    assert main(calibrate_args(dataset, out, extra=["--freeze", "alpha=9"])) == 0
+    assert {rec.genome.alpha for rec in parse_history_csv(read(str(out / "history.csv")))} == {9.0}
+
+
+@pytest.mark.parametrize("flags", [["--bin-width", "nan"], ["--cell", "inf"], ["--seed", "-1"]])
+def test_simulate_refuses_a_flag_its_field_refuses(dataset, tmp_path, capsys, flags):
+    assert main(["simulate", dataset["trace"], *flags, "--out", str(tmp_path / "o")]) == 2
+    assert f"error: {flags[0]}: " in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_calibrate_malformed_observed_curve(dataset, tmp_path, capsys):

@@ -1,10 +1,12 @@
 """Configuration grammar: parsing, rendering, layering, and presets."""
 
 import pytest
+from hypothesis import Phase, given, settings, strategies as st
 
-from v2xcal.calibration import calibrated_genome
+from v2xcal.calibration import GENE_NAMES, GaConfig, calibrated_genome
 from v2xcal.config import (
     RunConfig,
+    SynthSection,
     apply_preset,
     format_gene_value,
     parse_config,
@@ -12,7 +14,15 @@ from v2xcal.config import (
     planted_params_text,
     render_config,
 )
-from v2xcal.propagation import FastFadingModel, SlowFadingModel
+from v2xcal.dataio import GeodeticPosition
+from v2xcal.propagation import (
+    SUPPORTED_DATA_RATES_MBPS,
+    FadingParams,
+    FastFadingModel,
+    RadioParams,
+    SlowFadingModel,
+)
+from v2xcal.simulator import ScenarioConfig
 
 
 FULL_DOCUMENT = """
@@ -189,3 +199,77 @@ def test_gene_value_round_trip():
         assert parse_gene_value(name, format_gene_value(name, value)) == value
     with pytest.raises(ValueError, match="unknown gene"):
         parse_gene_value("bandwidth", "1")
+
+
+# Finite floats of every exponent, subnormals and signed zeros included.
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+_negative = st.floats(max_value=0.0, exclude_max=True, allow_infinity=False)
+_unit = st.floats(min_value=0.0, max_value=1.0)
+_seed = st.integers(min_value=0, max_value=2**63)
+_gene_values = {
+    "data_rate_mbps": st.sampled_from(SUPPORTED_DATA_RATES_MBPS),
+    "slow_model": st.sampled_from(SlowFadingModel),
+    "fast_model": st.sampled_from(FastFadingModel),
+}
+_frozen_entry = st.sampled_from(GENE_NAMES).flatmap(
+    lambda name: st.tuples(st.just(name), _gene_values.get(name, _finite)))
+
+
+@st.composite
+def _ga_configs(draw):
+    population = draw(st.integers(min_value=2, max_value=10**6))
+    return GaConfig(
+        population_size=population,
+        generations=draw(st.integers(min_value=1, max_value=10**6)),
+        tournament_size=draw(st.integers(min_value=2, max_value=10**6)),
+        elite_count=draw(st.integers(min_value=0, max_value=population - 1)),
+        master_seed=draw(_seed),
+        jobs=draw(st.integers(min_value=1, max_value=64)),
+        crossover_prob=draw(_unit),
+        mutation_prob_per_gene=draw(_unit),
+        mutation_sigma_fraction=draw(st.floats(min_value=0.0, max_value=1.0, exclude_min=True)),
+        frozen_genes=tuple(draw(st.lists(_frozen_entry, max_size=4))),
+    )
+
+
+_run_configs = st.builds(
+    RunConfig,
+    radio=st.builds(RadioParams, tx_power_mw=_positive, antenna_gain_tx=_positive,
+                    antenna_gain_rx=_positive, carrier_frequency_hz=_positive,
+                    data_rate_mbps=_gene_values["data_rate_mbps"], noise_floor_dbm=_negative,
+                    rx_sensitivity_dbm=_negative),
+    fading=st.builds(FadingParams, slow_model=_gene_values["slow_model"],
+                     fast_model=_gene_values["fast_model"], alpha=_positive,
+                     system_loss_db=st.floats(min_value=0.0, allow_infinity=False),
+                     sigma_db=st.floats(min_value=0.0, allow_infinity=False),
+                     nakagami_m=st.floats(min_value=0.5, allow_infinity=False),
+                     reference_distance_m=_positive),
+    scenario=st.builds(
+        ScenarioConfig, rsu_x_m=_finite, rsu_y_m=_finite, rsu_z_m=_finite,
+        bsm_rate_hz=_positive, spat_rate_hz=_positive, bin_width_m=_positive,
+        heatmap_cell_m=_positive, master_seed=_seed,
+        # The file form overrides single rates of the full table, so a
+        # resolved configuration carries either no table or all of it.
+        snr_thresholds_db=st.none() | st.tuples(
+            *(st.tuples(st.just(rate), _finite) for rate in SUPPORTED_DATA_RATES_MBPS))),
+    rsu=st.builds(GeodeticPosition, latitude_deg=st.floats(min_value=-90.0, max_value=90.0),
+                  longitude_deg=st.floats(min_value=-180.0, max_value=180.0),
+                  altitude_ft=_finite),
+    synth=st.builds(SynthSection,
+                    waypoints_enu_m=st.lists(st.tuples(_finite, _finite, _finite),
+                                             min_size=1, max_size=5).map(tuple),
+                    leg_speeds_mps=st.lists(_finite, max_size=4).map(tuple),
+                    duration_s=_finite, sample_rate_hz=_finite, seed=_seed),
+    ga=_ga_configs(),
+)
+
+
+# An example draws about eighty values, so shrinking a failure would take
+# minutes; the first failing configuration is reported as drawn.
+@settings(max_examples=150, derandomize=True, phases=(Phase.explicit, Phase.generate))
+@given(_run_configs)
+def test_every_config_round_trips_through_its_text(config):
+    text = render_config(config)
+    assert parse_config(text) == config
+    assert render_config(parse_config(text)) == text

@@ -399,6 +399,13 @@ def test_scenario_validation():
         ScenarioConfig(master_seed=1.5)
 
 
+@pytest.mark.parametrize("field", ["bsm_rate_hz", "spat_rate_hz", "bin_width_m", "heatmap_cell_m"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_scenario_refuses_non_finite_rates_and_grids(field, value):
+    with pytest.raises(ValueError, match="positive and finite"):
+        ScenarioConfig(**{field: value})
+
+
 def test_snr_override_changes_decisions():
     # An 18 Mbps threshold pushed to 50 dB kills most of a drive that the
     # default table happily delivers.
