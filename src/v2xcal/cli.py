@@ -29,7 +29,6 @@ from .calibration import (
 )
 from .config import RunConfig, apply_preset, parse_config, planted_params_text, render_config
 from .dataio import (
-    SyntheticSpec,
     TraceParseError,
     export_log_csv,
     export_pdr_csv,
@@ -240,20 +239,10 @@ def cmd_synth(args) -> int:
     config = _apply_field_flags(_apply_preset_flag(config, args), args, {"seed": "synth.seed"})
 
     try:
-        spec = SyntheticSpec(
-            radio=config.radio,
-            fading=config.fading,
-            waypoints_enu_m=list(config.synth.waypoints_enu_m),
-            leg_speeds_mps=list(config.synth.leg_speeds_mps),
-            duration_s=config.synth.duration_s,
-            seed=config.synth.seed,
-            sample_rate_hz=config.synth.sample_rate_hz,
-            rsu_geodetic=config.rsu,
-        )
+        trace, delivery_log, curve = generate_synthetic(config.synth, config.radio, config.fading,
+                                                        config.rsu, config.scenario)
     except ValueError as exc:
         raise UsageError(f"synthetic route: {exc}") from None
-
-    trace, delivery_log, curve = generate_synthetic(spec, config.scenario)
 
     documents = {
         "trace.csv": export_trace_csv(trace),

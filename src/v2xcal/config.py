@@ -19,8 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
 
-import math
-
 from .calibration import (
     GENE_NAMES,
     PRESET_GENOMES,
@@ -32,32 +30,9 @@ from .calibration import (
     parse_gene_value,
     parse_typed_value,
 )
-from .dataio import GeodeticPosition
+from .dataio import GeodeticPosition, SynthSection
 from .propagation import FadingParams, RadioParams, SNR_THRESHOLDS_DB, SUPPORTED_DATA_RATES_MBPS
 from .simulator import ScenarioConfig
-
-
-@dataclass(frozen=True)
-class SynthSection:
-    """Route recipe for the synth command: a waypoint polyline plus timing.
-
-    The default is a straight 2 km drive past the site at 13.4 m/s, offset
-    8 m from the antenna: small enough to regenerate in seconds, long
-    enough that the far bins go quiet under the shipped calibrated channel.
-    """
-
-    waypoints_enu_m: tuple = ((-1000.0, 8.0, 0.0), (1000.0, 8.0, 0.0))
-    leg_speeds_mps: tuple = (13.4,)
-    duration_s: float = 150.0
-    sample_rate_hz: float = 10.0
-    seed: int = 1729
-
-    def __post_init__(self):
-        for point in self.waypoints_enu_m:
-            if len(point) != 3 or not all(math.isfinite(c) for c in point):
-                raise ValueError(f"waypoint {point!r} must be three finite coordinates")
-        # Route shape (>= 2 waypoints, one speed per leg, positive speeds
-        # and duration) is validated when the SyntheticSpec is built.
 
 
 @dataclass(frozen=True)
@@ -213,7 +188,6 @@ def planted_params_text(config: RunConfig) -> str:
 
 __all__ = [
     "RunConfig",
-    "SynthSection",
     "apply_preset",
     "format_gene_value",
     "parse_config",

@@ -2,10 +2,12 @@
 
 Trace CSVs use canonical snake_case headers (common aliases accepted,
 case-insensitively): time, latitude, longitude, altitude_ft, heading_deg,
-speed_mph, transmission_type, message_type, direction. All exporters render
+speed_mph, transmission_type, message_type, direction. In memory a Trace,
+like a DeliveryLog, holds one numpy array per column. All exporters render
 floats with a fixed number of decimal places so output bytes are identical
 across platforms, and every export has a parse counterpart that restores
-the original values exactly.
+the original values exactly. SynthSection is the recipe of a synthetic
+route, which generate_synthetic drives for all samples at once.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import csv
 import enum
 import io
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields, replace
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
@@ -68,57 +70,94 @@ class TraceDirection(enum.Enum):
     RECEIVED = "Received"
 
 
-@dataclass(frozen=True)
-class TraceRecord:
-    """One row of an on-board-unit message log with its GPS fix."""
+TRANSMISSION_TYPES = tuple(TransmissionType)
+MESSAGE_TYPES = tuple(MessageType)
+TRACE_DIRECTIONS = tuple(TraceDirection)
 
-    time: datetime
-    latitude_deg: float
-    longitude_deg: float
-    altitude_ft: float
-    heading_deg: float
-    speed_mph: float
-    transmission_type: TransmissionType
-    message_type: MessageType
-    direction: TraceDirection
+EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+_MICROSECOND = timedelta(microseconds=1)
 
-    def __post_init__(self):
-        if self.time.tzinfo is None:
-            raise ValueError("time must be timezone-aware (UTC)")
-        if not -90.0 <= self.latitude_deg <= 90.0:
-            raise ValueError(f"latitude {self.latitude_deg} outside [-90, 90]")
-        if not -180.0 <= self.longitude_deg <= 180.0:
-            raise ValueError(f"longitude {self.longitude_deg} outside [-180, 180]")
-        if not 0.0 <= self.heading_deg < 360.0:
-            raise ValueError(f"heading {self.heading_deg} outside [0, 360)")
-        if self.speed_mph < 0.0:
-            raise ValueError(f"speed {self.speed_mph} must be >= 0")
-        for name in ("latitude_deg", "longitude_deg", "altitude_ft", "heading_deg", "speed_mph"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+_FLOAT_COLUMNS = ("latitude_deg", "longitude_deg", "altitude_ft", "heading_deg", "speed_mph")
+#: The message columns: (field, header, enum values in code order, accepted spellings).
+_CODE_COLUMNS = (
+    ("transmission_code", "transmission_type", TRANSMISSION_TYPES,
+     {"dsrc": TransmissionType.DSRC, "cv2x": TransmissionType.CV2X,
+      "c-v2x": TransmissionType.CV2X}),
+    ("message_code", "message_type", MESSAGE_TYPES,
+     {"bsm": MessageType.BSM, "spat": MessageType.SPAT}),
+    ("direction_code", "direction", TRACE_DIRECTIONS,
+     {"sent": TraceDirection.SENT, "received": TraceDirection.RECEIVED,
+      "rx": TraceDirection.RECEIVED, "tx": TraceDirection.SENT}),
+)
 
 
-@dataclass
+def _record_errors(columns: dict) -> list:
+    """(index, reason) of each record that breaks a per-record rule, in record order.
+
+    columns maps the Trace field names to arrays; a record is reported
+    once, under the first rule it breaks.
+    """
+    lat, lon = columns["latitude_deg"], columns["longitude_deg"]
+    heading, speed = columns["heading_deg"], columns["speed_mph"]
+    rules = [
+        (~((lat >= -90.0) & (lat <= 90.0)), lat, "latitude {} outside [-90, 90]"),
+        (~((lon >= -180.0) & (lon <= 180.0)), lon, "longitude {} outside [-180, 180]"),
+        (~((heading >= 0.0) & (heading < 360.0)), heading, "heading {} outside [0, 360)"),
+        (speed < 0.0, speed, "speed {} must be >= 0"),
+        *((~np.isfinite(columns[name]), columns[name], name + " must be finite")
+          for name in _FLOAT_COLUMNS),
+        *((~((columns[name] >= 0) & (columns[name] < len(kinds))), columns[name],
+           header + " code {} unknown") for name, header, kinds, _ in _CODE_COLUMNS),
+    ]
+    errors = {}
+    for bad, values, reason in rules:
+        for i in np.flatnonzero(bad).tolist():
+            errors.setdefault(i, reason.format(values[i]))
+    return sorted(errors.items())
+
+
+@dataclass(eq=False)
 class Trace:
-    """Time-ordered message log."""
+    """Time-ordered on-board-unit message log, one array per column.
 
-    records: list
+    time_us holds microseconds since the Unix epoch (UTC) as int64; the
+    three message columns hold integer codes into TRANSMISSION_TYPES,
+    MESSAGE_TYPES and TRACE_DIRECTIONS. Every record carries a GPS fix:
+    latitude in [-90, 90], longitude in [-180, 180], heading in [0, 360),
+    a non-negative speed, all finite. The first record that breaks a rule,
+    or whose time precedes the one before, is named in the ValueError.
+    """
+
+    time_us: np.ndarray
+    latitude_deg: np.ndarray
+    longitude_deg: np.ndarray
+    altitude_ft: np.ndarray
+    heading_deg: np.ndarray
+    speed_mph: np.ndarray
+    transmission_code: np.ndarray
+    message_code: np.ndarray
+    direction_code: np.ndarray
 
     def __post_init__(self):
-        if not self.records:
+        self.time_us = np.asarray(self.time_us, dtype=np.int64)
+        for name in _FLOAT_COLUMNS:
+            setattr(self, name, np.asarray(getattr(self, name), dtype=float))
+        for name, *_ in _CODE_COLUMNS:
+            setattr(self, name, np.asarray(getattr(self, name), dtype=int))
+        n = self.time_us.shape[0]
+        if n == 0:
             raise ValueError("trace has no records")
-        for i in range(1, len(self.records)):
-            if self.records[i].time < self.records[i - 1].time:
-                raise ValueError(f"timestamps not non-decreasing at record {i}")
+        if any(column.shape != (n,) for column in vars(self).values()):
+            raise ValueError("trace columns must be 1-D and of equal length")
+        errors = _record_errors(vars(self))
+        if errors:
+            raise ValueError("record {}: {}".format(*errors[0]))
+        backwards = np.flatnonzero(np.diff(self.time_us) < 0)
+        if backwards.size:
+            raise ValueError(f"timestamps not non-decreasing at record {backwards[0] + 1}")
 
     def __len__(self):
-        return len(self.records)
-
-    def __iter__(self):
-        return iter(self.records)
-
-    def __getitem__(self, i):
-        return self.records[i]
+        return self.time_us.shape[0]
 
 
 @dataclass(frozen=True)
@@ -136,58 +175,70 @@ class GeodeticPosition:
             raise ValueError(f"longitude {self.longitude_deg} outside [-180, 180]")
 
 
+@dataclass(frozen=True)
+class SynthSection:
+    """Route recipe for a synthetic dataset: a waypoint polyline plus timing.
+
+    The vehicle drives the east-north-up waypoints (meters about the RSU
+    site) at one speed per leg, a GPS fix is emitted every 1/sample_rate_hz
+    seconds for duration_s, and a vehicle that exhausts the route before
+    then parks at the final waypoint. Speeds, duration and rate are
+    positive and finite, the seed a non-negative integer, and two equal
+    consecutive waypoints are refused: that leg would take no time. The
+    count of speeds is checked against the legs by generate_synthetic, as
+    configuration files may set the two keys in different layers.
+
+    The default is a straight 2 km drive past the site at 13.4 m/s, offset
+    8 m from the antenna: small enough to regenerate in seconds, long
+    enough that the far bins go quiet under the shipped calibrated channel.
+    """
+
+    waypoints_enu_m: tuple = ((-1000.0, 8.0, 0.0), (1000.0, 8.0, 0.0))
+    leg_speeds_mps: tuple = (13.4,)
+    duration_s: float = 150.0
+    sample_rate_hz: float = 10.0
+    seed: int = 1729
+
+    def __post_init__(self):
+        points = self.waypoints_enu_m
+        if len(points) < 2:
+            raise ValueError("need at least 2 waypoints")
+        for point in points:
+            if len(point) != 3 or not all(math.isfinite(c) for c in point):
+                raise ValueError(f"waypoint {point!r} must be three finite coordinates")
+        for i in range(1, len(points)):
+            if tuple(points[i]) == tuple(points[i - 1]):
+                raise ValueError(f"waypoints {i - 1} and {i} are equal; every leg needs a length")
+        if not all(0.0 < v < math.inf for v in self.leg_speeds_mps):
+            raise ValueError("leg speeds must be positive and finite")
+        if not (0.0 < self.duration_s < math.inf and 0.0 < self.sample_rate_hz < math.inf):
+            raise ValueError("duration_s and sample_rate_hz must be positive and finite")
+        if not isinstance(self.seed, int) or self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
+
+
 # ---------------------------------------------------------------------------
 # trace CSV
 # ---------------------------------------------------------------------------
 
-TRACE_HEADERS = (
-    "time",
-    "latitude",
-    "longitude",
-    "altitude_ft",
-    "heading_deg",
-    "speed_mph",
-    "transmission_type",
-    "message_type",
-    "direction",
-)
-
-_HEADER_ALIASES = {
-    "time": "time",
-    "timestamp": "time",
-    "utc_time": "time",
-    "datetime": "time",
-    "latitude": "latitude",
-    "lat": "latitude",
-    "longitude": "longitude",
-    "lon": "longitude",
-    "lng": "longitude",
-    "long": "longitude",
-    "altitude_ft": "altitude_ft",
-    "altitude": "altitude_ft",
-    "alt": "altitude_ft",
-    "alt_ft": "altitude_ft",
-    "heading_deg": "heading_deg",
-    "heading": "heading_deg",
-    "course": "heading_deg",
-    "speed_mph": "speed_mph",
-    "speed": "speed_mph",
-    "transmission_type": "transmission_type",
-    "transmission": "transmission_type",
-    "tx_type": "transmission_type",
-    "protocol": "transmission_type",
-    "message_type": "message_type",
-    "msg_type": "message_type",
-    "message": "message_type",
-    "direction": "direction",
-    "dir": "direction",
+#: Canonical trace headers, each with the other spellings the parser
+#: accepts for it once a header is normalized.
+_HEADER_SPELLINGS = {
+    "time": ("timestamp", "utc_time", "datetime"),
+    "latitude": ("lat",),
+    "longitude": ("lon", "lng", "long"),
+    "altitude_ft": ("altitude", "alt", "alt_ft"),
+    "heading_deg": ("heading", "course"),
+    "speed_mph": ("speed",),
+    "transmission_type": ("transmission", "tx_type", "protocol"),
+    "message_type": ("msg_type", "message"),
+    "direction": ("dir",),
 }
+TRACE_HEADERS = tuple(_HEADER_SPELLINGS)
+_HEADER_ALIASES = {alias: name for name, aliases in _HEADER_SPELLINGS.items()
+                   for alias in (name, *aliases)}
 
-_TRANSMISSION_ALIASES = {"dsrc": TransmissionType.DSRC, "cv2x": TransmissionType.CV2X,
-                         "c-v2x": TransmissionType.CV2X}
-_MESSAGE_ALIASES = {"bsm": MessageType.BSM, "spat": MessageType.SPAT}
-_DIRECTION_ALIASES = {"sent": TraceDirection.SENT, "received": TraceDirection.RECEIVED,
-                      "rx": TraceDirection.RECEIVED, "tx": TraceDirection.SENT}
+_TIME_FMT = "%Y-%m-%dT%H:%M:%S.%fZ"
 
 
 def _normalize_header(name: str) -> str:
@@ -198,31 +249,38 @@ def _normalize_header(name: str) -> str:
     return cleaned.strip("_")
 
 
-def _parse_time(value: str, epoch_ms: bool) -> datetime:
+def _parse_time_us(value: str, epoch_ms: bool) -> int:
+    """Microseconds since the Unix epoch of one time cell."""
     if epoch_ms:
-        return datetime.fromtimestamp(int(value) / 1000.0, tz=timezone.utc)
-    text = value.strip()
-    if text.endswith("Z") or text.endswith("z"):
-        text = text[:-1] + "+00:00"
-    t = datetime.fromisoformat(text)
-    if t.tzinfo is None:
-        # GPS loggers commonly omit the offset; the convention here is UTC.
-        t = t.replace(tzinfo=timezone.utc)
-    return t.astimezone(timezone.utc)
+        try:
+            t = EPOCH + timedelta(milliseconds=int(value))
+        except OverflowError:
+            raise ValueError(f"time {value.strip()} ms lies outside years 1-9999") from None
+    else:
+        text = value.strip()
+        if text.endswith("Z") or text.endswith("z"):
+            text = text[:-1] + "+00:00"
+        t = datetime.fromisoformat(text)
+        if t.tzinfo is None:
+            # GPS loggers commonly omit the offset; the convention here is UTC.
+            t = t.replace(tzinfo=timezone.utc)
+        t = t.astimezone(timezone.utc)
+    return (t - EPOCH) // _MICROSECOND
 
 
 def parse_trace_csv(text: str, epoch_ms: bool = False) -> Trace:
     """Parse a message-log CSV document into a Trace.
 
-    Raises TraceParseError with row numbers and reasons for malformed rows,
-    or with a document-level message for missing columns, an empty document,
-    or out-of-order timestamps.
+    Raises TraceParseError with row numbers (CSV records counted from 1,
+    blank ones included) and reasons for malformed rows, or with a
+    document-level message for missing columns, an empty document, or
+    out-of-order timestamps.
     """
-    reader = csv.reader(io.StringIO(text))
-    rows = [row for row in reader if row and any(cell.strip() for cell in row)]
+    rows = [(row_num, row) for row_num, row in enumerate(csv.reader(io.StringIO(text)), start=1)
+            if "".join(row).strip()]
     if not rows:
         raise TraceParseError("document has no header row")
-    header = [_normalize_header(h) for h in rows[0]]
+    header = [_normalize_header(h) for h in rows[0][1]]
     columns = {}
     for pos, name in enumerate(header):
         canonical = _HEADER_ALIASES.get(name)
@@ -234,43 +292,31 @@ def parse_trace_csv(text: str, epoch_ms: bool = False) -> Trace:
     if len(rows) == 1:
         raise TraceParseError("document has a header but no data rows")
 
-    records = []
-    errors = []
-    for row_num, row in enumerate(rows[1:], start=2):
+    row_nums, records, errors = [], [], []
+    for row_num, row in rows[1:]:
         try:
             if len(row) < len(header):
                 raise ValueError(f"expected {len(header)} fields, got {len(row)}")
-            get = lambda name: row[columns[name]].strip()
-            tx_raw = get("transmission_type").lower()
-            if tx_raw not in _TRANSMISSION_ALIASES:
-                raise ValueError(f"unknown transmission_type {get('transmission_type')!r}")
-            msg_raw = get("message_type").lower()
-            if msg_raw not in _MESSAGE_ALIASES:
-                raise ValueError(f"unknown message_type {get('message_type')!r}")
-            dir_raw = get("direction").lower()
-            if dir_raw not in _DIRECTION_ALIASES:
-                raise ValueError(f"unknown direction {get('direction')!r}")
-            records.append(
-                TraceRecord(
-                    time=_parse_time(get("time"), epoch_ms),
-                    latitude_deg=float(get("latitude")),
-                    longitude_deg=float(get("longitude")),
-                    altitude_ft=float(get("altitude_ft")),
-                    heading_deg=float(get("heading_deg")),
-                    speed_mph=float(get("speed_mph")),
-                    transmission_type=_TRANSMISSION_ALIASES[tx_raw],
-                    message_type=_MESSAGE_ALIASES[msg_raw],
-                    direction=_DIRECTION_ALIASES[dir_raw],
-                )
-            )
+            cells = [row[columns[name]].strip() for name in TRACE_HEADERS]
+            codes = []
+            for (_, name, kinds, aliases), cell in zip(_CODE_COLUMNS, cells[6:]):
+                if cell.lower() not in aliases:
+                    raise ValueError(f"unknown {name} {cell!r}")
+                codes.append(kinds.index(aliases[cell.lower()]))
+            records.append((_parse_time_us(cells[0], epoch_ms), *map(float, cells[1:6]), *codes))
+            row_nums.append(row_num)
         except (ValueError, OverflowError) as exc:
-            errors.append(f"row {row_num}: {exc}")
+            errors.append((row_num, str(exc)))
+    trace = {f.name: np.array(column) for f, column in zip(fields(Trace), zip(*records))}
+    if records:
+        errors += [(row_nums[i], reason) for i, reason in _record_errors(trace)]
     if errors:
-        shown = "; ".join(errors[:10])
+        errors.sort()
+        shown = "; ".join(f"row {row_num}: {reason}" for row_num, reason in errors[:10])
         more = f" (+{len(errors) - 10} more)" if len(errors) > 10 else ""
         raise TraceParseError(f"malformed rows: {shown}{more}")
     try:
-        return Trace(records=records)
+        return Trace(**trace)
     except ValueError as exc:
         raise TraceParseError(str(exc)) from None
 
@@ -280,20 +326,13 @@ def export_trace_csv(trace: Trace) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(TRACE_HEADERS)
-    for r in trace:
-        writer.writerow(
-            [
-                r.time.strftime("%Y-%m-%dT%H:%M:%S.%fZ"),
-                _FLOAT_FMT.format(r.latitude_deg),
-                _FLOAT_FMT.format(r.longitude_deg),
-                _FLOAT_FMT.format(r.altitude_ft),
-                _FLOAT_FMT.format(r.heading_deg),
-                _FLOAT_FMT.format(r.speed_mph),
-                r.transmission_type.value,
-                r.message_type.value,
-                r.direction.value,
-            ]
-        )
+    fmt = _FLOAT_FMT.format
+    writer.writerows(zip(
+        ((EPOCH + us * _MICROSECOND).strftime(_TIME_FMT) for us in trace.time_us.tolist()),
+        *(map(fmt, getattr(trace, name).tolist()) for name in _FLOAT_COLUMNS),
+        *([kinds[code].value for code in getattr(trace, name).tolist()]
+          for name, _, kinds, _ in _CODE_COLUMNS),
+    ))
     return out.getvalue()
 
 
@@ -313,13 +352,9 @@ def project_enu(trace: Trace, rsu: GeodeticPosition) -> EnuTrace:
     lon0 = math.radians(rsu.longitude_deg)
     cos_lat0 = math.cos(lat0)
 
-    lats = np.array([math.radians(r.latitude_deg) for r in trace])
-    lons = np.array([math.radians(r.longitude_deg) for r in trace])
-    alts_m = np.array([r.altitude_ft * FT_TO_M for r in trace])
-
-    x = EARTH_RADIUS_M * (lons - lon0) * cos_lat0
-    y = EARTH_RADIUS_M * (lats - lat0)
-    z = alts_m - rsu.altitude_ft * FT_TO_M
+    x = EARTH_RADIUS_M * (np.radians(trace.longitude_deg) - lon0) * cos_lat0
+    y = EARTH_RADIUS_M * (np.radians(trace.latitude_deg) - lat0)
+    z = trace.altitude_ft * FT_TO_M - rsu.altitude_ft * FT_TO_M
 
     ground_range = np.sqrt(x**2 + y**2)
     too_far = np.nonzero(ground_range > MAX_PROJECTION_RANGE_M)[0]
@@ -330,8 +365,7 @@ def project_enu(trace: Trace, rsu: GeodeticPosition) -> EnuTrace:
             f"projection is limited to {MAX_PROJECTION_RANGE_M / 1000.0:.0f} km"
         )
 
-    t0 = trace[0].time
-    times = np.array([(r.time - t0).total_seconds() for r in trace])
+    times = (trace.time_us - trace.time_us[0]) / 1e6
     return EnuTrace(times_s=times, x_m=x, y_m=y, z_m=z)
 
 
@@ -339,102 +373,70 @@ def project_enu(trace: Trace, rsu: GeodeticPosition) -> EnuTrace:
 # synthetic ground truth
 # ---------------------------------------------------------------------------
 
-
-def _default_rsu() -> GeodeticPosition:
-    return GeodeticPosition(latitude_deg=45.0, longitude_deg=-93.0, altitude_ft=0.0)
-
-
-@dataclass
-class SyntheticSpec:
-    """Recipe for a synthetic ground-truth dataset with planted channel truth.
-
-    The vehicle drives the waypoint polyline at the per-leg speeds, GPS-style
-    records are emitted at sample_rate_hz, and the planted radio/fading pair
-    decides every delivery under the given seed. A vehicle that exhausts the
-    route before duration_s parks at the final waypoint.
-    """
-
-    radio: RadioParams
-    fading: FadingParams
-    waypoints_enu_m: list
-    leg_speeds_mps: list
-    duration_s: float
-    seed: int
-    sample_rate_hz: float = 10.0
-    rsu_geodetic: GeodeticPosition = field(default_factory=_default_rsu)
-
-    def __post_init__(self):
-        if len(self.waypoints_enu_m) < 2:
-            raise ValueError("need at least 2 waypoints")
-        if len(self.leg_speeds_mps) != len(self.waypoints_enu_m) - 1:
-            raise ValueError("need one leg speed per waypoint pair")
-        if any(v <= 0.0 for v in self.leg_speeds_mps):
-            raise ValueError("leg speeds must be positive")
-        if self.duration_s <= 0.0:
-            raise ValueError("duration_s must be positive")
-        if self.sample_rate_hz <= 0.0:
-            raise ValueError("sample_rate_hz must be positive")
-        if not isinstance(self.seed, int) or self.seed < 0:
-            raise ValueError("seed must be a non-negative integer")
+#: Time of a synthetic trace's first record.
+_SYNTHETIC_START = datetime(2024, 3, 14, 15, 0, 0, tzinfo=timezone.utc)
 
 
-def _route_state(spec: SyntheticSpec, t: float):
-    """Position, speed and heading on the route at time t."""
-    remaining = t
-    points = [np.asarray(p, dtype=float) for p in spec.waypoints_enu_m]
-    for a, b, v in zip(points, points[1:], spec.leg_speeds_mps):
-        leg = b - a
-        length = float(np.linalg.norm(leg))
-        leg_time = length / v
-        if remaining <= leg_time or leg_time == 0.0:
-            frac = 0.0 if leg_time == 0.0 else remaining / leg_time
-            pos = a + frac * leg
-            heading = math.degrees(math.atan2(leg[0], leg[1])) % 360.0
-            return pos, v, heading
-        remaining -= leg_time
-    # Route exhausted: parked at the end, keep the last leg's heading.
-    leg = points[-1] - points[-2]
-    heading = math.degrees(math.atan2(leg[0], leg[1])) % 360.0
-    return points[-1], 0.0, heading
+def _heading_deg(leg) -> float:
+    """Compass heading of an east-north-up leg, rounded as the trace stores it."""
+    return round(math.degrees(math.atan2(leg[0], leg[1])) % 360.0, 9) % 360.0
 
 
-def generate_synthetic(spec: SyntheticSpec, scenario: ScenarioConfig):
+def generate_synthetic(synth: SynthSection, radio: RadioParams, fading: FadingParams,
+                       rsu: GeodeticPosition, scenario: ScenarioConfig):
     """Build (Trace, DeliveryLog, PdrCurve) for a planted channel truth.
 
-    Deterministic in (spec, scenario); the simulation seed is taken from the
-    spec so the dataset is self-contained. Calibrating against the returned
-    curve with scenario.master_seed equal to spec.seed can reach zero error.
+    The trace is anchored at rsu and drives synth's route; radio and
+    fading decide every delivery. Deterministic in its arguments; the
+    simulation seed is synth.seed, so the dataset is self-contained, and
+    calibrating against the returned curve with scenario.master_seed equal
+    to synth.seed can reach zero error. Raises ValueError unless synth has
+    one leg speed per waypoint pair.
     """
-    lat0 = math.radians(spec.rsu_geodetic.latitude_deg)
-    cos_lat0 = math.cos(lat0)
-    n_samples = int(math.floor(spec.duration_s * spec.sample_rate_hz + 1e-9)) + 1
-    t0 = datetime(2024, 3, 14, 15, 0, 0, tzinfo=timezone.utc)
+    if len(synth.leg_speeds_mps) != len(synth.waypoints_enu_m) - 1:
+        raise ValueError("need one leg speed per waypoint pair")
+    n_samples = int(math.floor(synth.duration_s * synth.sample_rate_hz + 1e-9)) + 1
+    t = np.arange(n_samples) / synth.sample_rate_hz
 
-    records = []
-    for k in range(n_samples):
-        t = k / spec.sample_rate_hz
-        pos, speed_mps, heading = _route_state(spec, t)
-        lat = spec.rsu_geodetic.latitude_deg + math.degrees(pos[1] / EARTH_RADIUS_M)
-        lon = spec.rsu_geodetic.longitude_deg + math.degrees(pos[0] / (EARTH_RADIUS_M * cos_lat0))
-        alt_ft = spec.rsu_geodetic.altitude_ft + pos[2] / FT_TO_M
-        stamp = t0 + timedelta(microseconds=round(t * 1e6))
-        records.append(
-            TraceRecord(
-                time=stamp,
-                latitude_deg=round(lat, 9),
-                longitude_deg=round(lon, 9),
-                altitude_ft=round(alt_ft, 9),
-                heading_deg=round(heading, 9) % 360.0,
-                speed_mph=round(speed_mps / MPH_TO_MPS, 9),
-                transmission_type=TransmissionType.DSRC,
-                message_type=MessageType.BSM,
-                direction=TraceDirection.SENT,
-            )
-        )
-    trace = Trace(records=records)
-    enu = project_enu(trace, spec.rsu_geodetic)
-    run_scenario_config = replace(scenario, master_seed=spec.seed)
-    log = run_scenario(enu, run_scenario_config, spec.radio, spec.fading)
+    # Each sample lies on the first leg whose time covers what remains of
+    # t after the earlier legs' times are subtracted one at a time; a
+    # sample no leg covers is parked at the last waypoint.
+    points = np.array(synth.waypoints_enu_m, dtype=float)
+    pos = np.tile(points[-1], (n_samples, 1))
+    speed_mph = np.zeros(n_samples)
+    heading_deg = np.empty(n_samples)
+    remaining = t.copy()
+    unplaced = np.ones(n_samples, dtype=bool)
+    for a, b, v in zip(points, points[1:], synth.leg_speeds_mps):
+        leg = b - a
+        leg_time = float(np.linalg.norm(leg)) / v
+        on_leg = unplaced & (remaining <= leg_time)
+        pos[on_leg] = a + (remaining[on_leg] / leg_time)[:, None] * leg
+        speed_mph[on_leg] = round(v / MPH_TO_MPS, 9)
+        heading_deg[on_leg] = _heading_deg(leg)
+        unplaced &= ~on_leg
+        remaining -= leg_time
+    heading_deg[unplaced] = _heading_deg(leg)  # parked: the last leg's heading
+
+    # Latitude and longitude round as Python floats and altitude by numpy's
+    # rule; the trace.csv bytes depend on both.
+    lat = rsu.latitude_deg + np.degrees(pos[:, 1] / EARTH_RADIUS_M)
+    lon = rsu.longitude_deg + np.degrees(
+        pos[:, 0] / (EARTH_RADIUS_M * math.cos(math.radians(rsu.latitude_deg))))
+    start_us = (_SYNTHETIC_START - EPOCH) // _MICROSECOND
+    trace = Trace(
+        time_us=start_us + np.rint(t * 1e6).astype(np.int64),
+        latitude_deg=[round(v, 9) for v in lat.tolist()],
+        longitude_deg=[round(v, 9) for v in lon.tolist()],
+        altitude_ft=np.round(rsu.altitude_ft + pos[:, 2] / FT_TO_M, 9),
+        heading_deg=heading_deg,
+        speed_mph=speed_mph,
+        transmission_code=np.full(n_samples, TRANSMISSION_TYPES.index(TransmissionType.DSRC)),
+        message_code=np.full(n_samples, MESSAGE_TYPES.index(MessageType.BSM)),
+        direction_code=np.full(n_samples, TRACE_DIRECTIONS.index(TraceDirection.SENT)),
+    )
+    enu = project_enu(trace, rsu)
+    log = run_scenario(enu, replace(scenario, master_seed=synth.seed), radio, fading)
     curve = pdr_curve(log, scenario.bin_width_m)
     return trace, log, curve
 

@@ -3,16 +3,19 @@
 Everything here is computed from the channel definitions directly --
 closed-form link budgets and numerically integrated delivery probabilities
 -- without touching the simulator's sampling code, so agreement between the
-two is meaningful evidence rather than a tautology.
+two is meaningful evidence rather than a tautology. The synthetic route has
+a scalar reference too: one sample at a time, with plain floats.
 """
 
 from __future__ import annotations
 
 import math
+from datetime import datetime, timedelta, timezone
 
 import numpy as np
 from scipy import special
 
+from v2xcal.dataio import EARTH_RADIUS_M, FT_TO_M, MPH_TO_MPS, TRACE_HEADERS
 from v2xcal.propagation import (
     FadingParams,
     FastFadingModel,
@@ -111,3 +114,41 @@ def deterministic_breakpoint_m(radio: RadioParams, fading: FadingParams,
     threshold = effective_threshold_dbm(radio, snr_table)
     margin_db = friis_reference_dbm(radio, fading) - threshold
     return fading.reference_distance_m * 10.0 ** (margin_db / (10.0 * fading.alpha))
+
+
+def synthetic_trace_csv(synth, rsu) -> str:
+    """trace.csv text of a synthetic route, stepped one sample at a time.
+
+    Each sample walks the legs in order, subtracting each passed leg's
+    time from its own; a sample past the last leg is parked at the final
+    waypoint with the last leg's heading. Latitude, longitude, heading and
+    speed round as Python floats; altitude is an np.float64 and rounds by
+    numpy's rule.
+    """
+    points = [np.asarray(p, dtype=float) for p in synth.waypoints_enu_m]
+    cos_lat0 = math.cos(math.radians(rsu.latitude_deg))
+    start = datetime(2024, 3, 14, 15, 0, 0, tzinfo=timezone.utc)
+    n_samples = int(math.floor(synth.duration_s * synth.sample_rate_hz + 1e-9)) + 1
+    lines = [",".join(TRACE_HEADERS)]
+    for k in range(n_samples):
+        t = k / synth.sample_rate_hz
+        remaining = t
+        for a, b, v in zip(points, points[1:], synth.leg_speeds_mps):
+            leg = b - a
+            leg_time = float(np.linalg.norm(leg)) / v
+            if remaining <= leg_time:
+                pos, speed_mps = a + (remaining / leg_time) * leg, v
+                break
+            remaining -= leg_time
+        else:
+            pos, speed_mps = points[-1], 0.0
+        heading = math.degrees(math.atan2(leg[0], leg[1])) % 360.0
+        lat = rsu.latitude_deg + math.degrees(pos[1] / EARTH_RADIUS_M)
+        lon = rsu.longitude_deg + math.degrees(pos[0] / (EARTH_RADIUS_M * cos_lat0))
+        alt_ft = rsu.altitude_ft + pos[2] / FT_TO_M
+        stamp = start + timedelta(microseconds=round(t * 1e6))
+        values = (round(lat, 9), round(lon, 9), round(alt_ft, 9), round(heading, 9) % 360.0,
+                  round(speed_mps / MPH_TO_MPS, 9))
+        lines.append(",".join([stamp.strftime("%Y-%m-%dT%H:%M:%S.%fZ"),
+                               *("{:.9f}".format(v) for v in values), "DSRC", "BSM", "Sent"]))
+    return "\n".join(lines) + "\n"

@@ -29,7 +29,7 @@ from v2xcal.calibration import (
     result_summary,
     table_search_space,
 )
-from v2xcal.dataio import SyntheticSpec, generate_synthetic, project_enu
+from v2xcal.dataio import GeodeticPosition, SynthSection, generate_synthetic, project_enu
 from v2xcal.propagation import (
     FadingParams,
     FastFadingModel,
@@ -51,18 +51,17 @@ _REFERENCE_GAIN_DB = deterministic_gain_db(RadioParams(), FadingParams(), 1.0)
 def small_dataset(seed=1729):
     """A short drive-by with the calibrated truth planted; fast to simulate."""
     radio, fading = calibrated_genome().to_params()
-    spec = SyntheticSpec(
-        radio=radio,
-        fading=fading,
-        waypoints_enu_m=[(-400.0, 8.0, 0.0), (400.0, 8.0, 0.0)],
-        leg_speeds_mps=[13.4],
+    synth = SynthSection(
+        waypoints_enu_m=((-400.0, 8.0, 0.0), (400.0, 8.0, 0.0)),
+        leg_speeds_mps=(13.4,),
         duration_s=59.0,
         seed=seed,
         sample_rate_hz=10.0,
     )
+    rsu = GeodeticPosition(latitude_deg=45.0, longitude_deg=-93.0)
     scenario = ScenarioConfig(master_seed=seed)
-    trace, _, curve = generate_synthetic(spec, scenario)
-    return project_enu(trace, spec.rsu_geodetic), curve, scenario
+    trace, _, curve = generate_synthetic(synth, radio, fading, rsu, scenario)
+    return project_enu(trace, rsu), curve, scenario
 
 
 # ---------------------------------------------------------------------------

@@ -191,6 +191,21 @@ def test_simulate_epoch_ms_traces(tmp_path):
                  "--out", str(tmp_path / "o")]) == 0
 
 
+def test_simulate_refuses_epoch_ms_outside_the_calendar(tmp_path, capsys):
+    trace = tmp_path / "epoch.csv"
+    trace.write_text(
+        "time,latitude,longitude,altitude_ft,heading_deg,speed_mph,"
+        "transmission_type,message_type,direction\n"
+        "1710428400000,45.0001,-93.0,900,90,30,DSRC,BSM,Sent\n"
+        "-99999999999999999999,45.0002,-93.0,900,90,30,DSRC,BSM,Sent\n",
+        encoding="utf-8",
+    )
+    assert main(["simulate", str(trace), "--epoch-ms", "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "epoch.csv" in err and "row 3: time -99999999999999999999 ms" in err
+
+
 # ---------------------------------------------------------------------------
 # calibrate
 # ---------------------------------------------------------------------------

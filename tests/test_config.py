@@ -6,7 +6,6 @@ from hypothesis import Phase, given, settings, strategies as st
 from v2xcal.calibration import GENE_NAMES, GaConfig, calibrated_genome
 from v2xcal.config import (
     RunConfig,
-    SynthSection,
     apply_preset,
     format_gene_value,
     parse_config,
@@ -14,7 +13,7 @@ from v2xcal.config import (
     planted_params_text,
     render_config,
 )
-from v2xcal.dataio import GeodeticPosition
+from v2xcal.dataio import GeodeticPosition, SynthSection
 from v2xcal.propagation import (
     SUPPORTED_DATA_RATES_MBPS,
     FadingParams,
@@ -256,11 +255,15 @@ _run_configs = st.builds(
     rsu=st.builds(GeodeticPosition, latitude_deg=st.floats(min_value=-90.0, max_value=90.0),
                   longitude_deg=st.floats(min_value=-180.0, max_value=180.0),
                   altitude_ft=_finite),
+    # SynthSection refuses fewer than 2 waypoints, two equal consecutive
+    # ones, and speeds, duration or rate that are not positive and finite.
     synth=st.builds(SynthSection,
                     waypoints_enu_m=st.lists(st.tuples(_finite, _finite, _finite),
-                                             min_size=1, max_size=5).map(tuple),
-                    leg_speeds_mps=st.lists(_finite, max_size=4).map(tuple),
-                    duration_s=_finite, sample_rate_hz=_finite, seed=_seed),
+                                             min_size=2, max_size=5)
+                    .filter(lambda points: all(a != b for a, b in zip(points, points[1:])))
+                    .map(tuple),
+                    leg_speeds_mps=st.lists(_positive, max_size=4).map(tuple),
+                    duration_s=_positive, sample_rate_hz=_positive, seed=_seed),
     ga=_ga_configs(),
 )
 

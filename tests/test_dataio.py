@@ -10,15 +10,18 @@ from hypothesis import given, settings, strategies as st
 
 from v2xcal.dataio import (
     EARTH_RADIUS_M,
+    EPOCH,
     FT_TO_M,
     MAX_PROJECTION_RANGE_M,
+    MESSAGE_TYPES,
+    TRACE_DIRECTIONS,
+    TRANSMISSION_TYPES,
     GeodeticPosition,
     MessageType,
-    SyntheticSpec,
+    SynthSection,
     Trace,
     TraceDirection,
     TraceParseError,
-    TraceRecord,
     TransmissionType,
     export_heatmap_csv,
     export_log_csv,
@@ -44,26 +47,30 @@ from v2xcal.simulator import (
     run_scenario,
 )
 
+import oracles
+
 
 T0 = datetime(2024, 3, 14, 15, 0, 0, tzinfo=timezone.utc)
 
 
-def _columns(log):
-    return [getattr(log, f.name).tolist() for f in fields(DeliveryLog)]
+def _columns(table):
+    return [getattr(table, f.name).tolist() for f in fields(table)]
+
+
+def _time(trace, i):
+    return EPOCH + timedelta(microseconds=int(trace.time_us[i]))
 
 
 def make_record(seconds=0.0, lat=45.0, lon=-93.0, alt_ft=900.0, heading=90.0, speed=30.0):
-    return TraceRecord(
-        time=T0 + timedelta(seconds=seconds),
-        latitude_deg=lat,
-        longitude_deg=lon,
-        altitude_ft=alt_ft,
-        heading_deg=heading,
-        speed_mph=speed,
-        transmission_type=TransmissionType.DSRC,
-        message_type=MessageType.BSM,
-        direction=TraceDirection.SENT,
-    )
+    """One DSRC BSM fix, as its values of the Trace columns."""
+    return ((T0 + timedelta(seconds=seconds) - EPOCH) // timedelta(microseconds=1),
+            lat, lon, alt_ft, heading, speed,
+            TRANSMISSION_TYPES.index(TransmissionType.DSRC), MESSAGE_TYPES.index(MessageType.BSM),
+            TRACE_DIRECTIONS.index(TraceDirection.SENT))
+
+
+def make_trace(records):
+    return Trace(*map(list, zip(*records)))
 
 
 CANONICAL_CSV = """time,latitude,longitude,altitude_ft,heading_deg,speed_mph,transmission_type,message_type,direction
@@ -80,10 +87,10 @@ CANONICAL_CSV = """time,latitude,longitude,altitude_ft,heading_deg,speed_mph,tra
 def test_parse_canonical_document():
     trace = parse_trace_csv(CANONICAL_CSV)
     assert len(trace) == 2
-    assert trace[0].time == T0
-    assert trace[0].latitude_deg == 45.0
-    assert trace[1].message_type is MessageType.SPAT
-    assert trace[1].direction is TraceDirection.RECEIVED
+    assert _time(trace, 0) == T0
+    assert trace.latitude_deg[0] == 45.0
+    assert MESSAGE_TYPES[trace.message_code[1]] is MessageType.SPAT
+    assert TRACE_DIRECTIONS[trace.direction_code[1]] is TraceDirection.RECEIVED
 
 
 def test_parse_header_aliases_and_case():
@@ -93,9 +100,9 @@ def test_parse_header_aliases_and_case():
         "2024-03-14T15:00:01Z,45.0,-93.0,900,90,30,CV2X,spat,rx\n"
     )
     trace = parse_trace_csv(text)
-    assert trace[0].altitude_ft == 900.0
-    assert trace[1].transmission_type is TransmissionType.CV2X
-    assert trace[1].direction is TraceDirection.RECEIVED
+    assert trace.altitude_ft[0] == 900.0
+    assert TRANSMISSION_TYPES[trace.transmission_code[1]] is TransmissionType.CV2X
+    assert TRACE_DIRECTIONS[trace.direction_code[1]] is TraceDirection.RECEIVED
 
 
 def test_parse_ignores_unknown_extra_columns():
@@ -111,7 +118,7 @@ def test_parse_ignores_unknown_extra_columns():
 def test_parse_naive_timestamps_assume_utc():
     text = CANONICAL_CSV.replace(".000000Z", ".000000")
     trace = parse_trace_csv(text)
-    assert trace[0].time == T0
+    assert _time(trace, 0) == T0
 
 
 def test_parse_epoch_milliseconds():
@@ -123,8 +130,8 @@ def test_parse_epoch_milliseconds():
         f"{ms + 100},45.0,-93.0,900,90,30,DSRC,BSM,Sent\n"
     )
     trace = parse_trace_csv(text, epoch_ms=True)
-    assert trace[0].time == T0
-    assert trace[1].time - trace[0].time == timedelta(milliseconds=100)
+    assert _time(trace, 0) == T0
+    assert _time(trace, 1) - _time(trace, 0) == timedelta(milliseconds=100)
 
 
 def test_parse_missing_column_is_document_error():
@@ -162,6 +169,20 @@ def test_parse_truncates_error_list():
         parse_trace_csv("\n".join([header] + [row] * 15) + "\n")
 
 
+def test_parse_row_numbers_count_blank_lines():
+    lines = CANONICAL_CSV.splitlines()
+    text = "\n".join([lines[0], "", "", lines[1], lines[2].replace("45.000100000", "95.0")])
+    with pytest.raises(TraceParseError, match=r"row 5: latitude 95\.0"):
+        parse_trace_csv(text + "\n")
+
+
+def test_trace_names_its_first_bad_record():
+    with pytest.raises(ValueError, match=r"record 1: heading 360\.0 outside \[0, 360\)"):
+        make_trace([make_record(0.0), make_record(1.0, heading=360.0), make_record(2.0, speed=-1.0)])
+    with pytest.raises(ValueError, match="record 2: speed_mph must be finite"):
+        make_trace([make_record(0.0), make_record(1.0), make_record(2.0, speed=math.inf)])
+
+
 def test_parse_out_of_order_timestamps():
     lines = CANONICAL_CSV.splitlines()
     swapped = "\n".join([lines[0], lines[2], lines[1]]) + "\n"
@@ -175,13 +196,13 @@ def test_parse_unknown_enum_values():
 
 
 def test_trace_export_round_trip():
-    trace = Trace(records=[
+    trace = make_trace([
         make_record(0.0, lat=44.977301234, lon=-93.265432101, alt_ft=830.25, heading=271.5, speed=28.125),
         make_record(0.1, lat=44.977311234, lon=-93.265442101),
         make_record(1.25, lat=44.977411234, lon=-93.265532101, heading=0.0, speed=0.0),
     ])
     again = parse_trace_csv(export_trace_csv(trace))
-    assert list(again) == list(trace)
+    assert _columns(again) == _columns(trace)
     assert export_trace_csv(again) == export_trace_csv(trace)
 
 
@@ -205,8 +226,8 @@ def test_trace_round_trip_property(rows):
         make_record(seconds=us / 1e6, lat=lat, lon=lon, alt_ft=alt, heading=heading, speed=speed)
         for us, lat, lon, alt, heading, speed in rows
     ]
-    trace = Trace(records=records)
-    assert list(parse_trace_csv(export_trace_csv(trace))) == records
+    trace = make_trace(records)
+    assert _columns(parse_trace_csv(export_trace_csv(trace))) == _columns(trace)
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +237,7 @@ def test_trace_round_trip_property(rows):
 
 def test_project_rsu_site_maps_to_origin():
     rsu = GeodeticPosition(latitude_deg=45.0, longitude_deg=-93.0, altitude_ft=900.0)
-    trace = Trace(records=[make_record(0.0), make_record(1.0)])
+    trace = make_trace([make_record(0.0), make_record(1.0)])
     enu = project_enu(trace, rsu)
     assert enu.x_m[0] == pytest.approx(0.0, abs=1e-9)
     assert enu.y_m[0] == pytest.approx(0.0, abs=1e-9)
@@ -226,7 +247,7 @@ def test_project_rsu_site_maps_to_origin():
 
 def test_project_millidegree_north():
     rsu = GeodeticPosition(latitude_deg=45.0, longitude_deg=-93.0)
-    trace = Trace(records=[make_record(0.0), make_record(1.0, lat=45.001)])
+    trace = make_trace([make_record(0.0), make_record(1.0, lat=45.001)])
     enu = project_enu(trace, rsu)
     assert enu.y_m[1] == pytest.approx(111.195, abs=0.05)
     assert enu.x_m[1] == pytest.approx(0.0, abs=1e-9)
@@ -234,21 +255,21 @@ def test_project_millidegree_north():
 
 def test_project_millidegree_east_scales_with_latitude():
     rsu = GeodeticPosition(latitude_deg=45.0, longitude_deg=-93.0)
-    trace = Trace(records=[make_record(0.0), make_record(1.0, lon=-92.999)])
+    trace = make_trace([make_record(0.0), make_record(1.0, lon=-92.999)])
     enu = project_enu(trace, rsu)
     assert enu.x_m[1] == pytest.approx(111.195 * math.cos(math.radians(45.0)), abs=0.05)
 
 
 def test_project_altitude_feet_to_meters():
     rsu = GeodeticPosition(latitude_deg=45.0, longitude_deg=-93.0, altitude_ft=800.0)
-    trace = Trace(records=[make_record(0.0, alt_ft=900.0), make_record(1.0, alt_ft=900.0)])
+    trace = make_trace([make_record(0.0, alt_ft=900.0), make_record(1.0, alt_ft=900.0)])
     enu = project_enu(trace, rsu)
     assert enu.z_m[0] == pytest.approx(100.0 * FT_TO_M, abs=1e-9)  # 30.48 m
 
 
 def test_project_refuses_far_records():
     rsu = GeodeticPosition(latitude_deg=45.0, longitude_deg=-93.0)
-    trace = Trace(records=[make_record(0.0), make_record(1.0, lat=45.5)])  # ~ 55.6 km
+    trace = make_trace([make_record(0.0), make_record(1.0, lat=45.5)])  # ~ 55.6 km
     with pytest.raises(ValueError, match=r"record 1 .* 50 km"):
         project_enu(trace, rsu)
     assert MAX_PROJECTION_RANGE_M == 50_000.0
@@ -257,7 +278,7 @@ def test_project_refuses_far_records():
 def test_project_agrees_with_haversine_nearby():
     rsu = GeodeticPosition(latitude_deg=45.0, longitude_deg=-93.0)
     lat, lon = 45.02, -92.97  # a few km out
-    trace = Trace(records=[make_record(0.0), make_record(1.0, lat=lat, lon=lon)])
+    trace = make_trace([make_record(0.0), make_record(1.0, lat=lat, lon=lon)])
     enu = project_enu(trace, rsu)
     planar = math.hypot(enu.x_m[1], enu.y_m[1])
 
@@ -274,61 +295,67 @@ def test_project_agrees_with_haversine_nearby():
 # ---------------------------------------------------------------------------
 
 
+RADIO = RadioParams(tx_power_mw=30.16, data_rate_mbps=18,
+                    noise_floor_dbm=-90.0, rx_sensitivity_dbm=-114.0)
+FADING = FadingParams(
+    slow_model=SlowFadingModel.LOGNORMAL, fast_model=FastFadingModel.NAKAGAMI,
+    alpha=1.51, system_loss_db=0.13, sigma_db=6.03, nakagami_m=2.0,
+)
+RSU = GeodeticPosition(latitude_deg=45.0, longitude_deg=-93.0)
+
+
 def synthetic_spec(**overrides):
     kw = dict(
-        radio=RadioParams(tx_power_mw=30.16, data_rate_mbps=18,
-                          noise_floor_dbm=-90.0, rx_sensitivity_dbm=-114.0),
-        fading=FadingParams(
-            slow_model=SlowFadingModel.LOGNORMAL, fast_model=FastFadingModel.NAKAGAMI,
-            alpha=1.51, system_loss_db=0.13, sigma_db=6.03, nakagami_m=2.0,
-        ),
-        waypoints_enu_m=[(-400.0, 8.0, 0.0), (400.0, 8.0, 0.0)],
-        leg_speeds_mps=[13.4],
+        waypoints_enu_m=((-400.0, 8.0, 0.0), (400.0, 8.0, 0.0)),
+        leg_speeds_mps=(13.4,),
         duration_s=40.0,
         seed=1729,
         sample_rate_hz=10.0,
     )
     kw.update(overrides)
-    return SyntheticSpec(**kw)
+    return SynthSection(**kw)
+
+
+def synthesize(synth, scenario=None, rsu=RSU):
+    return generate_synthetic(synth, RADIO, FADING, rsu, scenario or ScenarioConfig())
 
 
 def test_synthetic_is_deterministic():
     scenario = ScenarioConfig()
-    t1, l1, c1 = generate_synthetic(synthetic_spec(), scenario)
-    t2, l2, c2 = generate_synthetic(synthetic_spec(), scenario)
-    assert list(t1) == list(t2)
+    t1, l1, c1 = synthesize(synthetic_spec(), scenario)
+    t2, l2, c2 = synthesize(synthetic_spec(), scenario)
+    assert _columns(t1) == _columns(t2)
     assert _columns(l1) == _columns(l2)
     assert export_pdr_csv(c1) == export_pdr_csv(c2)
 
 
 def test_synthetic_trace_shape():
-    spec = synthetic_spec()
-    trace, log, curve = generate_synthetic(spec, ScenarioConfig())
+    trace, log, curve = synthesize(synthetic_spec())
     assert len(trace) == 401  # 40 s at 10 Hz inclusive of t=0
     assert len(log) == 800    # two directions at 10 Hz for 40 s
     # The drive is west to east at constant speed.
-    enu = project_enu(trace, spec.rsu_geodetic)
+    enu = project_enu(trace, RSU)
     assert enu.x_m[0] == pytest.approx(-400.0, abs=0.01)
     assert enu.x_m[-1] == pytest.approx(-400.0 + 13.4 * 40.0, abs=0.01)
-    assert trace[0].heading_deg == pytest.approx(90.0)  # due east
-    speeds = {r.speed_mph for r in trace}
+    assert trace.heading_deg[0] == pytest.approx(90.0)  # due east
+    speeds = set(trace.speed_mph.tolist())
     assert len(speeds) == 1  # never exhausts the route, so never parks
 
 
 def test_synthetic_vehicle_parks_at_route_end():
-    spec = synthetic_spec(waypoints_enu_m=[(0.0, 0.0, 0.0), (100.0, 0.0, 0.0)],
-                          leg_speeds_mps=[10.0], duration_s=20.0)
-    trace, _, _ = generate_synthetic(spec, ScenarioConfig())
-    enu = project_enu(trace, spec.rsu_geodetic)
+    spec = synthetic_spec(waypoints_enu_m=((0.0, 0.0, 0.0), (100.0, 0.0, 0.0)),
+                          leg_speeds_mps=(10.0,), duration_s=20.0)
+    trace, _, _ = synthesize(spec)
+    enu = project_enu(trace, RSU)
     assert enu.x_m[-1] == pytest.approx(100.0, abs=0.01)  # parked at the end
-    assert trace[-1].speed_mph == 0.0
-    assert trace[100].speed_mph > 0.0  # still driving at t=10 s
+    assert trace.speed_mph[-1] == 0.0
+    assert trace.speed_mph[100] > 0.0  # still driving at t=10 s
 
 
 def test_synthetic_pdr_decays_with_distance():
-    spec = synthetic_spec(waypoints_enu_m=[(-1500.0, 8.0, 0.0), (1500.0, 8.0, 0.0)],
-                          leg_speeds_mps=[13.4], duration_s=220.0)
-    _, _, curve = generate_synthetic(spec, ScenarioConfig())
+    spec = synthetic_spec(waypoints_enu_m=((-1500.0, 8.0, 0.0), (1500.0, 8.0, 0.0)),
+                          leg_speeds_mps=(13.4,), duration_s=220.0)
+    _, _, curve = synthesize(spec)
     pdr = curve.non_empty()
     near = np.mean([pdr[k] for k in sorted(pdr)[:3]])
     far = np.mean([pdr[k] for k in sorted(pdr)[-3:]])
@@ -337,15 +364,55 @@ def test_synthetic_pdr_decays_with_distance():
 
 def test_synthetic_spec_validation():
     with pytest.raises(ValueError, match="at least 2 waypoints"):
-        synthetic_spec(waypoints_enu_m=[(0.0, 0.0, 0.0)], leg_speeds_mps=[])
+        synthetic_spec(waypoints_enu_m=((0.0, 0.0, 0.0),), leg_speeds_mps=())
     with pytest.raises(ValueError, match="one leg speed per waypoint pair"):
-        synthetic_spec(leg_speeds_mps=[10.0, 10.0])
+        synthesize(synthetic_spec(leg_speeds_mps=(10.0, 10.0)))
     with pytest.raises(ValueError, match="positive"):
-        synthetic_spec(leg_speeds_mps=[-1.0])
+        synthetic_spec(leg_speeds_mps=(-1.0,))
     with pytest.raises(ValueError, match="duration_s"):
         synthetic_spec(duration_s=0.0)
     with pytest.raises(ValueError, match="seed"):
         synthetic_spec(seed=-3)
+
+
+def test_repeated_waypoint_and_infinite_speed_are_refused():
+    # A zero-length leg once froze the vehicle at its start for the rest
+    # of the run while the trace went on reporting the leg speed.
+    with pytest.raises(ValueError, match="waypoints 1 and 2 are equal"):
+        synthetic_spec(waypoints_enu_m=((0.0, 0.0, 0.0), (100.0, 0.0, 0.0),
+                                        (100.0, 0.0, 0.0), (200.0, 0.0, 0.0)),
+                       leg_speeds_mps=(10.0, 10.0, 10.0), duration_s=30.0)
+    with pytest.raises(ValueError, match="positive and finite"):
+        synthetic_spec(leg_speeds_mps=(math.inf,))
+
+
+@st.composite
+def _routes(draw):
+    """A random multi-leg 3-D route, its RSU anchor, and a run that often ends parked.
+
+    Coordinates come from a drawn numpy seed, so they carry full-precision
+    digits rather than the short values hypothesis favours.
+    """
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32)))
+    n_points = draw(st.integers(min_value=2, max_value=5))
+    points = rng.uniform(-500.0, 500.0, (n_points, 3)) * rng.choice([1.0, 0.01], (n_points, 3))
+    speeds = rng.uniform(2.0, 40.0, n_points - 1)
+    route_s = sum(np.linalg.norm(b - a) / v for a, b, v in zip(points, points[1:], speeds))
+    synth = SynthSection(
+        waypoints_enu_m=tuple(map(tuple, points.tolist())), leg_speeds_mps=tuple(speeds.tolist()),
+        duration_s=min(150.0, max(1.0, route_s * draw(st.floats(min_value=0.2, max_value=2.0)))),
+        sample_rate_hz=draw(st.sampled_from([1.0, 2.0, 3.0, 10.0, 12.5, 25.0])),
+        seed=draw(st.integers(min_value=0, max_value=2**32)))
+    rsu = GeodeticPosition(*rng.uniform((-60.0, -170.0, -100.0), (60.0, 170.0, 3000.0)).tolist())
+    return synth, rsu
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(route=_routes())
+def test_synthetic_trace_matches_the_per_sample_route(route):
+    synth, rsu = route
+    trace, _, _ = synthesize(synth, rsu=rsu)
+    assert export_trace_csv(trace) == oracles.synthetic_trace_csv(synth, rsu)
 
 
 # ---------------------------------------------------------------------------

@@ -17,11 +17,12 @@ from v2xcal.calibration import (
     objective,
     table_search_space,
 )
-from v2xcal.dataio import SyntheticSpec, generate_synthetic, project_enu
+from v2xcal.dataio import GeodeticPosition, SynthSection, generate_synthetic, project_enu
 from v2xcal.propagation import FastFadingModel, RadioParams, deterministic_gain_db
 from v2xcal.simulator import BinWidthError, ScenarioConfig, pdr_curve, rmse, run_scenario
 
 SCENARIO = ScenarioConfig(master_seed=1729)
+RSU = GeodeticPosition(latitude_deg=45.0, longitude_deg=-93.0)
 
 #: About 1.5 dB of positive gain at the reference distance with no system
 #: loss, so genomes with system_loss_db under about 1.5 dB are infeasible.
@@ -31,12 +32,11 @@ BOOSTED = RadioParams(antenna_gain_tx=10.0 ** 4.94)
 def _drive(half_length_m):
     """Trace and curve of a drive-by from -x to +x, 8 m off the antenna."""
     radio, fading = calibrated_genome().to_params()
-    spec = SyntheticSpec(radio=radio, fading=fading,
-                         waypoints_enu_m=[(-half_length_m, 8.0, 0.0), (half_length_m, 8.0, 0.0)],
-                         leg_speeds_mps=[13.4], duration_s=2 * half_length_m / 13.4,
+    synth = SynthSection(waypoints_enu_m=((-half_length_m, 8.0, 0.0), (half_length_m, 8.0, 0.0)),
+                         leg_speeds_mps=(13.4,), duration_s=2 * half_length_m / 13.4,
                          seed=SCENARIO.master_seed)
-    trace, _, curve = generate_synthetic(spec, SCENARIO)
-    return project_enu(trace, spec.rsu_geodetic), curve
+    trace, _, curve = generate_synthetic(synth, radio, fading, RSU, SCENARIO)
+    return project_enu(trace, RSU), curve
 
 
 # The observed curve comes from a longer drive than the searched trace, so
