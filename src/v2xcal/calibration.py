@@ -42,7 +42,6 @@ from .simulator import (
     ScenarioConfig,
     channel_pass,
     check_bin_width,
-    pdr_by_bin_index,
     pdr_rmse,
     prepare_drive,
 )
@@ -302,7 +301,7 @@ class PreparedSearch:
         self.drive = drive = prepare_drive(trace, scenario)
         self.base_radio, self.base_fading = base_radio, base_fading
         self.snr_table = scenario.snr_table()
-        index, pdr = pdr_by_bin_index(observed)
+        index = np.flatnonzero(observed.sent)
         shared = np.isin(index, np.flatnonzero(drive.sent))
         if not shared.any():
             span = (f"{drive.distance_m.min():.1f}-{drive.distance_m.max():.1f} m"
@@ -312,7 +311,8 @@ class PreparedSearch:
         if not shared.all():
             log.warning("%d of %d observed non-empty bins lie outside the drive and are "
                         "not compared", np.count_nonzero(~shared), shared.size)
-        self.bins, self.observed_pdr = index[shared], pdr[shared]
+        self.compared_bins = index[shared]
+        self.observed_pdr = observed.pdr_pct[self.compared_bins]
         self.gamma_by_m = {}
         self.m_hits = self.m_misses = 0
 
@@ -336,7 +336,8 @@ class PreparedSearch:
         rx_power = channel_pass(self.drive, radio, fading, unit_gamma)
         delivered = reception_codes(rx_power, radio, self.snr_table) == DELIVERED
         counts = np.bincount(self.drive.bin_index[delivered], minlength=self.drive.sent.size)
-        return pdr_rmse(self.observed_pdr, 100.0 * counts[self.bins] / self.drive.sent[self.bins])
+        compared = self.compared_bins
+        return pdr_rmse(self.observed_pdr, 100.0 * counts[compared] / self.drive.sent[compared])
 
 
 def objective(

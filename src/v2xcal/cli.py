@@ -208,10 +208,9 @@ def cmd_pdr(args) -> int:
         raise DataError(f"{args.log}: {exc}") from None
     curve = pdr_curve(delivery_log, config.scenario.bin_width_m, DIRECTION_CHOICES[args.direction])
 
-    total = sum(b.sent for b in curve)
     return _write_outputs(args, {"pdr.csv": export_pdr_csv(curve)},
                           f"{len(curve)} bins of {config.scenario.bin_width_m} m "
-                          f"covering {total} packets")
+                          f"covering {curve.sent.sum()} packets")
 
 
 def cmd_heatmap(args) -> int:
@@ -223,10 +222,9 @@ def cmd_heatmap(args) -> int:
     grid = heatmap(delivery_log, config.scenario.heatmap_cell_m,
                    DIRECTION_CHOICES[args.direction])
 
-    total = sum(c.sent for c in grid)
     return _write_outputs(args, {"heatmap.csv": export_heatmap_csv(grid)},
                           f"{len(grid)} cells of {config.scenario.heatmap_cell_m} m "
-                          f"covering {total} packets")
+                          f"covering {grid.sent.sum()} packets")
 
 
 def cmd_synth(args) -> int:

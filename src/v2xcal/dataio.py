@@ -26,13 +26,15 @@ from .simulator import (
     DeliveryLog,
     Direction,
     EnuTrace,
-    HeatmapCell,
     HeatmapGrid,
-    PdrBin,
     PdrCurve,
     ScenarioConfig,
+    contiguity_rule,
+    count_rules,
+    isclose_array,
     link_distance_m,
     pdr_curve,
+    rule_errors,
     run_scenario,
 )
 
@@ -49,6 +51,31 @@ _FLOAT_FMT = "{:.9f}"
 #: Slack on parsed PDR bin edges: far above the 9-decimal rounding of an
 #: exported edge, far below any bin width in use.
 _BIN_EDGE_TOL_M = 1e-6
+
+
+def _write_csv(headers: tuple, rows) -> str:
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(headers)
+    writer.writerows(rows)
+    return out.getvalue()
+
+
+def _data_rows(text: str, headers: tuple, kind: str) -> list:
+    """(row number, row) of each non-blank data row of a CSV with exactly these headers."""
+    rows = list(csv.reader(io.StringIO(text)))
+    if not rows or tuple(rows[0]) != headers:
+        raise ValueError(f"expected {kind} header {','.join(headers)}")
+    return [(row_num, row) for row_num, row in enumerate(rows[1:], start=2) if row]
+
+
+def _refuse_first_row(rows: list, failure, rules) -> None:
+    """Raise for the first of rows to break a rule, else for failure: (row number, reason)."""
+    errors = rule_errors(rules)
+    if errors:
+        failure = (rows[errors[0][0]][0], errors[0][1])
+    if failure:
+        raise ValueError("row {}: {}".format(*failure))
 
 
 class TraceParseError(ValueError):
@@ -75,6 +102,7 @@ MESSAGE_TYPES = tuple(MessageType)
 TRACE_DIRECTIONS = tuple(TraceDirection)
 
 EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+_NAIVE_EPOCH = EPOCH.replace(tzinfo=None)
 _MICROSECOND = timedelta(microseconds=1)
 
 _FLOAT_COLUMNS = ("latitude_deg", "longitude_deg", "altitude_ft", "heading_deg", "speed_mph")
@@ -99,21 +127,15 @@ def _record_errors(columns: dict) -> list:
     """
     lat, lon = columns["latitude_deg"], columns["longitude_deg"]
     heading, speed = columns["heading_deg"], columns["speed_mph"]
-    rules = [
-        (~((lat >= -90.0) & (lat <= 90.0)), lat, "latitude {} outside [-90, 90]"),
-        (~((lon >= -180.0) & (lon <= 180.0)), lon, "longitude {} outside [-180, 180]"),
-        (~((heading >= 0.0) & (heading < 360.0)), heading, "heading {} outside [0, 360)"),
-        (speed < 0.0, speed, "speed {} must be >= 0"),
-        *((~np.isfinite(columns[name]), columns[name], name + " must be finite")
-          for name in _FLOAT_COLUMNS),
-        *((~((columns[name] >= 0) & (columns[name] < len(kinds))), columns[name],
-           header + " code {} unknown") for name, header, kinds, _ in _CODE_COLUMNS),
-    ]
-    errors = {}
-    for bad, values, reason in rules:
-        for i in np.flatnonzero(bad).tolist():
-            errors.setdefault(i, reason.format(values[i]))
-    return sorted(errors.items())
+    return rule_errors([
+        (~((lat >= -90.0) & (lat <= 90.0)), "latitude {} outside [-90, 90]", lat),
+        (~((lon >= -180.0) & (lon <= 180.0)), "longitude {} outside [-180, 180]", lon),
+        (~((heading >= 0.0) & (heading < 360.0)), "heading {} outside [0, 360)", heading),
+        (speed < 0.0, "speed {} must be >= 0", speed),
+        *((~np.isfinite(columns[name]), name + " must be finite") for name in _FLOAT_COLUMNS),
+        *((~((columns[name] >= 0) & (columns[name] < len(kinds))), header + " code {} unknown",
+           columns[name]) for name, header, kinds, _ in _CODE_COLUMNS),
+    ])
 
 
 @dataclass(eq=False)
@@ -183,10 +205,11 @@ class SynthSection:
     site) at one speed per leg, a GPS fix is emitted every 1/sample_rate_hz
     seconds for duration_s, and a vehicle that exhausts the route before
     then parks at the final waypoint. Speeds, duration and rate are
-    positive and finite, the seed a non-negative integer, and two equal
-    consecutive waypoints are refused: that leg would take no time. The
-    count of speeds is checked against the legs by generate_synthetic, as
-    configuration files may set the two keys in different layers.
+    positive and finite, the seed a non-negative integer, and two
+    consecutive waypoints whose distance computes as 0 are refused: that
+    leg would take no time. The count of speeds is checked against the
+    legs by generate_synthetic, as configuration files may set the two
+    keys in different layers.
 
     The default is a straight 2 km drive past the site at 13.4 m/s, offset
     8 m from the antenna: small enough to regenerate in seconds, long
@@ -207,8 +230,12 @@ class SynthSection:
             if len(point) != 3 or not all(math.isfinite(c) for c in point):
                 raise ValueError(f"waypoint {point!r} must be three finite coordinates")
         for i in range(1, len(points)):
-            if tuple(points[i]) == tuple(points[i - 1]):
-                raise ValueError(f"waypoints {i - 1} and {i} are equal; every leg needs a length")
+            # The leg length as generate_synthetic takes it: 0 for a tiny leg, as it underflows.
+            with np.errstate(over="ignore"):
+                length = np.linalg.norm(np.subtract(points[i], points[i - 1], dtype=float))
+            if length == 0.0:
+                raise ValueError(f"waypoints {i - 1} and {i} are equal to within the float "
+                                 "precision of a leg length; every leg needs a length")
         if not all(0.0 < v < math.inf for v in self.leg_speeds_mps):
             raise ValueError("leg speeds must be positive and finite")
         if not (0.0 < self.duration_s < math.inf and 0.0 < self.sample_rate_hz < math.inf):
@@ -237,8 +264,6 @@ _HEADER_SPELLINGS = {
 TRACE_HEADERS = tuple(_HEADER_SPELLINGS)
 _HEADER_ALIASES = {alias: name for name, aliases in _HEADER_SPELLINGS.items()
                    for alias in (name, *aliases)}
-
-_TIME_FMT = "%Y-%m-%dT%H:%M:%S.%fZ"
 
 
 def _normalize_header(name: str) -> str:
@@ -322,18 +347,18 @@ def parse_trace_csv(text: str, epoch_ms: bool = False) -> Trace:
 
 
 def export_trace_csv(trace: Trace) -> str:
-    """Render a Trace with canonical headers and fixed decimal formatting."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(TRACE_HEADERS)
+    """Render a Trace with canonical headers and fixed decimal formatting.
+
+    Times are ISO 8601 in UTC with microseconds, the year padded to four digits.
+    """
     fmt = _FLOAT_FMT.format
-    writer.writerows(zip(
-        ((EPOCH + us * _MICROSECOND).strftime(_TIME_FMT) for us in trace.time_us.tolist()),
+    return _write_csv(TRACE_HEADERS, zip(
+        ((_NAIVE_EPOCH + us * _MICROSECOND).isoformat(timespec="microseconds") + "Z"
+         for us in trace.time_us.tolist()),
         *(map(fmt, getattr(trace, name).tolist()) for name in _FLOAT_COLUMNS),
         *([kinds[code].value for code in getattr(trace, name).tolist()]
           for name, _, kinds, _ in _CODE_COLUMNS),
     ))
-    return out.getvalue()
 
 
 # ---------------------------------------------------------------------------
@@ -462,194 +487,149 @@ LOG_HEADERS = (
 
 
 def export_log_csv(log: DeliveryLog) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(LOG_HEADERS)
     directions = {d.stream_code: d.value for d in Direction}
     fmt = _FLOAT_FMT.format
-    for t, code, tx, rx, dist, power, reason in zip(
-        log.timestamp_s.tolist(),
-        log.direction_code.tolist(),
-        log.tx_position_m.tolist(),
-        log.rx_position_m.tolist(),
-        log.distance_m.tolist(),
-        log.rx_power_dbm.tolist(),
-        log.reason_code.tolist(),
-    ):
-        writer.writerow(
-            [fmt(t), directions[code], *map(fmt, tx), *map(fmt, rx), fmt(dist), fmt(power),
-             "true" if reason == DELIVERED else "false", REASONS[reason].value]
-        )
-    return out.getvalue()
+    return _write_csv(LOG_HEADERS, (
+        [fmt(t), directions[code], *map(fmt, tx), *map(fmt, rx), fmt(dist), fmt(power),
+         "true" if reason == DELIVERED else "false", REASONS[reason].value]
+        for t, code, tx, rx, dist, power, reason in zip(
+            *(getattr(log, f.name).tolist() for f in fields(log)))))
+
+
+#: The numeric log columns, by position.
+_LOG_NUMBERS = (0, 2, 3, 4, 5, 6, 7, 8, 9)
 
 
 def parse_log_csv(text: str) -> DeliveryLog:
     """Parse a delivery-log CSV; the distance column is rederived from positions.
 
-    A row whose delivered flag disagrees with its reason is refused, so the
-    reason column alone carries the outcome.
+    A row whose delivered flag disagrees with its reason, or that holds a
+    non-finite number, is refused, so the reason column alone carries the
+    outcome. The first bad row, in row order, is named in the ValueError.
     """
-    reader = csv.reader(io.StringIO(text))
-    rows = list(reader)
-    if not rows or tuple(rows[0]) != LOG_HEADERS:
-        raise ValueError(f"expected log header {','.join(LOG_HEADERS)}")
     directions = {d.value: d.stream_code for d in Direction}
     reasons = {r.value: code for code, r in enumerate(REASONS)}
     delivered_flags = {"true": True, "false": False}
-    row_nums, numbers, direction_codes, reason_codes = [], [], [], []
-    for row_num, row in enumerate(rows[1:], start=2):
-        if not row:
-            continue
-        if len(row) != len(LOG_HEADERS):
-            raise ValueError(f"row {row_num}: expected {len(LOG_HEADERS)} fields, got {len(row)}")
+    numbers, direction_codes, reason_codes, failure = [], [], [], None
+    rows = _data_rows(text, LOG_HEADERS, "log")
+    for row_num, row in rows:
         try:
-            direction_codes.append(directions[row[1]])
-            reason_codes.append(reasons[row[11]])
+            if len(row) != len(LOG_HEADERS):
+                raise ValueError(f"expected {len(LOG_HEADERS)} fields, got {len(row)}")
+            direction, reason = directions[row[1]], reasons[row[11]]
             if row[10] not in delivered_flags:
                 raise ValueError(f"delivered must be true or false, got {row[10]!r}")
-            if delivered_flags[row[10]] != (reason_codes[-1] == DELIVERED):
+            if delivered_flags[row[10]] != (reason == DELIVERED):
                 raise ValueError(f"delivered {row[10]} contradicts reason {row[11]}")
-            numbers.append([float(row[k]) for k in (0, 2, 3, 4, 5, 6, 7, 8, 9)])
-        except KeyError as exc:
-            raise ValueError(f"row {row_num}: unknown enum value {exc}") from None
-        except ValueError as exc:
-            raise ValueError(f"row {row_num}: {exc}") from None
-        row_nums.append(row_num)
+            numbers.append([float(row[k]) for k in _LOG_NUMBERS])
+        except (KeyError, ValueError) as exc:
+            failure = (row_num, f"unknown enum value {exc}" if isinstance(exc, KeyError)
+                       else str(exc))
+            break
+        direction_codes.append(direction)
+        reason_codes.append(reason)
 
     values = np.array(numbers, dtype=float).reshape(-1, 9)
     tx, rx = values[:, 1:4], values[:, 4:7]
     distance = link_distance_m(tx, rx)
-    mismatched = np.flatnonzero(np.abs(values[:, 7] - distance) > 1e-6)
-    if mismatched.size:
-        k = int(mismatched[0])
-        raise ValueError(
-            f"row {row_nums[k]}: distance column {values[k, 7]} disagrees with "
-            f"positions ({distance[k]:.9f})"
-        )
-    return DeliveryLog(
-        timestamp_s=values[:, 0],
-        direction_code=np.array(direction_codes, dtype=int),
-        tx_position_m=tx,
-        rx_position_m=rx,
-        distance_m=distance,
-        rx_power_dbm=values[:, 8],
-        reason_code=np.array(reason_codes, dtype=int),
-    )
+    with np.errstate(invalid="ignore"):  # inf - inf, in a row the finite rule refuses first
+        mismatch = np.abs(values[:, 7] - distance) > 1e-6
+    _refuse_first_row(rows, failure, [
+        *((~np.isfinite(values[:, j]), LOG_HEADERS[k] + " {} must be finite", values[:, j])
+          for j, k in enumerate(_LOG_NUMBERS)),
+        (mismatch, "distance column {} disagrees with positions ({:.9f})", values[:, 7], distance),
+    ])
+    return DeliveryLog(values[:, 0], np.array(direction_codes, dtype=int), tx, rx, distance,
+                       values[:, 8], np.array(reason_codes, dtype=int))
 
 
 # ---------------------------------------------------------------------------
-# PDR curve CSV
+# PDR curve and heatmap CSV
 # ---------------------------------------------------------------------------
 
 PDR_HEADERS = ("bin_start_m", "bin_end_m", "sent", "delivered", "pdr_pct")
+HEATMAP_HEADERS = ("cell_x_m", "cell_y_m", "cell_m", "sent", "delivered", "pdr_pct")
+
+
+def _pdr_cells(pdr_pct: np.ndarray):
+    """The pdr_pct column: blank for an empty bin or cell."""
+    return ("" if math.isnan(p) else _FLOAT_FMT.format(p) for p in pdr_pct.tolist())
 
 
 def export_pdr_csv(curve: PdrCurve) -> str:
     """Render a PDR curve; empty bins keep their row with a blank pdr_pct."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(PDR_HEADERS)
-    for b in curve:
-        writer.writerow(
-            [
-                _FLOAT_FMT.format(b.bin_start_m),
-                _FLOAT_FMT.format(b.bin_end_m),
-                str(b.sent),
-                str(b.delivered),
-                "" if b.empty else _FLOAT_FMT.format(b.pdr_pct),
-            ]
-        )
-    return out.getvalue()
+    fmt = _FLOAT_FMT.format
+    return _write_csv(PDR_HEADERS, zip(
+        map(fmt, curve.bin_start_m.tolist()), map(fmt, curve.bin_end_m.tolist()),
+        curve.sent.tolist(), curve.delivered.tolist(), _pdr_cells(curve.pdr_pct)))
+
+
+def export_heatmap_csv(grid: HeatmapGrid) -> str:
+    fmt = _FLOAT_FMT.format
+    return _write_csv(HEATMAP_HEADERS, zip(
+        map(fmt, grid.center_x_m.tolist()), map(fmt, grid.center_y_m.tolist()),
+        [fmt(grid.cell_m)] * len(grid), grid.sent.tolist(), grid.delivered.tolist(),
+        _pdr_cells(grid.pdr_pct)))
+
+
+def _count(cell: str) -> np.int64:
+    return np.int64(int(cell))  # a count beyond int64 fails here, on its row
+
+
+def _convert_rows(rows: list, converters: tuple):
+    """One array per converter over the leading cells of the rows, up to the first that fails.
+
+    Returns the arrays and (row number, reason) of the failed row, or None.
+    """
+    values, failure = [], None
+    for row_num, row in rows:
+        try:
+            values.append([convert(row[k]) for k, convert in enumerate(converters)])
+        except (ValueError, IndexError, OverflowError) as exc:
+            failure = (row_num, str(exc))
+            break
+    if not values:
+        raise ValueError("row {}: {}".format(*failure))
+    return [np.array(column) for column in zip(*values)], failure
 
 
 def parse_pdr_csv(text: str) -> PdrCurve:
     """Parse a PDR CSV; pdr_pct is rederived from the sent/delivered counts.
 
     Row k must hold bin k of one fixed-width grid from zero, whose width
-    the first row sets, with 0 <= delivered <= sent.
+    the first row sets, with 0 <= delivered <= sent. The edges are kept as
+    read. The first bad row, in row order, is named in the ValueError.
     """
-    reader = csv.reader(io.StringIO(text))
-    rows = list(reader)
-    if not rows or tuple(rows[0]) != PDR_HEADERS:
-        raise ValueError(f"expected PDR header {','.join(PDR_HEADERS)}")
-    bins = []
-    for row_num, row in enumerate(rows[1:], start=2):
-        if not row:
-            continue
-        try:
-            b = PdrBin(
-                bin_start_m=float(row[0]),
-                bin_end_m=float(row[1]),
-                sent=int(row[2]),
-                delivered=int(row[3]),
-            )
-            if not bins:
-                width = b.bin_end_m - b.bin_start_m
-            k = len(bins)
-            if not (math.isclose(b.bin_start_m, k * width, abs_tol=_BIN_EDGE_TOL_M)
-                    and math.isclose(b.bin_end_m, (k + 1) * width, abs_tol=_BIN_EDGE_TOL_M)):
-                raise ValueError(
-                    f"bin {row[0]}-{row[1]} m is not bin {k} of a {width} m grid from 0"
-                )
-            bins.append(b)
-        except (ValueError, IndexError) as exc:
-            raise ValueError(f"row {row_num}: {exc}") from None
-    if not bins:
+    rows = _data_rows(text, PDR_HEADERS, "PDR")
+    if not rows:
         raise ValueError("PDR document has no bins")
-    return PdrCurve(bin_width_m=width, bins=bins)
-
-
-# ---------------------------------------------------------------------------
-# heatmap CSV
-# ---------------------------------------------------------------------------
-
-HEATMAP_HEADERS = ("cell_x_m", "cell_y_m", "cell_m", "sent", "delivered", "pdr_pct")
-
-
-def export_heatmap_csv(grid: HeatmapGrid) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(HEATMAP_HEADERS)
-    for c in grid:
-        writer.writerow(
-            [
-                _FLOAT_FMT.format(c.center_x_m),
-                _FLOAT_FMT.format(c.center_y_m),
-                _FLOAT_FMT.format(grid.cell_m),
-                str(c.sent),
-                str(c.delivered),
-                "" if c.sent == 0 else _FLOAT_FMT.format(c.pdr_pct),
-            ]
-        )
-    return out.getvalue()
+    (start, end, sent, delivered), failure = _convert_rows(rows, (float, float, _count, _count))
+    width = float(end[0] - start[0])
+    k = np.arange(start.size)
+    # The width carries the rounding of two 9-decimal edges, which bin k multiplies by k.
+    tol = _BIN_EDGE_TOL_M + k * 1e-9
+    off_grid = ~(isclose_array(start, k * width, tol) & isclose_array(end, (k + 1) * width, tol))
+    _refuse_first_row(rows, failure, [
+        *count_rules(sent, delivered),
+        (off_grid, "bin {}-{} m is not bin {} of a " + f"{width} m grid from 0",
+         [row[0] for _, row in rows], [row[1] for _, row in rows], k),
+        contiguity_rule(start, end),
+    ])
+    return PdrCurve(width, start, end, sent, delivered)
 
 
 def parse_heatmap_csv(text: str) -> HeatmapGrid:
-    reader = csv.reader(io.StringIO(text))
-    rows = list(reader)
-    if not rows or tuple(rows[0]) != HEATMAP_HEADERS:
-        raise ValueError(f"expected heatmap header {','.join(HEATMAP_HEADERS)}")
-    cells = []
-    cell_m = None
-    for row_num, row in enumerate(rows[1:], start=2):
-        if not row:
-            continue
-        try:
-            this_cell = float(row[2])
-            if cell_m is None:
-                cell_m = this_cell
-            elif not math.isclose(cell_m, this_cell, rel_tol=1e-12):
-                raise ValueError(f"inconsistent cell_m {this_cell} (expected {cell_m})")
-            cells.append(
-                HeatmapCell(
-                    center_x_m=float(row[0]),
-                    center_y_m=float(row[1]),
-                    sent=int(row[3]),
-                    delivered=int(row[4]),
-                )
-            )
-        except (ValueError, IndexError) as exc:
-            raise ValueError(f"row {row_num}: {exc}") from None
-    if cell_m is None:
+    """Parse a heatmap CSV; every row must carry the first row's cell_m."""
+    rows = _data_rows(text, HEATMAP_HEADERS, "heatmap")
+    if not rows:
         raise ValueError("heatmap document has no cells")
-    return HeatmapGrid(cell_m=cell_m, cells=cells)
+    (x, y, cell, sent, delivered), failure = _convert_rows(
+        rows, (float, float, float, _count, _count))
+    cell_m = float(cell[0])
+    _refuse_first_row(rows, failure, [
+        (~((cell > 0.0) & (cell < math.inf)), "cell_m {} must be positive and finite", cell),
+        (~isclose_array(cell, cell_m, 0.0, rel_tol=1e-12),
+         "inconsistent cell_m {} " + f"(expected {cell_m})", cell),
+        *HeatmapGrid.rules(x, y, sent, delivered),
+    ])
+    return HeatmapGrid(cell_m, x, y, sent, delivered)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -150,91 +150,111 @@ class DeliveryLog:
         return self.direction_code == direction.stream_code
 
 
-@dataclass(frozen=True)
-class PdrBin:
-    """Delivery statistics for one distance interval [bin_start_m, bin_end_m)."""
+def rule_errors(rules) -> list:
+    """(index, reason) of each element that breaks a rule, in index order.
 
-    bin_start_m: float
-    bin_end_m: float
-    sent: int
-    delivered: int
+    A rule is (mask of the bad elements, reason template, columns whose
+    values at the index fill the template); an element is reported once,
+    under the first rule it breaks.
+    """
+    errors = {}
+    for bad, reason, *columns in rules:
+        for i in np.flatnonzero(bad).tolist():
+            errors.setdefault(i, reason.format(*(column[i] for column in columns)))
+    return sorted(errors.items())
+
+
+def count_rules(sent, delivered) -> list:
+    """The rules on a table's counts: non-negative, and no more delivered than sent."""
+    return [((sent < 0) | (delivered < 0), "counts must be non-negative, got sent {}, "
+             "delivered {}", sent, delivered),
+            (delivered > sent, "delivered {} exceeds sent {}", delivered, sent)]
+
+
+def isclose_array(a, b, abs_tol, rel_tol=1e-9) -> np.ndarray:
+    """math.isclose(a, b, rel_tol=rel_tol, abs_tol=abs_tol) for finite values, elementwise."""
+    return np.abs(a - b) <= np.maximum(rel_tol * np.maximum(np.abs(a), np.abs(b)), abs_tol)
+
+
+def contiguity_rule(start, end):
+    """The rule that bin i + 1 starts where bin i ends, to within 1e-9 m or 1e-9 of the edge."""
+    return (np.concatenate(([False], ~isclose_array(end[:-1], start[1:], 1e-9))),
+            "bins must be contiguous and ascending")
+
+
+class _CountTable:
+    """A width, then one array per column, ending in sent and delivered counts.
+
+    Each row, a "bin" or "cell" as row_name says, must keep the class's
+    rules; the first row that breaks one is named in the ValueError.
+    """
 
     def __post_init__(self):
-        if self.sent < 0 or self.delivered < 0:
-            raise ValueError(f"counts must be non-negative, got sent {self.sent}, "
-                             f"delivered {self.delivered}")
-        if self.delivered > self.sent:
-            raise ValueError(f"delivered {self.delivered} exceeds sent {self.sent}")
+        width_name, *columns = (f.name for f in fields(self))
+        width = getattr(self, width_name)
+        if not 0.0 < width < math.inf:
+            raise ValueError(f"{width_name} must be positive and finite, got {width}")
+        for name in columns:
+            setattr(self, name, np.asarray(getattr(self, name),
+                                           dtype=int if name in ("sent", "delivered") else float))
+        shapes = {getattr(self, name).shape for name in columns}
+        if len(shapes) != 1 or len(shapes.pop()) != 1:
+            raise ValueError(f"{self.row_name} columns must be 1-D and of equal length")
+        errors = rule_errors(self.rules(*(getattr(self, name) for name in columns)))
+        if errors:
+            raise ValueError("{} {}: {}".format(self.row_name, *errors[0]))
+
+    def __len__(self):
+        return self.sent.shape[0]
 
     @property
-    def empty(self) -> bool:
-        return self.sent == 0
-
-    @property
-    def pdr_pct(self):
-        """Delivery ratio in percent, or None for a bin with no sends."""
-        if self.sent == 0:
-            return None
-        return 100.0 * self.delivered / self.sent
+    def pdr_pct(self) -> np.ndarray:
+        """Delivery ratio in percent per row, NaN for a row with no sends."""
+        return np.divide(100.0 * self.delivered, self.sent, out=np.full(len(self), np.nan),
+                         where=self.sent > 0)
 
 
-@dataclass
-class PdrCurve:
-    """Packet delivery ratio versus distance, on contiguous fixed-width bins."""
+@dataclass(eq=False)
+class PdrCurve(_CountTable):
+    """Packet delivery ratio versus distance, one array per CSV column.
 
+    Bin i covers [bin_start_m[i], bin_end_m[i]); the bins are contiguous
+    and of width bin_width_m. The edges are kept as given: a width re-read
+    from 9-decimal edges is rounded, so edges derived from it would not
+    re-export the same bytes. Counts are non-negative, with delivered <= sent.
+    """
+
+    row_name = "bin"
     bin_width_m: float
-    bins: list
+    bin_start_m: np.ndarray
+    bin_end_m: np.ndarray
+    sent: np.ndarray
+    delivered: np.ndarray
 
-    def __post_init__(self):
-        if self.bin_width_m <= 0.0:
-            raise ValueError("bin_width_m must be positive")
-        for prev, cur in zip(self.bins, self.bins[1:]):
-            if not math.isclose(prev.bin_end_m, cur.bin_start_m, abs_tol=1e-9):
-                raise ValueError("bins must be contiguous and ascending")
-
-    def __len__(self):
-        return len(self.bins)
-
-    def __iter__(self):
-        return iter(self.bins)
-
-    def non_empty(self) -> dict:
-        """Map of bin_start_m to pdr_pct for bins that saw traffic."""
-        return {b.bin_start_m: b.pdr_pct for b in self.bins if not b.empty}
+    @staticmethod
+    def rules(start, end, sent, delivered) -> list:
+        return [*count_rules(sent, delivered), contiguity_rule(start, end)]
 
 
-@dataclass(frozen=True)
-class HeatmapCell:
-    """Delivery statistics for one square ground cell, keyed by its center."""
+@dataclass(eq=False)
+class HeatmapGrid(_CountTable):
+    """PDR over vehicle positions on a square grid, one array per CSV column.
 
-    center_x_m: float
-    center_y_m: float
-    sent: int
-    delivered: int
+    Only visited cells are kept, each keyed by its center, which is kept as
+    given like the edges of a PdrCurve. Centers are finite.
+    """
 
-    @property
-    def pdr_pct(self):
-        if self.sent == 0:
-            return None
-        return 100.0 * self.delivered / self.sent
-
-
-@dataclass
-class HeatmapGrid:
-    """PDR over vehicle positions on a square grid. Only visited cells are kept."""
-
+    row_name = "cell"
     cell_m: float
-    cells: list
+    center_x_m: np.ndarray
+    center_y_m: np.ndarray
+    sent: np.ndarray
+    delivered: np.ndarray
 
-    def __post_init__(self):
-        if self.cell_m <= 0.0:
-            raise ValueError("cell_m must be positive")
-
-    def __len__(self):
-        return len(self.cells)
-
-    def __iter__(self):
-        return iter(self.cells)
+    @staticmethod
+    def rules(x, y, sent, delivered) -> list:
+        return [(~(np.isfinite(x) & np.isfinite(y)), "center ({}, {}) must be finite", x, y),
+                *count_rules(sent, delivered)]
 
 
 def _send_count(duration_s: float, rate_hz: float) -> int:
@@ -345,28 +365,20 @@ def pdr_curve(log: DeliveryLog, bin_width_m: float, direction: Direction | None 
     bins that saw no traffic are kept as explicit empties. An empty log
     yields an empty curve.
     """
-    if bin_width_m <= 0.0:
-        raise ValueError("bin_width_m must be positive")
+    if not 0.0 < bin_width_m < math.inf:
+        raise ValueError("bin_width_m must be positive and finite")
     keep = log.sent_in(direction)
     idx = np.floor(log.distance_m[keep] / bin_width_m).astype(int)
     sent = np.bincount(idx)
     delivered = np.bincount(idx[log.delivered[keep]], minlength=sent.size)
-    bins = [
-        PdrBin(
-            bin_start_m=i * bin_width_m,
-            bin_end_m=(i + 1) * bin_width_m,
-            sent=int(sent[i]),
-            delivered=int(delivered[i]),
-        )
-        for i in range(sent.size)
-    ]
-    return PdrCurve(bin_width_m=bin_width_m, bins=bins)
+    edges = np.arange(sent.size + 1) * bin_width_m
+    return PdrCurve(bin_width_m, edges[:-1], edges[1:], sent, delivered)
 
 
 def heatmap(log: DeliveryLog, cell_m: float, direction: Direction | None = None) -> HeatmapGrid:
     """Aggregate PDR over vehicle positions on a square grid of side cell_m."""
-    if cell_m <= 0.0:
-        raise ValueError("cell_m must be positive")
+    if not 0.0 < cell_m < math.inf:
+        raise ValueError("cell_m must be positive and finite")
     keep = log.sent_in(direction)
     # The vehicle is the transmitter of a vehicle-to-RSU packet, else the receiver.
     v2r = log.direction_code[keep] == Direction.VEHICLE_TO_RSU.stream_code
@@ -376,16 +388,8 @@ def heatmap(log: DeliveryLog, cell_m: float, direction: Direction | None = None)
     inverse = inverse.ravel()
     sent = np.bincount(inverse)
     delivered = np.bincount(inverse[log.delivered[keep]], minlength=sent.size)
-    cells = [
-        HeatmapCell(
-            center_x_m=(ix + 0.5) * cell_m,
-            center_y_m=(iy + 0.5) * cell_m,
-            sent=int(s),
-            delivered=int(d),
-        )
-        for (ix, iy), s, d in zip(cell_keys.tolist(), sent, delivered)
-    ]
-    return HeatmapGrid(cell_m=cell_m, cells=cells)
+    centers = (cell_keys + 0.5) * cell_m
+    return HeatmapGrid(cell_m, centers[:, 0], centers[:, 1], sent, delivered)
 
 
 class BinWidthError(ValueError):
@@ -398,14 +402,6 @@ def check_bin_width(observed_m: float, simulated_m: float) -> None:
         raise BinWidthError(f"bin widths differ: {observed_m} vs {simulated_m}")
 
 
-def pdr_by_bin_index(curve: PdrCurve):
-    """Bin index and pdr_pct arrays over the curve's non-empty bins."""
-    pairs = curve.non_empty().items()
-    # Integer keys: a bin start read back from CSV need not equal i * width bit for bit.
-    index = np.array([round(start / curve.bin_width_m) for start, _ in pairs], dtype=int)
-    return index, np.array([pdr for _, pdr in pairs], dtype=float)
-
-
 def pdr_rmse(observed_pdr: np.ndarray, simulated_pdr: np.ndarray) -> float:
     """RMSE in percent between two PDR arrays over the same bins."""
     return float(np.sqrt(np.mean((observed_pdr - simulated_pdr) ** 2)))
@@ -414,14 +410,12 @@ def pdr_rmse(observed_pdr: np.ndarray, simulated_pdr: np.ndarray) -> float:
 def rmse(observed: PdrCurve, simulated: PdrCurve) -> float:
     """Root-mean-square error between two PDR curves, in percent.
 
-    Compared over bins present and non-empty in both curves. The curves
-    must share the same bin width (and the implicit zero origin); having
-    no overlapping non-empty bin is an error.
+    Bin k is compared with bin k, over the bins non-empty in both curves.
+    The curves must share the bin width and start at zero, as pdr_curve and
+    parse_pdr_csv make them; having no overlapping non-empty bin is an error.
     """
     check_bin_width(observed.bin_width_m, simulated.bin_width_m)
-    obs_index, obs_pdr = pdr_by_bin_index(observed)
-    sim_index, sim_pdr = pdr_by_bin_index(simulated)
-    common, a, b = np.intersect1d(obs_index, sim_index, return_indices=True)
+    common = np.intersect1d(np.flatnonzero(observed.sent), np.flatnonzero(simulated.sent))
     if not common.size:
         raise ValueError("no overlapping non-empty bins between the two curves")
-    return pdr_rmse(obs_pdr[a], sim_pdr[b])
+    return pdr_rmse(observed.pdr_pct[common], simulated.pdr_pct[common])

@@ -374,11 +374,11 @@ def test_criterion_7_oracle_agreement():
     index = np.floor(distances / scenario.bin_width_m).astype(int)
 
     checked, worst = 0, 0.0
-    for i, b in enumerate(curve):
-        if b.sent < 200:
+    for i, (sent, pdr) in enumerate(zip(curve.sent.tolist(), curve.pdr_pct.tolist())):
+        if sent < 200:
             continue
         expected = float(probs[index == i].mean())
-        worst = max(worst, abs(b.pdr_pct - expected))
+        worst = max(worst, abs(pdr - expected))
         checked += 1
     ok = checked >= 10 and worst <= 3.0
     print(f"ACCEPTANCE #7: {'PASS' if ok else 'FAIL'} - {checked} bins with >=200 "

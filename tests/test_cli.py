@@ -2,15 +2,15 @@
 
 import os
 import re
-from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from v2xcal.calibration import parse_history_csv
 from v2xcal.cli import main
 from v2xcal.config import RunConfig, apply_preset, parse_config, planted_params_text, render_config
 from v2xcal.dataio import export_pdr_csv, parse_log_csv, parse_pdr_csv
-from v2xcal.simulator import PdrBin, PdrCurve
+from v2xcal.simulator import PdrCurve
 
 SHORT_ROUTE = (
     "synth.waypoints_enu_m = -400.0,8.0,0.0; 400.0,8.0,0.0\n"
@@ -141,8 +141,8 @@ def test_simulate_direction_filter_halves_the_curve(dataset, tmp_path):
     assert main(["simulate", dataset["trace"], "--preset", "calibrated", "--out", str(both)]) == 0
     assert main(["simulate", dataset["trace"], "--preset", "calibrated",
                  "--direction", "bsm", "--out", str(bsm)]) == 0
-    total_both = sum(b.sent for b in parse_pdr_csv(read(str(both / "pdr.csv"))))
-    total_bsm = sum(b.sent for b in parse_pdr_csv(read(str(bsm / "pdr.csv"))))
+    total_both = parse_pdr_csv(read(str(both / "pdr.csv"))).sent.sum()
+    total_bsm = parse_pdr_csv(read(str(bsm / "pdr.csv"))).sent.sum()
     assert total_both == 1200 and total_bsm == 600
     # The log keeps every packet regardless of the aggregation filter.
     assert len(parse_log_csv(read(str(bsm / "log.csv")))) == 1200
@@ -277,13 +277,16 @@ def _observed_with_bins(dataset, tmp_path, extra_bins):
     """The dataset's observed curve, or only its empty skeleton, extended by
     extra_bins non-empty 20 m bins beyond the drive."""
     curve = parse_pdr_csv(read(dataset["observed"]))
-    bins = list(curve.bins) if extra_bins else [replace(b, sent=0, delivered=0) for b in curve]
-    start = len(bins)
-    bins += [PdrBin(k * 20.0, (k + 1) * 20.0, 0, 0) for k in range(start, 100)]
-    bins += [PdrBin(k * 20.0, (k + 1) * 20.0, 10, 5) for k in range(100, 100 + max(extra_bins, 1))]
+    n = 100 + max(extra_bins, 1)
+    sent, delivered = np.zeros(n, dtype=int), np.zeros(n, dtype=int)
+    if extra_bins:
+        sent[:len(curve)], delivered[:len(curve)] = curve.sent, curve.delivered
+    sent[100:], delivered[100:] = 10, 5
+    edges = np.arange(n + 1) * 20.0
     path = tmp_path / "observed.csv"
-    path.write_text(export_pdr_csv(PdrCurve(bin_width_m=20.0, bins=bins)), encoding="utf-8")
-    return str(path), sum(1 for b in curve if not b.empty)
+    path.write_text(export_pdr_csv(PdrCurve(20.0, edges[:-1], edges[1:], sent, delivered)),
+                    encoding="utf-8")
+    return str(path), int(np.count_nonzero(curve.sent))
 
 
 def test_calibrate_refuses_a_curve_beyond_the_drive(dataset, tmp_path, capsys):
@@ -403,7 +406,7 @@ def test_pdr_command_rebins(sim_out, tmp_path):
                  "--out", str(out)]) == 0
     curve = parse_pdr_csv(read(str(out / "pdr.csv")))
     assert curve.bin_width_m == 40.0
-    assert sum(b.sent for b in curve) == 1200
+    assert curve.sent.sum() == 1200
 
 
 def test_heatmap_command_matches_simulate_output(sim_out, tmp_path):
@@ -416,7 +419,7 @@ def test_pdr_command_direction_filter(sim_out, tmp_path):
     out = tmp_path / "pdr"
     assert main(["pdr", str(sim_out / "log.csv"), "--direction", "spat",
                  "--out", str(out)]) == 0
-    assert sum(b.sent for b in parse_pdr_csv(read(str(out / "pdr.csv")))) == 600
+    assert parse_pdr_csv(read(str(out / "pdr.csv"))).sent.sum() == 600
 
 
 def test_pdr_command_rejects_corrupt_log(sim_out, tmp_path, capsys):
@@ -427,6 +430,19 @@ def test_pdr_command_rejects_corrupt_log(sim_out, tmp_path, capsys):
     corrupt.write_text("\n".join([lines[0], ",".join(parts)]) + "\n", encoding="utf-8")
     assert main(["pdr", str(corrupt), "--out", str(tmp_path / "o")]) == 1
     assert "distance column" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["pdr", "heatmap"])
+def test_aggregation_refuses_a_log_with_non_finite_positions(sim_out, tmp_path, capsys, command):
+    # pdr used to die naming no row, and heatmap wrote a cell at x = -1.8e20 m.
+    lines = read(str(sim_out / "log.csv")).splitlines()
+    parts = lines[1].split(",")
+    parts[2] = parts[8] = "nan"
+    corrupt = tmp_path / "log.csv"
+    corrupt.write_text("\n".join([lines[0], ",".join(parts)]) + "\n", encoding="utf-8")
+    assert main([command, str(corrupt), "--out", str(tmp_path / "o")]) == 1
+    assert "row 2: tx_x_m nan must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 # ---------------------------------------------------------------------------

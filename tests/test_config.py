@@ -1,5 +1,6 @@
 """Configuration grammar: parsing, rendering, layering, and presets."""
 
+import numpy as np
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
@@ -232,6 +233,11 @@ def _ga_configs(draw):
     )
 
 
+def _every_leg_has_a_length(points):
+    with np.errstate(over="ignore"):
+        return all(np.linalg.norm(np.subtract(b, a)) > 0.0 for a, b in zip(points, points[1:]))
+
+
 _run_configs = st.builds(
     RunConfig,
     radio=st.builds(RadioParams, tx_power_mw=_positive, antenna_gain_tx=_positive,
@@ -255,12 +261,13 @@ _run_configs = st.builds(
     rsu=st.builds(GeodeticPosition, latitude_deg=st.floats(min_value=-90.0, max_value=90.0),
                   longitude_deg=st.floats(min_value=-180.0, max_value=180.0),
                   altitude_ft=_finite),
-    # SynthSection refuses fewer than 2 waypoints, two equal consecutive
-    # ones, and speeds, duration or rate that are not positive and finite.
+    # SynthSection refuses fewer than 2 waypoints, two consecutive ones
+    # whose distance computes as 0, and speeds, duration or rate that are
+    # not positive and finite.
     synth=st.builds(SynthSection,
                     waypoints_enu_m=st.lists(st.tuples(_finite, _finite, _finite),
                                              min_size=2, max_size=5)
-                    .filter(lambda points: all(a != b for a, b in zip(points, points[1:])))
+                    .filter(_every_leg_has_a_length)
                     .map(tuple),
                     leg_speeds_mps=st.lists(_positive, max_size=4).map(tuple),
                     duration_s=_positive, sample_rate_hz=_positive, seed=_seed),

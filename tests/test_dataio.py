@@ -6,7 +6,7 @@ from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
 from v2xcal.dataio import (
     EARTH_RADIUS_M,
@@ -15,6 +15,7 @@ from v2xcal.dataio import (
     MAX_PROJECTION_RANGE_M,
     MESSAGE_TYPES,
     TRACE_DIRECTIONS,
+    TRACE_HEADERS,
     TRANSMISSION_TYPES,
     GeodeticPosition,
     MessageType,
@@ -34,15 +35,24 @@ from v2xcal.dataio import (
     parse_trace_csv,
     project_enu,
 )
-from v2xcal.propagation import FadingParams, FastFadingModel, RadioParams, SlowFadingModel
+from v2xcal.propagation import (
+    BELOW_SNR,
+    DELIVERED,
+    FadingParams,
+    FastFadingModel,
+    RadioParams,
+    SlowFadingModel,
+)
 from v2xcal.simulator import (
     DeliveryLog,
+    Direction,
     EnuTrace,
-    HeatmapCell,
     HeatmapGrid,
-    PdrBin,
     PdrCurve,
     ScenarioConfig,
+    heatmap,
+    link_distance_m,
+    pdr_curve,
     rmse,
     run_scenario,
 )
@@ -206,6 +216,19 @@ def test_trace_export_round_trip():
     assert export_trace_csv(again) == export_trace_csv(trace)
 
 
+def test_trace_export_pads_years_before_1000():
+    # Such years were written unpadded ("36-12-26T..."), which the parser refuses.
+    text = (",".join(TRACE_HEADERS) + "\n"
+            "-61000000000000,45.0,-93.0,900,90,30,DSRC,BSM,Sent\n"
+            "-60999999999000,45.0,-93.0,900,90,30,DSRC,BSM,Sent\n")
+    trace = parse_trace_csv(text, epoch_ms=True)
+    exported = export_trace_csv(trace)
+    assert "\n0036-12-26T11:33:20.000000Z," in exported
+    again = parse_trace_csv(exported)
+    assert _columns(again) == _columns(trace)
+    assert export_trace_csv(again) == exported
+
+
 _lat = st.floats(min_value=44.5, max_value=45.5).map(lambda v: round(v, 9))
 _lon = st.floats(min_value=-93.5, max_value=-92.5).map(lambda v: round(v, 9))
 _alt = st.floats(min_value=-500.0, max_value=5000.0).map(lambda v: round(v, 9))
@@ -356,7 +379,8 @@ def test_synthetic_pdr_decays_with_distance():
     spec = synthetic_spec(waypoints_enu_m=((-1500.0, 8.0, 0.0), (1500.0, 8.0, 0.0)),
                           leg_speeds_mps=(13.4,), duration_s=220.0)
     _, _, curve = synthesize(spec)
-    pdr = curve.non_empty()
+    seen = curve.sent > 0
+    pdr = dict(zip(curve.bin_start_m[seen].tolist(), curve.pdr_pct[seen].tolist()))
     near = np.mean([pdr[k] for k in sorted(pdr)[:3]])
     far = np.mean([pdr[k] for k in sorted(pdr)[-3:]])
     assert near > 95.0 and far < 40.0
@@ -384,6 +408,14 @@ def test_repeated_waypoint_and_infinite_speed_are_refused():
                        leg_speeds_mps=(10.0, 10.0, 10.0), duration_s=30.0)
     with pytest.raises(ValueError, match="positive and finite"):
         synthetic_spec(leg_speeds_mps=(math.inf,))
+
+
+def test_underflowing_leg_is_refused():
+    # The leg's length underflows to 0, so it took no time and its samples
+    # came out at NaN positions.
+    with pytest.raises(ValueError, match="waypoints 0 and 1 are equal"):
+        synthetic_spec(waypoints_enu_m=((0.0, 0.0, 0.0), (1e-170, 0.0, 0.0), (100.0, 0.0, 0.0)),
+                       leg_speeds_mps=(10.0, 10.0))
 
 
 @st.composite
@@ -476,6 +508,27 @@ def test_log_parse_rejects_bad_values():
         parse_log_csv("\n".join([lines[0], ",".join(first)]) + "\n")
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_log_parse_refuses_non_finite_numbers(value):
+    lines = export_log_csv(sample_log()).splitlines()
+    parts = lines[3].split(",")
+    parts[2] = parts[8] = value  # tx_x_m, and distance_m to match it
+    lines[3] = ",".join(parts)
+    with pytest.raises(ValueError, match=f"row 4: tx_x_m {value} must be finite"):
+        parse_log_csv("\n".join(lines) + "\n")
+
+
+def test_log_parse_names_the_first_bad_row_in_row_order():
+    # A distance mismatch on row 3 comes before a malformed row 5.
+    lines = export_log_csv(sample_log()).splitlines()
+    parts = lines[2].split(",")
+    parts[8] = "999.000000000"
+    lines[2] = ",".join(parts)
+    lines[4] = lines[4].replace("true", "yes").replace("false", "yes")
+    with pytest.raises(ValueError, match="row 3: distance column"):
+        parse_log_csv("\n".join(lines) + "\n")
+
+
 def test_log_parse_rejects_delivered_flag_contradicting_reason():
     lines = export_log_csv(sample_log()).splitlines()
     k = next(i for i, line in enumerate(lines) if line.endswith(",true,delivered"))
@@ -490,24 +543,22 @@ def test_log_parse_rejects_delivered_flag_contradicting_reason():
 
 
 def test_pdr_round_trip_with_empty_bins():
-    curve = PdrCurve(bin_width_m=20.0, bins=[
-        PdrBin(bin_start_m=0.0, bin_end_m=20.0, sent=40, delivered=40),
-        PdrBin(bin_start_m=20.0, bin_end_m=40.0, sent=0, delivered=0),
-        PdrBin(bin_start_m=40.0, bin_end_m=60.0, sent=30, delivered=7),
-    ])
+    curve = PdrCurve(bin_width_m=20.0, bin_start_m=[0.0, 20.0, 40.0],
+                     bin_end_m=[20.0, 40.0, 60.0], sent=[40, 0, 30], delivered=[40, 0, 7])
     text = export_pdr_csv(curve)
     assert ",,\n" not in text  # empty bin renders a blank pdr, not twice-empty
     again = parse_pdr_csv(text)
     assert again.bin_width_m == 20.0
-    assert [(b.sent, b.delivered) for b in again] == [(40, 40), (0, 0), (30, 7)]
+    assert list(zip(again.sent.tolist(), again.delivered.tolist())) == [
+        (40, 40), (0, 0), (30, 7)]
     assert export_pdr_csv(again) == text
 
 
 def test_pdr_parse_counts_are_authoritative():
     # The pdr_pct column is derived; a doctored value cannot survive a round trip.
-    curve = PdrCurve(bin_width_m=20.0, bins=[PdrBin(0.0, 20.0, 10, 5)])
+    curve = PdrCurve(20.0, [0.0], [20.0], [10], [5])
     text = export_pdr_csv(curve).replace("50.000000000", "99.000000000")
-    assert parse_pdr_csv(text).bins[0].pdr_pct == 50.0
+    assert parse_pdr_csv(text).pdr_pct[0] == 50.0
 
 
 def test_pdr_parse_rejects_empty_and_malformed():
@@ -552,11 +603,9 @@ def test_rmse_after_round_trip_compares_every_non_empty_bin(width, sent):
     # Changing any one non-empty bin of the simulated side must move the
     # RMSE against the re-parsed observed curve by exactly that bin's share.
     def curve(changed=None):
-        return PdrCurve(bin_width_m=width, bins=[
-            PdrBin(bin_start_m=i * width, bin_end_m=(i + 1) * width, sent=s,
-                   delivered=s if i == changed else 0)
-            for i, s in enumerate(sent)
-        ])
+        k = np.arange(len(sent))
+        return PdrCurve(bin_width_m=width, bin_start_m=k * width, bin_end_m=(k + 1) * width,
+                        sent=sent, delivered=np.where(k == changed, sent, 0))
 
     observed = parse_pdr_csv(export_pdr_csv(curve()))
     non_empty = [i for i, s in enumerate(sent) if s]
@@ -564,28 +613,93 @@ def test_rmse_after_round_trip_compares_every_non_empty_bin(width, sent):
         assert rmse(observed, curve(changed=i)) == pytest.approx(100.0 / math.sqrt(len(non_empty)))
 
 
+def test_pdr_parse_accepts_its_own_output_at_fine_widths():
+    # The width re-read from row 0 carries up to 1e-9 m of rounding, which
+    # bin k multiplies by k; a fixed 1e-6 m slack refused row 2503 here.
+    curve = pdr_curve(vehicle_log(np.linspace(0.0, 999.0, 4000), np.zeros(4000),
+                                  np.ones(4000, dtype=bool)), 0.2500000004)
+    text = export_pdr_csv(curve)
+    assert export_pdr_csv(parse_pdr_csv(text)) == text
+
+
+def test_pdr_parse_names_the_first_bad_row_in_row_order():
+    with pytest.raises(ValueError, match="row 3: delivered 18 exceeds sent 10"):
+        parse_pdr_csv(_PDR_HEADER + "0,20,10,10,\n20,40,10,18,\n40,60,ten,5,\n")
+    with pytest.raises(ValueError, match="row 3: counts must be non-negative"):
+        parse_pdr_csv(_PDR_HEADER + "0,20,10,10,\n25,45,-1,0,\n")
+    # Off the grid and not contiguous: the grid rule names it.
+    with pytest.raises(ValueError, match="row 3: bin 25-45 m is not bin 1"):
+        parse_pdr_csv(_PDR_HEADER + "0,20,10,10,\n25,45,1,0,\n60,80,1,0,\n")
+    # On the grid to within its slack, yet not contiguous.
+    with pytest.raises(ValueError, match="row 3: bins must be contiguous"):
+        parse_pdr_csv(_PDR_HEADER + "0,20,10,10,\n20.0000005,40,1,0,\n")
+
+
+def vehicle_log(x, y, delivered):
+    """A vehicle-to-RSU log of packets sent from (x, y, 0) to an RSU at the origin."""
+    n = len(x)
+    tx, rx = np.column_stack([x, y, np.zeros(n)]), np.zeros((n, 3))
+    return DeliveryLog(
+        timestamp_s=np.zeros(n), direction_code=np.full(n, Direction.VEHICLE_TO_RSU.stream_code),
+        tx_position_m=tx, rx_position_m=rx, distance_m=link_distance_m(tx, rx),
+        rx_power_dbm=np.full(n, -70.0), reason_code=np.where(delivered, DELIVERED, BELOW_SNR))
+
+
+# Shrinking a byte mismatch over hundreds of rows takes minutes; the first
+# failing example is reported as drawn.
+@settings(max_examples=40, deadline=None, derandomize=True,
+          phases=(Phase.explicit, Phase.generate))
+@given(
+    # Widths a 9-decimal CSV cannot carry, so a width re-read from it is rounded.
+    width=st.sampled_from([100.0 / 3.0, 12.3456789012]) | st.floats(min_value=0.5,
+                                                                    max_value=250.0),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    n=st.integers(min_value=1, max_value=400),
+)
+def test_curve_and_grid_re_export_their_own_bytes(width, seed, n):
+    # The parsers keep edges and centers as read, so bytes cannot drift.
+    rng = np.random.default_rng(seed)
+    log = vehicle_log(rng.uniform(-3500.0, 3500.0, n), rng.uniform(-3500.0, 3500.0, n),
+                      rng.random(n) < 0.5)
+    for table, export, parse in ((pdr_curve(log, width), export_pdr_csv, parse_pdr_csv),
+                                 (heatmap(log, width), export_heatmap_csv, parse_heatmap_csv)):
+        text = export(table)
+        assert export(parse(text)) == text
+
+
 def test_heatmap_round_trip():
-    grid = HeatmapGrid(cell_m=20.0, cells=[
-        HeatmapCell(center_x_m=10.0, center_y_m=10.0, sent=12, delivered=10),
-        HeatmapCell(center_x_m=-30.0, center_y_m=10.0, sent=3, delivered=0),
-    ])
+    grid = HeatmapGrid(cell_m=20.0, center_x_m=[10.0, -30.0], center_y_m=[10.0, 10.0],
+                       sent=[12, 3], delivered=[10, 0])
     text = export_heatmap_csv(grid)
     again = parse_heatmap_csv(text)
     assert again.cell_m == 20.0
-    assert [(c.center_x_m, c.center_y_m, c.sent, c.delivered) for c in again] == [
+    assert list(zip(again.center_x_m.tolist(), again.center_y_m.tolist(), again.sent.tolist(),
+                    again.delivered.tolist())) == [
         (10.0, 10.0, 12, 10), (-30.0, 10.0, 3, 0)
     ]
     assert export_heatmap_csv(again) == text
 
 
 def test_heatmap_parse_rejects_inconsistent_cell_size():
-    grid = HeatmapGrid(cell_m=20.0, cells=[
-        HeatmapCell(10.0, 10.0, 1, 1), HeatmapCell(30.0, 10.0, 1, 1)
-    ])
+    grid = HeatmapGrid(20.0, [10.0, 30.0], [10.0, 10.0], [1, 1], [1, 1])
     lines = export_heatmap_csv(grid).splitlines()
     lines[2] = lines[2].replace("20.000000000", "25.000000000", 1)
     with pytest.raises(ValueError, match="inconsistent cell_m"):
         parse_heatmap_csv("\n".join(lines) + "\n")
+
+
+_HEATMAP_HEADER = "cell_x_m,cell_y_m,cell_m,sent,delivered,pdr_pct\n"
+
+
+@pytest.mark.parametrize("rows, message", [
+    ("10,10,20,10,10,\n30,10,20,10,18,\n", "row 3: delivered 18 exceeds sent 10"),
+    ("10,10,20,-4,-5,\n", "row 2: counts must be non-negative, got sent -4, delivered -5"),
+    ("10,10,20,1,1,\nnan,10,20,1,1,\n", r"row 3: center \(nan, 10.0\) must be finite"),
+    ("10,10,nan,1,1,\n", "row 2: cell_m nan must be positive and finite"),
+])
+def test_heatmap_parse_refuses_impossible_cells(rows, message):
+    with pytest.raises(ValueError, match=message):
+        parse_heatmap_csv(_HEATMAP_HEADER + rows)
 
 
 def test_heatmap_parse_rejects_empty():
@@ -602,13 +716,11 @@ def test_heatmap_parse_rejects_empty():
     )
 )
 def test_pdr_round_trip_property(counts):
-    bins = [
-        PdrBin(bin_start_m=i * 15.0, bin_end_m=(i + 1) * 15.0,
-               sent=max(s, d), delivered=min(s, d))
-        for i, (s, d) in enumerate(counts)
-    ]
-    curve = PdrCurve(bin_width_m=15.0, bins=bins)
+    k = np.arange(len(counts))
+    bins = [(max(s, d), min(s, d)) for s, d in counts]
+    curve = PdrCurve(bin_width_m=15.0, bin_start_m=k * 15.0, bin_end_m=(k + 1) * 15.0,
+                     sent=[s for s, _ in bins], delivered=[d for _, d in bins])
     text = export_pdr_csv(curve)
     again = parse_pdr_csv(text)
     assert export_pdr_csv(again) == text
-    assert [(b.sent, b.delivered) for b in again] == [(b.sent, b.delivered) for b in bins]
+    assert list(zip(again.sent.tolist(), again.delivered.tolist())) == bins

@@ -85,9 +85,9 @@ def test_search_refuses_a_curve_beyond_the_drive():
 
 def test_search_warns_of_observed_bins_outside_the_drive(caplog):
     caplog.set_level(logging.WARNING, logger="v2xcal.calibration")
-    inside = sum(1 for b in pdr_curve(run_scenario(ENU, SCENARIO, *calibrated_genome().to_params()),
-                                      SCENARIO.bin_width_m) if not b.empty)
-    observed = len(OBSERVED.non_empty())
+    log = run_scenario(ENU, SCENARIO, *calibrated_genome().to_params())
+    inside = np.count_nonzero(pdr_curve(log, SCENARIO.bin_width_m).sent)
+    observed = np.count_nonzero(OBSERVED.sent)
     PreparedSearch(OBSERVED, ENU, SCENARIO)
     assert observed > inside
     assert [r.getMessage() for r in caplog.records] == [

@@ -19,7 +19,7 @@ from v2xcal.simulator import (
     DeliveryLog,
     Direction,
     EnuTrace,
-    PdrBin,
+    HeatmapGrid,
     PdrCurve,
     ScenarioConfig,
     heatmap,
@@ -248,29 +248,31 @@ def test_pdr_curve_binning_and_conservation():
     ])
     curve = pdr_curve(log, 10.0)
     assert len(curve) == 4
-    assert [b.sent for b in curve] == [1, 1, 3, 1]
-    assert sum(b.sent for b in curve) == len(log)
-    assert curve.bins[2].pdr_pct == pytest.approx(100.0 / 3.0)
-    assert curve.bins[2].bin_start_m == 20.0 and curve.bins[2].bin_end_m == 30.0
+    assert curve.sent.tolist() == [1, 1, 3, 1]
+    assert curve.sent.sum() == len(log)
+    assert curve.pdr_pct[2] == pytest.approx(100.0 / 3.0)
+    assert curve.bin_start_m[2] == 20.0 and curve.bin_end_m[2] == 30.0
 
 
 def test_pdr_curve_boundary_goes_to_upper_bin():
     log = _log([_record(20.0, True)])
     curve = pdr_curve(log, 10.0)
-    assert [b.sent for b in curve] == [0, 0, 1]
+    assert curve.sent.tolist() == [0, 0, 1]
 
 
 def test_pdr_curve_keeps_empty_bins():
     log = _log([_record(5.0, True), _record(45.0, False)])
     curve = pdr_curve(log, 10.0)
-    assert [b.empty for b in curve] == [False, True, True, True, False]
-    assert [b.pdr_pct for b in curve] == [100.0, None, None, None, 0.0]
-    assert curve.non_empty() == {0.0: 100.0, 40.0: 0.0}
+    assert (curve.sent == 0).tolist() == [False, True, True, True, False]
+    assert np.array_equal(curve.pdr_pct, [100.0, np.nan, np.nan, np.nan, 0.0], equal_nan=True)
+    seen = curve.sent > 0
+    assert dict(zip(curve.bin_start_m[seen].tolist(), curve.pdr_pct[seen].tolist())) == {
+        0.0: 100.0, 40.0: 0.0}
 
 
 def test_pdr_curve_empty_log():
     curve = pdr_curve(_log([]), 10.0)
-    assert len(curve) == 0 and curve.non_empty() == {}
+    assert len(curve) == 0 and not curve.sent.any()
 
 
 def test_pdr_curve_direction_filter():
@@ -281,9 +283,9 @@ def test_pdr_curve_direction_filter():
     both = pdr_curve(log, 10.0)
     bsm = pdr_curve(log, 10.0, Direction.VEHICLE_TO_RSU)
     spat = pdr_curve(log, 10.0, Direction.RSU_TO_VEHICLE)
-    assert both.bins[0].pdr_pct == 50.0
-    assert bsm.bins[0].pdr_pct == 100.0
-    assert spat.bins[0].pdr_pct == 0.0
+    assert both.pdr_pct[0] == 50.0
+    assert bsm.pdr_pct[0] == 100.0
+    assert spat.pdr_pct[0] == 0.0
 
 
 def test_pdr_curve_rejects_bad_width():
@@ -293,10 +295,45 @@ def test_pdr_curve_rejects_bad_width():
 
 def test_pdr_curve_contiguity_enforced():
     with pytest.raises(ValueError, match="contiguous"):
-        PdrCurve(bin_width_m=10.0, bins=[
-            PdrBin(bin_start_m=0.0, bin_end_m=10.0, sent=1, delivered=1),
-            PdrBin(bin_start_m=20.0, bin_end_m=30.0, sent=1, delivered=1),
-        ])
+        PdrCurve(bin_width_m=10.0, bin_start_m=[0.0, 20.0], bin_end_m=[10.0, 30.0],
+                 sent=[1, 1], delivered=[1, 1])
+
+
+def test_pdr_curve_names_its_first_bad_bin():
+    def curve(**changes):
+        columns = dict(bin_width_m=10.0, bin_start_m=[0.0, 10.0, 20.0],
+                       bin_end_m=[10.0, 20.0, 30.0], sent=[4, 4, 4], delivered=[1, 2, 3])
+        return PdrCurve(**{**columns, **changes})
+
+    assert len(curve()) == 3
+    with pytest.raises(ValueError, match="bin 1: delivered 5 exceeds sent 4"):
+        curve(delivered=[1, 5, 6])
+    with pytest.raises(ValueError, match="bin 2: counts must be non-negative"):
+        curve(sent=[4, 4, -1], delivered=[1, 2, -1])
+    with pytest.raises(ValueError, match="bin 2: bins must be contiguous"):
+        curve(bin_start_m=[0.0, 10.0, 20.1], bin_end_m=[10.0, 20.0, 30.1])
+    with pytest.raises(ValueError, match="equal length"):
+        curve(sent=[4, 4])
+    for width in (0.0, -10.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="bin_width_m must be positive and finite"):
+            curve(bin_width_m=width)
+
+
+def test_heatmap_grid_names_its_first_bad_cell():
+    def grid(**changes):
+        columns = dict(cell_m=20.0, center_x_m=[10.0, 30.0], center_y_m=[10.0, 10.0],
+                       sent=[4, 4], delivered=[1, 2])
+        return HeatmapGrid(**{**columns, **changes})
+
+    assert grid().pdr_pct.tolist() == [25.0, 50.0]
+    with pytest.raises(ValueError, match="cell 1: delivered 18 exceeds sent 4"):
+        grid(delivered=[1, 18])
+    with pytest.raises(ValueError, match="cell 0: counts must be non-negative"):
+        grid(sent=[-4, 4], delivered=[-5, 2])
+    with pytest.raises(ValueError, match=r"cell 1: center \(nan, 10.0\) must be finite"):
+        grid(center_x_m=[10.0, math.nan])
+    with pytest.raises(ValueError, match="cell_m must be positive and finite"):
+        grid(cell_m=math.nan)
 
 
 # ---------------------------------------------------------------------------
@@ -312,10 +349,11 @@ def test_heatmap_cells_and_conservation():
     ])
     grid = heatmap(log, 20.0)
     assert len(grid) == 2
-    assert sum(c.sent for c in grid) == 3
-    by_center = {(c.center_x_m, c.center_y_m): c for c in grid}
-    assert by_center[(10.0, 10.0)].pdr_pct == 50.0
-    assert by_center[(30.0, 10.0)].pdr_pct == 100.0
+    assert grid.sent.sum() == 3
+    by_center = dict(zip(zip(grid.center_x_m.tolist(), grid.center_y_m.tolist()),
+                         grid.pdr_pct.tolist()))
+    assert by_center[(10.0, 10.0)] == 50.0
+    assert by_center[(30.0, 10.0)] == 100.0
 
 
 def test_heatmap_uses_vehicle_end_for_both_directions():
@@ -324,15 +362,16 @@ def test_heatmap_uses_vehicle_end_for_both_directions():
         _record(5.0, True, Direction.RSU_TO_VEHICLE),
     ])
     grid = heatmap(log, 20.0)
-    assert len(grid) == 1 and grid.cells[0].sent == 2
+    assert len(grid) == 1 and grid.sent[0] == 2
 
 
 def test_heatmap_pdr_declines_with_distance():
     trace = drive_by_trace(half_m=1500.0, duration_s=300.0)
     log = run_scenario(trace, ScenarioConfig(master_seed=23), CALIBRATED_RADIO, CALIBRATED_FADING)
     grid = heatmap(log, 100.0)
-    dist = [math.hypot(c.center_x_m, c.center_y_m) for c in grid if c.sent >= 20]
-    pdr = [c.pdr_pct for c in grid if c.sent >= 20]
+    busy = grid.sent >= 20
+    dist = np.hypot(grid.center_x_m[busy], grid.center_y_m[busy])
+    pdr = grid.pdr_pct[busy]
     rho, p = stats.spearmanr(dist, pdr)
     assert rho < -0.8 and p < 1e-3
 
@@ -343,12 +382,10 @@ def test_heatmap_pdr_declines_with_distance():
 
 
 def _curve(widths_pdr, width=20.0):
-    bins = []
-    for i, pair in enumerate(widths_pdr):
-        sent, delivered = pair
-        bins.append(PdrBin(bin_start_m=i * width, bin_end_m=(i + 1) * width,
-                           sent=sent, delivered=delivered))
-    return PdrCurve(bin_width_m=width, bins=bins)
+    sent, delivered = zip(*widths_pdr)
+    edges = np.arange(len(sent) + 1) * width
+    return PdrCurve(bin_width_m=width, bin_start_m=edges[:-1], bin_end_m=edges[1:],
+                    sent=sent, delivered=delivered)
 
 
 def test_rmse_identity_is_zero():
