@@ -2,12 +2,16 @@
 
 Trace CSVs use canonical snake_case headers (common aliases accepted,
 case-insensitively): time, latitude, longitude, altitude_ft, heading_deg,
-speed_mph, transmission_type, message_type, direction. In memory a Trace,
-like a DeliveryLog, holds one numpy array per column. All exporters render
-floats with a fixed number of decimal places so output bytes are identical
-across platforms, and every export has a parse counterpart that restores
-the original values exactly. SynthSection is the recipe of a synthetic
-route, which generate_synthetic drives for all samples at once.
+speed_mph, transmission_type, message_type, direction. In memory a Trace, like
+a DeliveryLog, holds one numpy array per column. SynthSection is the recipe of
+a synthetic route, which generate_synthetic drives for all samples at once.
+Every export has a parse counterpart that restores the original values
+exactly, and all four share one column writer. Its floats match "{:.9f}" on
+every platform: for |x| < 2**22, y = x * 1e9 lies within half a spacing of the
+true product (1e9 is exact in binary), so where the fraction of y is over a
+spacing from 0.5, rint(y) is the correctly rounded 9-decimal value; its digits
+come from integer division and its sign from signbit (-1e-12 is -0.000000000).
+Near-ties, |x| >= 2**22, nan and infinities are formatted one at a time.
 """
 
 from __future__ import annotations
@@ -47,18 +51,50 @@ MPH_TO_MPS = 0.44704
 MAX_PROJECTION_RANGE_M = 50_000.0
 
 _FLOAT_FMT = "{:.9f}"
+_BLOCK_ROWS = 2048  # rows the CSV writer renders at once, which bounds its scratch arrays
 
 #: Slack on parsed PDR bin edges: far above the 9-decimal rounding of an
 #: exported edge, far below any bin width in use.
 _BIN_EDGE_TOL_M = 1e-6
 
 
-def _write_csv(headers: tuple, rows) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(headers)
-    writer.writerows(rows)
-    return out.getvalue()
+def _float_text(x: np.ndarray) -> np.ndarray:
+    """The "{:.9f}" text of each float as an S array, NUL-padded (see the module docstring)."""
+    fast = np.abs(x) < 2.0**22
+    y = np.where(fast, x, 0.0) * 1e9
+    fast &= np.abs(y - np.floor(y) - 0.5) > np.spacing(np.abs(y))
+    n = np.stack(np.divmod(np.abs(np.rint(y)).astype(np.int64), 10**9), 1).astype(np.int32)
+    whole = n[:, 0]
+    cells = np.empty((x.shape[0], 2, 10), np.uint8)  # sign, 9 integer digits; point, 9 decimals
+    for j in range(9, 0, -1):  # both parts are below 2**31, and int32 divides faster than int64
+        rest = n // 10
+        cells[:, :, j] = n - rest * 10 + 48
+        n = rest
+    cells[:, 0, 1:9][whole[:, None] < 10 ** np.arange(8, 0, -1)] = 0  # no leading zeros
+    cells[:, 0, 0], cells[:, 1, 0] = np.where(np.signbit(x), ord("-"), 0), ord(".")
+    exact = np.array([_FLOAT_FMT.format(v) for v in x[~fast].tolist()], dtype="S")
+    text = cells.reshape(-1, 20).view("S20")[:, 0].astype(np.result_type("S20", exact))
+    text[~fast] = exact
+    return text
+
+
+def _write_columns(headers: tuple, columns: list) -> str:
+    """CSV text of a header line and one line per row of equal-length columns.
+
+    A column holds floats or S-dtype cells, NUL-padded anywhere; no cell needs quoting.
+    """
+    parts, n = [",".join(headers) + "\n"], len(columns[0])
+    for start in range(0, n, _BLOCK_ROWS):
+        rows, pieces = min(_BLOCK_ROWS, n - start), []
+        comma, newline = (np.full((rows, 1), ord(c), np.uint8) for c in ",\n")
+        for column in columns:
+            cells = column[start:start + rows]
+            cells = cells if cells.dtype.kind == "S" else _float_text(cells)
+            pieces += [cells.view(np.uint8).reshape(rows, -1), comma]
+        pieces[-1] = newline
+        body = np.hstack(pieces).ravel()
+        parts.append(body[body != 0].tobytes().decode("ascii"))
+    return "".join(parts)
 
 
 def _data_rows(text: str, headers: tuple, kind: str) -> list:
@@ -102,8 +138,9 @@ MESSAGE_TYPES = tuple(MessageType)
 TRACE_DIRECTIONS = tuple(TraceDirection)
 
 EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
-_NAIVE_EPOCH = EPOCH.replace(tzinfo=None)
 _MICROSECOND = timedelta(microseconds=1)
+#: The first and last microsecond of years 1-9999 UTC, the times a trace can hold.
+_TIME_RANGE_US = np.array(["0001-01-01", "9999-12-31T23:59:59.999999"], "M8[us]").view(np.int64)
 
 _FLOAT_COLUMNS = ("latitude_deg", "longitude_deg", "altitude_ft", "heading_deg", "speed_mph")
 #: The message columns: (field, header, enum values in code order, accepted spellings).
@@ -126,8 +163,10 @@ def _record_errors(columns: dict) -> list:
     once, under the first rule it breaks.
     """
     lat, lon = columns["latitude_deg"], columns["longitude_deg"]
-    heading, speed = columns["heading_deg"], columns["speed_mph"]
+    heading, speed, time = columns["heading_deg"], columns["speed_mph"], columns["time_us"]
     return rule_errors([
+        (~((time >= _TIME_RANGE_US[0]) & (time <= _TIME_RANGE_US[1])),
+         "time {} us lies outside years 1-9999", time),
         (~((lat >= -90.0) & (lat <= 90.0)), "latitude {} outside [-90, 90]", lat),
         (~((lon >= -180.0) & (lon <= 180.0)), "longitude {} outside [-180, 180]", lon),
         (~((heading >= 0.0) & (heading < 360.0)), "heading {} outside [0, 360)", heading),
@@ -142,8 +181,8 @@ def _record_errors(columns: dict) -> list:
 class Trace:
     """Time-ordered on-board-unit message log, one array per column.
 
-    time_us holds microseconds since the Unix epoch (UTC) as int64; the
-    three message columns hold integer codes into TRANSMISSION_TYPES,
+    time_us holds microseconds since the Unix epoch (UTC) as int64, in
+    years 1-9999; the message columns hold codes into TRANSMISSION_TYPES,
     MESSAGE_TYPES and TRACE_DIRECTIONS. Every record carries a GPS fix:
     latitude in [-90, 90], longitude in [-180, 180], heading in [0, 360),
     a non-negative speed, all finite. The first record that breaks a rule,
@@ -206,10 +245,10 @@ class SynthSection:
     seconds for duration_s, and a vehicle that exhausts the route before
     then parks at the final waypoint. Speeds, duration and rate are
     positive and finite, the seed a non-negative integer, and two
-    consecutive waypoints whose distance computes as 0 are refused: that
-    leg would take no time. The count of speeds is checked against the
-    legs by generate_synthetic, as configuration files may set the two
-    keys in different layers.
+    consecutive waypoints whose distance computes as 0 or overflows are
+    refused: that leg would take no time, or forever. The count of speeds
+    is checked against the legs by generate_synthetic, as configuration
+    files may set the two keys in different layers.
 
     The default is a straight 2 km drive past the site at 13.4 m/s, offset
     8 m from the antenna: small enough to regenerate in seconds, long
@@ -233,9 +272,10 @@ class SynthSection:
             # The leg length as generate_synthetic takes it: 0 for a tiny leg, as it underflows.
             with np.errstate(over="ignore"):
                 length = np.linalg.norm(np.subtract(points[i], points[i - 1], dtype=float))
-            if length == 0.0:
-                raise ValueError(f"waypoints {i - 1} and {i} are equal to within the float "
-                                 "precision of a leg length; every leg needs a length")
+            if not 0.0 < length < math.inf:
+                raise ValueError(f"waypoints {i - 1} and {i} are " + (
+                    "too far apart for" if length else "equal to within") + " the float "
+                    "precision of a leg length; every leg needs a finite, non-zero length")
         if not all(0.0 < v < math.inf for v in self.leg_speeds_mps):
             raise ValueError("leg speeds must be positive and finite")
         if not (0.0 < self.duration_s < math.inf and 0.0 < self.sample_rate_hz < math.inf):
@@ -347,18 +387,14 @@ def parse_trace_csv(text: str, epoch_ms: bool = False) -> Trace:
 
 
 def export_trace_csv(trace: Trace) -> str:
-    """Render a Trace with canonical headers and fixed decimal formatting.
-
-    Times are ISO 8601 in UTC with microseconds, the year padded to four digits.
-    """
-    fmt = _FLOAT_FMT.format
-    return _write_csv(TRACE_HEADERS, zip(
-        ((_NAIVE_EPOCH + us * _MICROSECOND).isoformat(timespec="microseconds") + "Z"
-         for us in trace.time_us.tolist()),
-        *(map(fmt, getattr(trace, name).tolist()) for name in _FLOAT_COLUMNS),
-        *([kinds[code].value for code in getattr(trace, name).tolist()]
+    """Render a Trace with canonical headers, 9 decimals and ISO 8601 UTC microsecond times."""
+    stamps = np.datetime_as_string(trace.time_us.astype("datetime64[us]"), unit="us")
+    return _write_columns(TRACE_HEADERS, [
+        np.char.add(stamps.astype("S"), b"Z"),
+        *(getattr(trace, name) for name in _FLOAT_COLUMNS),
+        *(np.array([kind.value for kind in kinds], dtype="S")[getattr(trace, name)]
           for name, _, kinds, _ in _CODE_COLUMNS),
-    ))
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -487,13 +523,14 @@ LOG_HEADERS = (
 
 
 def export_log_csv(log: DeliveryLog) -> str:
-    directions = {d.stream_code: d.value for d in Direction}
-    fmt = _FLOAT_FMT.format
-    return _write_csv(LOG_HEADERS, (
-        [fmt(t), directions[code], *map(fmt, tx), *map(fmt, rx), fmt(dist), fmt(power),
-         "true" if reason == DELIVERED else "false", REASONS[reason].value]
-        for t, code, tx, rx, dist, power, reason in zip(
-            *(getattr(log, f.name).tolist() for f in fields(log)))))
+    directions = [d.value for d in sorted(Direction, key=lambda d: d.stream_code)]
+    flags = ["true" if code == DELIVERED else "false" for code in range(len(REASONS))]
+    return _write_columns(LOG_HEADERS, [
+        log.timestamp_s, np.array(directions, dtype="S")[log.direction_code],
+        *log.tx_position_m.T, *log.rx_position_m.T, log.distance_m, log.rx_power_dbm,
+        np.array(flags, dtype="S")[log.reason_code],
+        np.array([r.value for r in REASONS], dtype="S")[log.reason_code],
+    ])
 
 
 #: The numeric log columns, by position.
@@ -551,25 +588,18 @@ PDR_HEADERS = ("bin_start_m", "bin_end_m", "sent", "delivered", "pdr_pct")
 HEATMAP_HEADERS = ("cell_x_m", "cell_y_m", "cell_m", "sent", "delivered", "pdr_pct")
 
 
-def _pdr_cells(pdr_pct: np.ndarray):
-    """The pdr_pct column: blank for an empty bin or cell."""
-    return ("" if math.isnan(p) else _FLOAT_FMT.format(p) for p in pdr_pct.tolist())
-
-
 def export_pdr_csv(curve: PdrCurve) -> str:
     """Render a PDR curve; empty bins keep their row with a blank pdr_pct."""
-    fmt = _FLOAT_FMT.format
-    return _write_csv(PDR_HEADERS, zip(
-        map(fmt, curve.bin_start_m.tolist()), map(fmt, curve.bin_end_m.tolist()),
-        curve.sent.tolist(), curve.delivered.tolist(), _pdr_cells(curve.pdr_pct)))
+    return _write_columns(PDR_HEADERS, [
+        curve.bin_start_m, curve.bin_end_m, curve.sent.astype("S"), curve.delivered.astype("S"),
+        np.where(np.isnan(curve.pdr_pct), b"", _float_text(curve.pdr_pct))])
 
 
 def export_heatmap_csv(grid: HeatmapGrid) -> str:
-    fmt = _FLOAT_FMT.format
-    return _write_csv(HEATMAP_HEADERS, zip(
-        map(fmt, grid.center_x_m.tolist()), map(fmt, grid.center_y_m.tolist()),
-        [fmt(grid.cell_m)] * len(grid), grid.sent.tolist(), grid.delivered.tolist(),
-        _pdr_cells(grid.pdr_pct)))
+    return _write_columns(HEATMAP_HEADERS, [
+        grid.center_x_m, grid.center_y_m, np.full(len(grid), grid.cell_m),
+        grid.sent.astype("S"), grid.delivered.astype("S"),
+        np.where(np.isnan(grid.pdr_pct), b"", _float_text(grid.pdr_pct))])
 
 
 def _count(cell: str) -> np.int64:

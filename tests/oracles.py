@@ -4,19 +4,36 @@ Everything here is computed from the channel definitions directly --
 closed-form link budgets and numerically integrated delivery probabilities
 -- without touching the simulator's sampling code, so agreement between the
 two is meaningful evidence rather than a tautology. The synthetic route has
-a scalar reference too: one sample at a time, with plain floats.
+a scalar reference too: one sample at a time, with plain floats, and so do
+the four CSV exports: one row at a time through csv.writer, one "{:.9f}"
+call per float.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
 from scipy import special
 
-from v2xcal.dataio import EARTH_RADIUS_M, FT_TO_M, MPH_TO_MPS, TRACE_HEADERS
+from v2xcal.dataio import (
+    EARTH_RADIUS_M,
+    FT_TO_M,
+    HEATMAP_HEADERS,
+    LOG_HEADERS,
+    MESSAGE_TYPES,
+    MPH_TO_MPS,
+    PDR_HEADERS,
+    TRACE_DIRECTIONS,
+    TRACE_HEADERS,
+    TRANSMISSION_TYPES,
+)
 from v2xcal.propagation import (
+    DELIVERED,
+    REASONS,
     FadingParams,
     FastFadingModel,
     RadioParams,
@@ -24,6 +41,7 @@ from v2xcal.propagation import (
     SlowFadingModel,
     snr_threshold_db,
 )
+from v2xcal.simulator import Direction
 
 #: Gauss-Hermite order for integrating over the shadowing normal; the
 #: integrand is a smooth CDF so this is far more than enough.
@@ -152,3 +170,63 @@ def synthetic_trace_csv(synth, rsu) -> str:
         lines.append(",".join([stamp.strftime("%Y-%m-%dT%H:%M:%S.%fZ"),
                                *("{:.9f}".format(v) for v in values), "DSRC", "BSM", "Sent"]))
     return "\n".join(lines) + "\n"
+
+
+_NINE = "{:.9f}".format
+
+
+def csv_text(headers, rows) -> str:
+    """A header line and the rows, as csv.writer writes them one at a time."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(headers)
+    writer.writerows(rows)
+    return out.getvalue()
+
+
+def trace_csv(trace) -> str:
+    """export_trace_csv, one record at a time."""
+    naive_epoch = datetime(1970, 1, 1)
+    return csv_text(TRACE_HEADERS, (
+        [(naive_epoch + timedelta(microseconds=us)).isoformat(timespec="microseconds") + "Z",
+         *map(_NINE, floats), TRANSMISSION_TYPES[tx].value, MESSAGE_TYPES[msg].value,
+         TRACE_DIRECTIONS[direction].value]
+        for us, *floats, tx, msg, direction in zip(
+            trace.time_us.tolist(), trace.latitude_deg.tolist(), trace.longitude_deg.tolist(),
+            trace.altitude_ft.tolist(), trace.heading_deg.tolist(), trace.speed_mph.tolist(),
+            trace.transmission_code.tolist(), trace.message_code.tolist(),
+            trace.direction_code.tolist())))
+
+
+def log_csv(log) -> str:
+    """export_log_csv, one packet at a time."""
+    directions = {d.stream_code: d.value for d in Direction}
+    return csv_text(LOG_HEADERS, (
+        [_NINE(t), directions[code], *map(_NINE, tx), *map(_NINE, rx), _NINE(dist),
+         _NINE(power), "true" if reason == DELIVERED else "false", REASONS[reason].value]
+        for t, code, tx, rx, dist, power, reason in zip(
+            log.timestamp_s.tolist(), log.direction_code.tolist(), log.tx_position_m.tolist(),
+            log.rx_position_m.tolist(), log.distance_m.tolist(), log.rx_power_dbm.tolist(),
+            log.reason_code.tolist())))
+
+
+def _pdr_cell(pct: float) -> str:
+    return "" if math.isnan(pct) else _NINE(pct)
+
+
+def pdr_csv(curve) -> str:
+    """export_pdr_csv, one bin at a time."""
+    return csv_text(PDR_HEADERS, (
+        [_NINE(start), _NINE(end), sent, delivered, _pdr_cell(pct)]
+        for start, end, sent, delivered, pct in zip(
+            curve.bin_start_m.tolist(), curve.bin_end_m.tolist(), curve.sent.tolist(),
+            curve.delivered.tolist(), curve.pdr_pct.tolist())))
+
+
+def heatmap_csv(grid) -> str:
+    """export_heatmap_csv, one cell at a time."""
+    return csv_text(HEATMAP_HEADERS, (
+        [_NINE(x), _NINE(y), _NINE(grid.cell_m), sent, delivered, _pdr_cell(pct)]
+        for x, y, sent, delivered, pct in zip(
+            grid.center_x_m.tolist(), grid.center_y_m.tolist(), grid.sent.tolist(),
+            grid.delivered.tolist(), grid.pdr_pct.tolist())))

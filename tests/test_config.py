@@ -233,9 +233,10 @@ def _ga_configs(draw):
     )
 
 
-def _every_leg_has_a_length(points):
+def _every_leg_has_a_finite_length(points):
     with np.errstate(over="ignore"):
-        return all(np.linalg.norm(np.subtract(b, a)) > 0.0 for a, b in zip(points, points[1:]))
+        return all(0.0 < np.linalg.norm(np.subtract(b, a)) < np.inf
+                   for a, b in zip(points, points[1:]))
 
 
 _run_configs = st.builds(
@@ -262,12 +263,12 @@ _run_configs = st.builds(
                   longitude_deg=st.floats(min_value=-180.0, max_value=180.0),
                   altitude_ft=_finite),
     # SynthSection refuses fewer than 2 waypoints, two consecutive ones
-    # whose distance computes as 0, and speeds, duration or rate that are
-    # not positive and finite.
+    # whose distance computes as 0 or overflows, and speeds, duration or
+    # rate that are not positive and finite.
     synth=st.builds(SynthSection,
                     waypoints_enu_m=st.lists(st.tuples(_finite, _finite, _finite),
                                              min_size=2, max_size=5)
-                    .filter(_every_leg_has_a_length)
+                    .filter(_every_leg_has_a_finite_length)
                     .map(tuple),
                     leg_speeds_mps=st.lists(_positive, max_size=4).map(tuple),
                     duration_s=_positive, sample_rate_hz=_positive, seed=_seed),

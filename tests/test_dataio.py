@@ -9,6 +9,7 @@ import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
 from v2xcal.dataio import (
+    _BLOCK_ROWS,
     EARTH_RADIUS_M,
     EPOCH,
     FT_TO_M,
@@ -38,6 +39,7 @@ from v2xcal.dataio import (
 from v2xcal.propagation import (
     BELOW_SNR,
     DELIVERED,
+    REASONS,
     FadingParams,
     FastFadingModel,
     RadioParams,
@@ -229,6 +231,30 @@ def test_trace_export_pads_years_before_1000():
     assert export_trace_csv(again) == exported
 
 
+#: The first and last microsecond of years 1-9999 UTC.
+FIRST_US, LAST_US = ((t.replace(tzinfo=timezone.utc) - EPOCH) // timedelta(microseconds=1)
+                     for t in (datetime.min, datetime.max))
+
+
+def test_trace_refuses_times_outside_years_1_to_9999():
+    # Such a time was accepted, and export_trace_csv then died with an OverflowError.
+    with pytest.raises(ValueError, match=r"record 1: time 4611686018427387904 us lies outside "
+                                         "years 1-9999"):
+        make_trace([make_record(0.0), (2**62, *make_record()[1:])])
+    with pytest.raises(ValueError, match=r"record 0: time -62135596800000001 us"):
+        make_trace([(FIRST_US - 1, *make_record()[1:]), make_record()])
+    with pytest.raises(ValueError, match=r"record 1: time 253402300800000000 us"):
+        make_trace([make_record(), (LAST_US + 1, *make_record()[1:])])
+    edges = make_trace([(FIRST_US, *make_record()[1:]), (LAST_US, *make_record()[1:])])
+    exported = export_trace_csv(edges)
+    assert exported.split("\n")[1:3] == [
+        "0001-01-01T00:00:00.000000Z,45.000000000,-93.000000000,900.000000000,90.000000000,"
+        "30.000000000,DSRC,BSM,Sent",
+        "9999-12-31T23:59:59.999999Z,45.000000000,-93.000000000,900.000000000,90.000000000,"
+        "30.000000000,DSRC,BSM,Sent"]
+    assert _columns(parse_trace_csv(exported)) == _columns(edges)
+
+
 _lat = st.floats(min_value=44.5, max_value=45.5).map(lambda v: round(v, 9))
 _lon = st.floats(min_value=-93.5, max_value=-92.5).map(lambda v: round(v, 9))
 _alt = st.floats(min_value=-500.0, max_value=5000.0).map(lambda v: round(v, 9))
@@ -416,6 +442,16 @@ def test_underflowing_leg_is_refused():
     with pytest.raises(ValueError, match="waypoints 0 and 1 are equal"):
         synthetic_spec(waypoints_enu_m=((0.0, 0.0, 0.0), (1e-170, 0.0, 0.0), (100.0, 0.0, 0.0)),
                        leg_speeds_mps=(10.0, 10.0))
+
+
+def test_overflowing_leg_is_refused():
+    # The leg's length overflows to inf, so its time was inf and synth wrote
+    # every sample parked at the first waypoint, exiting 0.
+    with pytest.raises(ValueError, match="waypoints 0 and 1 are too far apart"):
+        synthetic_spec(waypoints_enu_m=((0.0, 0.0, 0.0), (1e300, 0.0, 0.0)))
+    with pytest.raises(ValueError, match="waypoints 1 and 2 are too far apart"):
+        synthetic_spec(waypoints_enu_m=((0.0, 0.0, 0.0), (100.0, 0.0, 0.0),
+                                        (1e308, -1e308, 0.0)), leg_speeds_mps=(10.0, 10.0))
 
 
 @st.composite
@@ -724,3 +760,101 @@ def test_pdr_round_trip_property(counts):
     again = parse_pdr_csv(text)
     assert export_pdr_csv(again) == text
     assert list(zip(again.sent.tolist(), again.delivered.tolist())) == bins
+
+
+# ---------------------------------------------------------------------------
+# the column writer against the per-row oracle
+# ---------------------------------------------------------------------------
+
+#: Values the float renderer must get right: signed zeros, negatives that
+#: round to -0.000000000, values at and beside the 2**22 limit, an exact
+#: 10th-decimal tie (1/1024) and its neighbour, near-ties, and the extremes
+#: of the float range.
+_EDGE_FLOATS = (0.0, -0.0, 5e-10, -5e-10, -1e-12, -4.9999999e-10, 2.0**22, -(2.0**22),
+                np.nextafter(2.0**22, 0.0), 2.0**22 + 1e-9, 1 / 1024, np.nextafter(1 / 1024, 1.0),
+                0.5e-9, 1.5e-9, 9.9999999995, 1e300, -1e300, 5e-324, 1.7976931348623157e308)
+
+
+def _awkward_floats(rng, n, extra):
+    """n finite floats of every binary exponent, rich in the renderer's special cases."""
+    sign = rng.choice([-1.0, 1.0], n)
+    kinds = np.stack([
+        sign * np.ldexp(rng.uniform(0.5, 1.0, n), rng.integers(-1074, 1024, n)),
+        sign * rng.uniform(0.0, 1.0, n) * 10.0 ** rng.integers(-12, 9, n),
+        (2 * rng.integers(-2**40, 2**40, n) + 1) / 1024.0,  # exact ties, some beyond 2**22
+        (2 * rng.integers(-10**15, 10**15, n) + 1) / 2e9,  # the nearest floats to ties
+        rng.uniform(-5e-10, 0.0, n),
+        rng.choice(np.array(_EDGE_FLOATS + tuple(extra), dtype=float), n),
+    ])
+    return kinds[rng.integers(0, len(kinds), n), np.arange(n)]
+
+
+def _with_non_finite(rng, values):
+    return np.where(rng.random(values.shape) < 0.05,
+                    rng.choice([np.nan, np.inf, -np.inf], values.shape), values)
+
+
+def _counts(rng, n):
+    sent = np.where(rng.random(n) < 0.3, 0, rng.integers(0, 2**62, n) >> rng.integers(0, 62, n))
+    return sent, (rng.random(n) * (sent + 1)).astype(np.int64).clip(0, sent)
+
+
+def _random_log(rng, n, extra):
+    def floats(size):
+        return _awkward_floats(rng, size, extra)
+
+    return DeliveryLog(
+        timestamp_s=floats(n), direction_code=rng.integers(0, 2, n),
+        tx_position_m=_with_non_finite(rng, floats(3 * n).reshape(n, 3)),
+        rx_position_m=_with_non_finite(rng, floats(3 * n).reshape(n, 3)), distance_m=floats(n),
+        rx_power_dbm=_with_non_finite(rng, floats(n)),
+        reason_code=rng.integers(0, len(REASONS), n))
+
+
+def _random_trace(rng, n, extra):
+    n = max(n, 1)  # a trace has at least one record
+    lat, lon, alt, heading, speed = (_awkward_floats(rng, n, extra) for _ in range(5))
+    return Trace(
+        time_us=np.sort(rng.integers(FIRST_US, LAST_US + 1, n)),
+        latitude_deg=np.where(np.abs(lat) <= 90.0, lat, np.abs(lat) % 90.0),
+        longitude_deg=np.where(np.abs(lon) <= 180.0, lon, np.abs(lon) % 180.0),
+        altitude_ft=alt,
+        heading_deg=np.where((heading >= 0.0) & (heading < 360.0), heading,
+                             np.abs(heading) % 360.0),
+        speed_mph=np.abs(speed),
+        transmission_code=rng.integers(0, len(TRANSMISSION_TYPES), n),
+        message_code=rng.integers(0, len(MESSAGE_TYPES), n),
+        direction_code=rng.integers(0, len(TRACE_DIRECTIONS), n))
+
+
+def _random_curve(rng, n, extra):
+    edges = _awkward_floats(rng, n + 1, extra)  # any edges are contiguous bins
+    return PdrCurve(1.0, edges[:-1], edges[1:], *_counts(rng, n))
+
+
+def _random_grid(rng, n, extra):
+    cell = np.abs(_awkward_floats(rng, 1, extra)[0]) or 1.0
+    return HeatmapGrid(cell, _awkward_floats(rng, n, extra), _awkward_floats(rng, n, extra),
+                       *_counts(rng, n))
+
+
+# Shrinking a byte mismatch over thousands of rows takes minutes; the first
+# failing example is reported as drawn.
+@pytest.mark.parametrize("build, export, oracle", [
+    (_random_log, export_log_csv, oracles.log_csv),
+    (_random_trace, export_trace_csv, oracles.trace_csv),
+    (_random_curve, export_pdr_csv, oracles.pdr_csv),
+    (_random_grid, export_heatmap_csv, oracles.heatmap_csv),
+], ids=["log", "trace", "pdr", "heatmap"])
+@settings(max_examples=25, deadline=None, derandomize=True,
+          phases=(Phase.explicit, Phase.generate))
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    # Empty tables, and row counts on both sides of one and two writer blocks.
+    n=st.sampled_from([0, 1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 1])
+    | st.integers(min_value=0, max_value=40),
+    extra=st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=6),
+)
+def test_exports_match_the_per_row_oracle(build, export, oracle, seed, n, extra):
+    table = build(np.random.default_rng(seed), n, extra)
+    assert export(table) == oracle(table)
