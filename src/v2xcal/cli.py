@@ -200,13 +200,25 @@ def cmd_calibrate(args) -> int:
     }, summary)
 
 
-def cmd_pdr(args) -> int:
-    config = _apply_field_flags(_load_config(args), args, _GRID_FLAGS)
+def _read_log(args):
+    """The log args.log names and the --direction filter, which must keep a packet.
+
+    A table of no packets would be written as a header-only CSV that no parser reads back.
+    """
     try:
         delivery_log = parse_log_csv(_read_text(args.log))
     except ValueError as exc:
         raise DataError(f"{args.log}: {exc}") from None
-    curve = pdr_curve(delivery_log, config.scenario.bin_width_m, DIRECTION_CHOICES[args.direction])
+    direction = DIRECTION_CHOICES[args.direction]
+    if not delivery_log.sent_in(direction).any():
+        raise DataError(f"{args.log}: no packets for --direction {args.direction}")
+    return delivery_log, direction
+
+
+def cmd_pdr(args) -> int:
+    config = _apply_field_flags(_load_config(args), args, _GRID_FLAGS)
+    delivery_log, direction = _read_log(args)
+    curve = pdr_curve(delivery_log, config.scenario.bin_width_m, direction)
 
     return _write_outputs(args, {"pdr.csv": export_pdr_csv(curve)},
                           f"{len(curve)} bins of {config.scenario.bin_width_m} m "
@@ -215,12 +227,8 @@ def cmd_pdr(args) -> int:
 
 def cmd_heatmap(args) -> int:
     config = _apply_field_flags(_load_config(args), args, _GRID_FLAGS)
-    try:
-        delivery_log = parse_log_csv(_read_text(args.log))
-    except ValueError as exc:
-        raise DataError(f"{args.log}: {exc}") from None
-    grid = heatmap(delivery_log, config.scenario.heatmap_cell_m,
-                   DIRECTION_CHOICES[args.direction])
+    delivery_log, direction = _read_log(args)
+    grid = heatmap(delivery_log, config.scenario.heatmap_cell_m, direction)
 
     return _write_outputs(args, {"heatmap.csv": export_heatmap_csv(grid)},
                           f"{len(grid)} cells of {config.scenario.heatmap_cell_m} m "

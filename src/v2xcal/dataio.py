@@ -6,22 +6,31 @@ speed_mph, transmission_type, message_type, direction. In memory a Trace, like
 a DeliveryLog, holds one numpy array per column. SynthSection is the recipe of
 a synthetic route, which generate_synthetic drives for all samples at once.
 Every export has a parse counterpart that restores the original values
-exactly, and all four share one column writer. Its floats match "{:.9f}" on
-every platform: for |x| < 2**22, y = x * 1e9 lies within half a spacing of the
-true product (1e9 is exact in binary), so where the fraction of y is over a
-spacing from 0.5, rint(y) is the correctly rounded 9-decimal value; its digits
-come from integer division and its sign from signbit (-1e-12 is -0.000000000).
-Near-ties, |x| >= 2**22, nan and infinities are formatted one at a time.
+exactly; the four share one column writer and one column reader.
+
+The writer's floats match "{:.9f}" on every platform: for |x| < 2**22,
+y = x * 1e9 lies within half a spacing of the true product (1e9 is exact in
+binary), so where the fraction of y is over a spacing from 0.5, rint(y) is the
+correctly rounded 9-decimal value; its digits come from integer division and
+its sign from signbit (-1e-12 is -0.000000000). Near-ties, |x| >= 2**22, nan
+and infinities are formatted one at a time.
+
+The reader takes each record as one line and skips blank lines (nothing but
+commas and ASCII whitespace), which still count in row numbers. One loadtxt
+pass turns the data lines into float, int64 and fixed-width word columns,
+cells unquoted as csv does; each word column becomes codes by one lookup per
+distinct word, and the format's rules then run on whole columns. Only when a
+line fails to load does a per-row check, the same rules cell by cell, name it.
 """
 
 from __future__ import annotations
 
 import csv
 import enum
-import io
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from datetime import datetime, timedelta, timezone
+from functools import partial
 
 import numpy as np
 
@@ -97,21 +106,108 @@ def _write_columns(headers: tuple, columns: list) -> str:
     return "".join(parts)
 
 
-def _data_rows(text: str, headers: tuple, kind: str) -> list:
-    """(row number, row) of each non-blank data row of a CSV with exactly these headers."""
-    rows = list(csv.reader(io.StringIO(text)))
-    if not rows or tuple(rows[0]) != headers:
-        raise ValueError(f"expected {kind} header {','.join(headers)}")
-    return [(row_num, row) for row_num, row in enumerate(rows[1:], start=2) if row]
+#: What a blank line may hold: commas and ASCII whitespace.
+_BLANK = ", \t\r\v\f"
 
 
-def _refuse_first_row(rows: list, failure, rules) -> None:
-    """Raise for the first of rows to break a rule, else for failure: (row number, reason)."""
-    errors = rule_errors(rules)
+def _lines(text: str) -> list:
+    """The non-blank lines of a document, header first, each without its trailing \\r.
+
+    Every record is one line.
+    """
+    return [line.rstrip("\r") for line in text.split("\n") if line.strip(_BLANK)]
+
+
+def _cells(line: str) -> list:
+    """The cells of one line as csv.reader splits them; a quote left open is refused."""
+    reader = csv.reader((line, ""))
+    try:
+        cells = next(reader)
+    except csv.Error as exc:
+        raise ValueError(str(exc)) from None
+    if reader.line_num > 1:
+        raise ValueError("a quoted cell runs past the end of the line")
+    return cells
+
+
+def _read(lines: list, fields: list, convert, check_row, usecols=None) -> tuple:
+    """(columns, indexes of the lines they hold, failures) of data lines, read a column at a time.
+
+    One loadtxt pass turns the lines into a record array of (name, dtype)
+    fields, and convert turns that into columns, or None if it refuses a
+    row. Only if either fails does check_row, which raises for a row (a
+    list of cells) that does not read, name each bad line as (index,
+    reason), one at a time; the other lines are then loaded again.
+    """
+    def load(part):
+        try:
+            table = np.loadtxt(part, fields, delimiter=",", quotechar='"', comments=None,
+                               usecols=usecols, ndmin=1) if part else np.zeros(0, fields)
+        except ValueError:
+            return None
+        return convert(table) if len(table) == len(part) else None  # an open quote joins lines
+
+    columns = load(lines)
+    if columns is not None:
+        return columns, range(len(lines)), []
+    failures = []
+    for i, line in enumerate(lines):
+        try:
+            check_row(_cells(line))
+        except (ValueError, OverflowError) as exc:
+            failures.append((i, str(exc)))
+    read = sorted(set(range(len(lines))) - {i for i, _ in failures})
+    columns = load([lines[i] for i in read])
+    if columns is None or not failures:
+        raise ValueError("a row fails to load, yet no check names it")
+    return columns, read, failures
+
+
+def _codes(cells: np.ndarray, code_of) -> np.ndarray:
+    """code_of(cell) for each cell, called once per distinct cell; -1 marks a refused cell."""
+    distinct, index = np.unique(cells, return_inverse=True)
+    return np.array([code_of(cell) for cell in distinct.tolist()], dtype=int)[index]
+
+
+def _parse_number(cell: str, kind=float):
+    """kind (float or int) of a cell as loadtxt reads a number: stripped, ASCII, no underscores."""
+    text = cell.strip()
+    if text.isascii() and "_" not in text:
+        try:
+            return kind(text)
+        except ValueError:
+            pass
+    raise ValueError(f"could not convert string to float: {cell!r}" if kind is float
+                     else f"invalid literal for int() with base 10: {cell!r}")
+
+
+def _data_lines(text: str, headers: tuple, kind: str) -> list:
+    """The data lines of a document whose header holds exactly these cells."""
+    lines = _lines(text)
+    try:
+        if lines and tuple(_cells(lines[0])) == headers:
+            return lines[1:]
+    except ValueError:
+        pass
+    raise ValueError(f"expected {kind} header {','.join(headers)}")
+
+
+def _errors(text: str, read, failures: list, rules) -> list:
+    """(row number, reason) of each data line that failed to read or, once read, breaks a rule.
+
+    Rows are lines counted from 1, blank ones included, and come in order.
+    """
+    errors = sorted(failures + [(read[i], reason) for i, reason in rule_errors(rules)])
+    if not errors:
+        return []
+    rows = [k for k, line in enumerate(text.split("\n"), 1) if line.strip(_BLANK)]
+    return [(rows[i + 1], reason) for i, reason in errors]
+
+
+def _refuse_first_row(text: str, read, failures: list, rules) -> None:
+    errors = _errors(text, read, failures, rules)
     if errors:
-        failure = (rows[errors[0][0]][0], errors[0][1])
-    if failure:
-        raise ValueError("row {}: {}".format(*failure))
+        raise ValueError("row {}: {}".format(*errors[0]))
 
 
 class TraceParseError(ValueError):
@@ -156,15 +252,11 @@ _CODE_COLUMNS = (
 )
 
 
-def _record_errors(columns: dict) -> list:
-    """(index, reason) of each record that breaks a per-record rule, in record order.
-
-    columns maps the Trace field names to arrays; a record is reported
-    once, under the first rule it breaks.
-    """
+def _record_rules(columns: dict) -> list:
+    """The per-record rules of a trace, for rule_errors; columns maps field names to arrays."""
     lat, lon = columns["latitude_deg"], columns["longitude_deg"]
     heading, speed, time = columns["heading_deg"], columns["speed_mph"], columns["time_us"]
-    return rule_errors([
+    return [
         (~((time >= _TIME_RANGE_US[0]) & (time <= _TIME_RANGE_US[1])),
          "time {} us lies outside years 1-9999", time),
         (~((lat >= -90.0) & (lat <= 90.0)), "latitude {} outside [-90, 90]", lat),
@@ -174,7 +266,7 @@ def _record_errors(columns: dict) -> list:
         *((~np.isfinite(columns[name]), name + " must be finite") for name in _FLOAT_COLUMNS),
         *((~((columns[name] >= 0) & (columns[name] < len(kinds))), header + " code {} unknown",
            columns[name]) for name, header, kinds, _ in _CODE_COLUMNS),
-    ])
+    ]
 
 
 @dataclass(eq=False)
@@ -210,7 +302,7 @@ class Trace:
             raise ValueError("trace has no records")
         if any(column.shape != (n,) for column in vars(self).values()):
             raise ValueError("trace columns must be 1-D and of equal length")
-        errors = _record_errors(vars(self))
+        errors = rule_errors(_record_rules(vars(self)))
         if errors:
             raise ValueError("record {}: {}".format(*errors[0]))
         backwards = np.flatnonzero(np.diff(self.time_us) < 0)
@@ -318,7 +410,7 @@ def _parse_time_us(value: str, epoch_ms: bool) -> int:
     """Microseconds since the Unix epoch of one time cell."""
     if epoch_ms:
         try:
-            t = EPOCH + timedelta(milliseconds=int(value))
+            t = EPOCH + timedelta(milliseconds=_parse_number(value, int))
         except OverflowError:
             raise ValueError(f"time {value.strip()} ms lies outside years 1-9999") from None
     else:
@@ -333,19 +425,95 @@ def _parse_time_us(value: str, epoch_ms: bool) -> int:
     return (t - EPOCH) // _MICROSECOND
 
 
+#: The widest time and word cells the trace reader takes, padding included.
+_TIME_WIDTH, _WORD_WIDTH = 40, 16
+#: export_trace_csv's spelling of a time, "0" standing for any digit.
+_EXPORTED_TIME = np.array(list("0000-00-00T00:00:00.000000Z"))
+
+
+def _exported_time_us(cells: np.ndarray) -> tuple:
+    """(microseconds, mask) of the time cells spelled as export_trace_csv writes them.
+
+    A cell outside the mask has another spelling or names no existing time;
+    its microseconds are 0.
+    """
+    n = len(_EXPORTED_TIME)
+    chars = np.ascontiguousarray(cells).view("U1").reshape(len(cells), cells.itemsize // 4)
+    digit = (chars[:, :n] >= "0") & (chars[:, :n] <= "9")
+    ok = (chars[:, n] == "") & np.all(
+        np.where(_EXPORTED_TIME == "0", digit, chars[:, :n] == _EXPORTED_TIME), axis=1)
+    time_us = np.zeros(len(cells), np.int64)
+    try:
+        time_us[ok] = cells[ok].astype(f"U{n - 1}").astype("M8[us]").view(np.int64)
+    except ValueError:  # a day or time of day that does not exist
+        ok[:] = False
+    return time_us, ok & (time_us >= _TIME_RANGE_US[0])  # and year 0, which numpy reads
+
+
+def _word_code(cell: str, kinds: tuple, aliases: dict) -> int:
+    kind = aliases.get(cell.strip().lower())
+    return -1 if kind is None or len(cell) > _WORD_WIDTH else kinds.index(kind)
+
+
+def _trace_columns(table: np.ndarray, epoch_ms: bool):
+    """The Trace columns of a loaded trace table, or None if a time or word cell does not read.
+
+    Times spelled as the export writes them are converted a column at a
+    time, any other through datetime.fromisoformat, one cell at a time.
+    """
+    cells = table["time_us"]
+    if epoch_ms:
+        ok = (cells >= _TIME_RANGE_US[0] // 1000) & (cells <= _TIME_RANGE_US[1] // 1000)
+        time_us = np.where(ok, cells, 0) * 1000
+    else:
+        time_us, ok = _exported_time_us(cells)
+        for i in np.flatnonzero(~ok).tolist():
+            try:
+                time_us[i] = _parse_time_us(cells[i], False)
+            except (ValueError, OverflowError):
+                return None
+            ok[i] = len(cells[i]) <= _TIME_WIDTH
+    columns = {"time_us": time_us, **{name: np.ascontiguousarray(table[name])
+                                      for name in _FLOAT_COLUMNS}}
+    for name, _, kinds, aliases in _CODE_COLUMNS:
+        columns[name] = _codes(table[name], partial(_word_code, kinds=kinds, aliases=aliases))
+        ok &= columns[name] >= 0
+    return columns if ok.all() else None
+
+
+def _check_trace_row(row: list, width: int, positions: list, epoch_ms: bool) -> None:
+    """Raise for the first cell of a trace row that does not read, in the order named."""
+    if len(row) < width:
+        raise ValueError(f"expected {width} fields, got {len(row)}")
+    written = [row[pos] for pos in positions]
+    cells = [cell.strip() for cell in written]
+    for (_, name, _, aliases), cell, raw in zip(_CODE_COLUMNS, cells[6:], written[6:]):
+        if cell.lower() not in aliases:
+            raise ValueError(f"unknown {name} {cell!r}")
+        if len(raw) > _WORD_WIDTH:
+            raise ValueError(f"{name} cell {raw!r} is wider than {_WORD_WIDTH} characters")
+    _parse_time_us(cells[0], epoch_ms)
+    if not epoch_ms and len(written[0]) > _TIME_WIDTH:
+        raise ValueError(f"time cell {written[0]!r} is wider than {_TIME_WIDTH} characters")
+    for cell in cells[1:6]:
+        _parse_number(cell)
+
+
 def parse_trace_csv(text: str, epoch_ms: bool = False) -> Trace:
     """Parse a message-log CSV document into a Trace.
 
-    Raises TraceParseError with row numbers (CSV records counted from 1,
-    blank ones included) and reasons for malformed rows, or with a
+    Raises TraceParseError with row numbers (lines counted from 1, blank
+    ones included) and reasons for malformed rows, or with a
     document-level message for missing columns, an empty document, or
     out-of-order timestamps.
     """
-    rows = [(row_num, row) for row_num, row in enumerate(csv.reader(io.StringIO(text)), start=1)
-            if "".join(row).strip()]
-    if not rows:
+    lines = _lines(text)
+    if not lines:
         raise TraceParseError("document has no header row")
-    header = [_normalize_header(h) for h in rows[0][1]]
+    try:
+        header = [_normalize_header(h) for h in _cells(lines[0])]
+    except ValueError as exc:
+        raise TraceParseError(f"header row: {exc}") from None
     columns = {}
     for pos, name in enumerate(header):
         canonical = _HEADER_ALIASES.get(name)
@@ -354,29 +522,20 @@ def parse_trace_csv(text: str, epoch_ms: bool = False) -> Trace:
     missing = [h for h in TRACE_HEADERS if h not in columns]
     if missing:
         raise TraceParseError(f"missing required columns: {', '.join(missing)}")
-    if len(rows) == 1:
+    if len(lines) == 1:
         raise TraceParseError("document has a header but no data rows")
 
-    row_nums, records, errors = [], [], []
-    for row_num, row in rows[1:]:
-        try:
-            if len(row) < len(header):
-                raise ValueError(f"expected {len(header)} fields, got {len(row)}")
-            cells = [row[columns[name]].strip() for name in TRACE_HEADERS]
-            codes = []
-            for (_, name, kinds, aliases), cell in zip(_CODE_COLUMNS, cells[6:]):
-                if cell.lower() not in aliases:
-                    raise ValueError(f"unknown {name} {cell!r}")
-                codes.append(kinds.index(aliases[cell.lower()]))
-            records.append((_parse_time_us(cells[0], epoch_ms), *map(float, cells[1:6]), *codes))
-            row_nums.append(row_num)
-        except (ValueError, OverflowError) as exc:
-            errors.append((row_num, str(exc)))
-    trace = {f.name: np.array(column) for f, column in zip(fields(Trace), zip(*records))}
-    if records:
-        errors += [(row_nums[i], reason) for i, reason in _record_errors(trace)]
+    positions = [columns[name] for name in TRACE_HEADERS]
+    fields = [("time_us", np.int64 if epoch_ms else f"U{_TIME_WIDTH + 1}"),
+              *((name, float) for name in _FLOAT_COLUMNS),
+              *((name, f"U{_WORD_WIDTH + 1}") for name, *_ in _CODE_COLUMNS),
+              ("last", "U1")]  # the header's last column: a shorter row fails to load
+    trace, read, failures = _read(
+        lines[1:], fields, partial(_trace_columns, epoch_ms=epoch_ms),
+        partial(_check_trace_row, width=len(header), positions=positions, epoch_ms=epoch_ms),
+        usecols=positions + [len(header) - 1])
+    errors = _errors(text, read, failures, _record_rules(trace))
     if errors:
-        errors.sort()
         shown = "; ".join(f"row {row_num}: {reason}" for row_num, reason in errors[:10])
         more = f" (+{len(errors) - 10} more)" if len(errors) > 10 else ""
         raise TraceParseError(f"malformed rows: {shown}{more}")
@@ -533,8 +692,42 @@ def export_log_csv(log: DeliveryLog) -> str:
     ])
 
 
-#: The numeric log columns, by position.
-_LOG_NUMBERS = (0, 2, 3, 4, 5, 6, 7, 8, 9)
+#: The word columns of a log and the code of each word.
+_LOG_WORDS = {"direction": {d.value: d.stream_code for d in Direction},
+              "delivered": {"false": 0, "true": 1},
+              "reason": {r.value: code for code, r in enumerate(REASONS)}}
+_LOG_NUMBERS = tuple(name for name in LOG_HEADERS if name not in _LOG_WORDS)
+#: A word cell one byte wider than the longest word: a longer cell is cut, yet still unknown.
+_LOG_FIELDS = [(name, f"S{max(map(len, _LOG_WORDS[name])) + 1}" if name in _LOG_WORDS else float)
+               for name in LOG_HEADERS]
+
+
+def _log_columns(table: np.ndarray):
+    """The columns of a loaded log table, or None if a word is unknown or contradicts another."""
+    columns = {name: np.ascontiguousarray(table[name]) for name in _LOG_NUMBERS}
+    for name, words in _LOG_WORDS.items():
+        columns[name] = _codes(table[name], lambda cell, words=words: words.get(
+            cell.decode("latin-1"), -1))
+    known = np.all([columns[name] >= 0 for name in _LOG_WORDS], axis=0)
+    agree = (columns["delivered"] == 1) == (columns["reason"] == DELIVERED)
+    return columns if np.all(known & agree) else None
+
+
+def _check_log_row(row: list) -> None:
+    """Raise for the first cell of a log row that does not read, in the order named."""
+    if len(row) != len(LOG_HEADERS):
+        raise ValueError(f"expected {len(LOG_HEADERS)} fields, got {len(row)}")
+    direction, flag, reason = row[1], row[10], row[11]
+    for name, cell in (("direction", direction), ("reason", reason)):
+        if cell not in _LOG_WORDS[name]:
+            raise ValueError(f"unknown enum value {cell!r}")
+    if flag not in _LOG_WORDS["delivered"]:
+        raise ValueError(f"delivered must be true or false, got {flag!r}")
+    if (flag == "true") != (_LOG_WORDS["reason"][reason] == DELIVERED):
+        raise ValueError(f"delivered {flag} contradicts reason {reason}")
+    for name, cell in zip(LOG_HEADERS, row):
+        if name in _LOG_NUMBERS:
+            _parse_number(cell)
 
 
 def parse_log_csv(text: str) -> DeliveryLog:
@@ -544,40 +737,21 @@ def parse_log_csv(text: str) -> DeliveryLog:
     non-finite number, is refused, so the reason column alone carries the
     outcome. The first bad row, in row order, is named in the ValueError.
     """
-    directions = {d.value: d.stream_code for d in Direction}
-    reasons = {r.value: code for code, r in enumerate(REASONS)}
-    delivered_flags = {"true": True, "false": False}
-    numbers, direction_codes, reason_codes, failure = [], [], [], None
-    rows = _data_rows(text, LOG_HEADERS, "log")
-    for row_num, row in rows:
-        try:
-            if len(row) != len(LOG_HEADERS):
-                raise ValueError(f"expected {len(LOG_HEADERS)} fields, got {len(row)}")
-            direction, reason = directions[row[1]], reasons[row[11]]
-            if row[10] not in delivered_flags:
-                raise ValueError(f"delivered must be true or false, got {row[10]!r}")
-            if delivered_flags[row[10]] != (reason == DELIVERED):
-                raise ValueError(f"delivered {row[10]} contradicts reason {row[11]}")
-            numbers.append([float(row[k]) for k in _LOG_NUMBERS])
-        except (KeyError, ValueError) as exc:
-            failure = (row_num, f"unknown enum value {exc}" if isinstance(exc, KeyError)
-                       else str(exc))
-            break
-        direction_codes.append(direction)
-        reason_codes.append(reason)
-
-    values = np.array(numbers, dtype=float).reshape(-1, 9)
-    tx, rx = values[:, 1:4], values[:, 4:7]
+    columns, read, failures = _read(_data_lines(text, LOG_HEADERS, "log"), _LOG_FIELDS,
+                                    _log_columns, _check_log_row)
+    tx, rx = (np.column_stack([columns[name] for name in names])
+              for names in (LOG_HEADERS[2:5], LOG_HEADERS[5:8]))
     distance = link_distance_m(tx, rx)
     with np.errstate(invalid="ignore"):  # inf - inf, in a row the finite rule refuses first
-        mismatch = np.abs(values[:, 7] - distance) > 1e-6
-    _refuse_first_row(rows, failure, [
-        *((~np.isfinite(values[:, j]), LOG_HEADERS[k] + " {} must be finite", values[:, j])
-          for j, k in enumerate(_LOG_NUMBERS)),
-        (mismatch, "distance column {} disagrees with positions ({:.9f})", values[:, 7], distance),
+        mismatch = np.abs(columns["distance_m"] - distance) > 1e-6
+    _refuse_first_row(text, read, failures, [
+        *((~np.isfinite(columns[name]), name + " {} must be finite", columns[name])
+          for name in _LOG_NUMBERS),
+        (mismatch, "distance column {} disagrees with positions ({:.9f})", columns["distance_m"],
+         distance),
     ])
-    return DeliveryLog(values[:, 0], np.array(direction_codes, dtype=int), tx, rx, distance,
-                       values[:, 8], np.array(reason_codes, dtype=int))
+    return DeliveryLog(columns["timestamp_s"], columns["direction"], tx, rx, distance,
+                       columns["rx_power_dbm"], columns["reason"])
 
 
 # ---------------------------------------------------------------------------
@@ -602,25 +776,32 @@ def export_heatmap_csv(grid: HeatmapGrid) -> str:
         np.where(np.isnan(grid.pdr_pct), b"", _float_text(grid.pdr_pct))])
 
 
-def _count(cell: str) -> np.int64:
-    return np.int64(int(cell))  # a count beyond int64 fails here, on its row
+def _check_number_row(row: list, kinds: tuple) -> None:
+    for cell, kind in zip(row, kinds):
+        if kind is float:
+            _parse_number(cell)
+        else:
+            np.int64(_parse_number(cell, int))  # a count beyond int64 fails here, on its row
+    if len(row) < len(kinds):
+        raise ValueError("list index out of range")
 
 
-def _convert_rows(rows: list, converters: tuple):
-    """One array per converter over the leading cells of the rows, up to the first that fails.
+def _read_numbers(text: str, headers: tuple, kind: str, rows: str, kinds: tuple) -> tuple:
+    """(lines, columns, indexes of the lines read, failures) of a PDR or heatmap document.
 
-    Returns the arrays and (row number, reason) of the failed row, or None.
+    Each data line starts with one float or int cell per kind; a document
+    with no data line, or none that reads, is refused.
     """
-    values, failure = [], None
-    for row_num, row in rows:
-        try:
-            values.append([convert(row[k]) for k, convert in enumerate(converters)])
-        except (ValueError, IndexError, OverflowError) as exc:
-            failure = (row_num, str(exc))
-            break
-    if not values:
-        raise ValueError("row {}: {}".format(*failure))
-    return [np.array(column) for column in zip(*values)], failure
+    lines = _data_lines(text, headers, kind)
+    if not lines:
+        raise ValueError(f"{kind} document has no {rows}")
+    fields = [(f"c{k}", np.int64 if number is int else float) for k, number in enumerate(kinds)]
+    columns, read, failures = _read(
+        lines, fields, lambda table: [np.ascontiguousarray(table[name]) for name, _ in fields],
+        partial(_check_number_row, kinds=kinds), usecols=list(range(len(kinds))))
+    if not read:
+        _refuse_first_row(text, read, failures, [])
+    return lines, columns, read, failures
 
 
 def parse_pdr_csv(text: str) -> PdrCurve:
@@ -630,19 +811,19 @@ def parse_pdr_csv(text: str) -> PdrCurve:
     the first row sets, with 0 <= delivered <= sent. The edges are kept as
     read. The first bad row, in row order, is named in the ValueError.
     """
-    rows = _data_rows(text, PDR_HEADERS, "PDR")
-    if not rows:
-        raise ValueError("PDR document has no bins")
-    (start, end, sent, delivered), failure = _convert_rows(rows, (float, float, _count, _count))
-    width = float(end[0] - start[0])
+    lines, (start, end, sent, delivered), read, failures = _read_numbers(
+        text, PDR_HEADERS, "PDR", "bins", (float, float, int, int))
     k = np.arange(start.size)
     # The width carries the rounding of two 9-decimal edges, which bin k multiplies by k.
     tol = _BIN_EDGE_TOL_M + k * 1e-9
-    off_grid = ~(isclose_array(start, k * width, tol) & isclose_array(end, (k + 1) * width, tol))
-    _refuse_first_row(rows, failure, [
+    with np.errstate(invalid="ignore"):  # inf - inf: an edge the grid rule refuses
+        width = float(end[0] - start[0])
+        off_grid = ~(isclose_array(start, k * width, tol)
+                     & isclose_array(end, (k + 1) * width, tol))
+    _refuse_first_row(text, read, failures, [
         *count_rules(sent, delivered),
         (off_grid, "bin {}-{} m is not bin {} of a " + f"{width} m grid from 0",
-         [row[0] for _, row in rows], [row[1] for _, row in rows], k),
+         *(lambda i, j=j: _cells(lines[read[i]])[j] for j in (0, 1)), k),  # the cells as written
         contiguity_rule(start, end),
     ])
     return PdrCurve(width, start, end, sent, delivered)
@@ -650,16 +831,14 @@ def parse_pdr_csv(text: str) -> PdrCurve:
 
 def parse_heatmap_csv(text: str) -> HeatmapGrid:
     """Parse a heatmap CSV; every row must carry the first row's cell_m."""
-    rows = _data_rows(text, HEATMAP_HEADERS, "heatmap")
-    if not rows:
-        raise ValueError("heatmap document has no cells")
-    (x, y, cell, sent, delivered), failure = _convert_rows(
-        rows, (float, float, float, _count, _count))
+    _, (x, y, cell, sent, delivered), read, failures = _read_numbers(
+        text, HEATMAP_HEADERS, "heatmap", "cells", (float, float, float, int, int))
     cell_m = float(cell[0])
-    _refuse_first_row(rows, failure, [
+    with np.errstate(invalid="ignore"):  # inf - inf: a cell_m the first rule refuses
+        inconsistent = ~isclose_array(cell, cell_m, 0.0, rel_tol=1e-12)
+    _refuse_first_row(text, read, failures, [
         (~((cell > 0.0) & (cell < math.inf)), "cell_m {} must be positive and finite", cell),
-        (~isclose_array(cell, cell_m, 0.0, rel_tol=1e-12),
-         "inconsistent cell_m {} " + f"(expected {cell_m})", cell),
+        (inconsistent, "inconsistent cell_m {} " + f"(expected {cell_m})", cell),
         *HeatmapGrid.rules(x, y, sent, delivered),
     ])
     return HeatmapGrid(cell_m, x, y, sent, delivered)

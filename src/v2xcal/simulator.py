@@ -154,13 +154,14 @@ def rule_errors(rules) -> list:
     """(index, reason) of each element that breaks a rule, in index order.
 
     A rule is (mask of the bad elements, reason template, columns whose
-    values at the index fill the template); an element is reported once,
-    under the first rule it breaks.
+    values at the index fill the template, or functions of the index); an
+    element is reported once, under the first rule it breaks.
     """
     errors = {}
     for bad, reason, *columns in rules:
         for i in np.flatnonzero(bad).tolist():
-            errors.setdefault(i, reason.format(*(column[i] for column in columns)))
+            errors.setdefault(i, reason.format(*(column(i) if callable(column) else column[i]
+                                                 for column in columns)))
     return sorted(errors.items())
 
 
@@ -269,10 +270,13 @@ def _round_log(arr):
 def link_distance_m(tx_m: np.ndarray, rx_m: np.ndarray) -> np.ndarray:
     """Distance between paired rows of two (n, 3) position arrays, in meters.
 
-    math.dist, not a vectorized sqrt: the log parser rederives the distance
-    column with this function, and the two must agree bit for bit.
+    math.dist of each pair, as math.hypot of its coordinate differences, not
+    a vectorized sqrt: the log parser rederives the distance column with this
+    function, and the two must agree bit for bit.
     """
-    return np.fromiter(map(math.dist, tx_m.tolist(), rx_m.tolist()), dtype=float, count=len(tx_m))
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and nan pass silently, as there
+        differences = (tx_m - rx_m).T.tolist()
+    return np.fromiter(map(math.hypot, *differences), dtype=float, count=len(tx_m))
 
 
 @dataclass(frozen=True, eq=False)

@@ -6,7 +6,8 @@ closed-form link budgets and numerically integrated delivery probabilities
 two is meaningful evidence rather than a tautology. The synthetic route has
 a scalar reference too: one sample at a time, with plain floats, and so do
 the four CSV exports: one row at a time through csv.writer, one "{:.9f}"
-call per float.
+call per float. So do the four CSV parsers: one record at a time through
+csv.reader, one float() per number and one dict lookup per word.
 """
 
 from __future__ import annotations
@@ -14,13 +15,20 @@ from __future__ import annotations
 import csv
 import io
 import math
+from dataclasses import fields
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
 from scipy import special
 
 from v2xcal.dataio import (
+    _BIN_EDGE_TOL_M,
+    _CODE_COLUMNS,
+    _HEADER_ALIASES,
+    _normalize_header,
+    _record_rules,
     EARTH_RADIUS_M,
+    EPOCH,
     FT_TO_M,
     HEATMAP_HEADERS,
     LOG_HEADERS,
@@ -30,6 +38,8 @@ from v2xcal.dataio import (
     TRACE_DIRECTIONS,
     TRACE_HEADERS,
     TRANSMISSION_TYPES,
+    Trace,
+    TraceParseError,
 )
 from v2xcal.propagation import (
     DELIVERED,
@@ -41,7 +51,16 @@ from v2xcal.propagation import (
     SlowFadingModel,
     snr_threshold_db,
 )
-from v2xcal.simulator import Direction
+from v2xcal.simulator import (
+    DeliveryLog,
+    Direction,
+    HeatmapGrid,
+    PdrCurve,
+    contiguity_rule,
+    count_rules,
+    isclose_array,
+    rule_errors,
+)
 
 #: Gauss-Hermite order for integrating over the shadowing normal; the
 #: integrand is a smooth CDF so this is far more than enough.
@@ -230,3 +249,192 @@ def heatmap_csv(grid) -> str:
         for x, y, sent, delivered, pct in zip(
             grid.center_x_m.tolist(), grid.center_y_m.tolist(), grid.sent.tolist(),
             grid.delivered.tolist(), grid.pdr_pct.tolist())))
+
+
+# ---------------------------------------------------------------------------
+# The four CSV parsers, one record at a time. Blank records (cells holding
+# nothing but ASCII whitespace) are skipped in all four, the header too.
+# ---------------------------------------------------------------------------
+
+
+def _records(text: str) -> list:
+    """(row number, cells) of each non-blank CSV record, counted from 1, blank ones included."""
+    return [(row_num, row) for row_num, row in enumerate(csv.reader(io.StringIO(text)), start=1)
+            if "".join(row).strip(" \t\r\v\f")]
+
+
+def _parse_time_us(value: str, epoch_ms: bool) -> int:
+    """Microseconds since the Unix epoch of one time cell."""
+    if epoch_ms:
+        try:
+            t = EPOCH + timedelta(milliseconds=int(value))
+        except OverflowError:
+            raise ValueError(f"time {value.strip()} ms lies outside years 1-9999") from None
+    else:
+        text = value.strip()
+        if text.endswith("Z") or text.endswith("z"):
+            text = text[:-1] + "+00:00"
+        t = datetime.fromisoformat(text)
+        if t.tzinfo is None:
+            t = t.replace(tzinfo=timezone.utc)
+        t = t.astimezone(timezone.utc)
+    return (t - EPOCH) // timedelta(microseconds=1)
+
+
+def parse_trace_csv(text: str, epoch_ms: bool = False) -> Trace:
+    """parse_trace_csv, one record at a time."""
+    rows = _records(text)
+    if not rows:
+        raise TraceParseError("document has no header row")
+    header = [_normalize_header(h) for h in rows[0][1]]
+    columns = {}
+    for pos, name in enumerate(header):
+        canonical = _HEADER_ALIASES.get(name)
+        if canonical is not None and canonical not in columns:
+            columns[canonical] = pos
+    missing = [h for h in TRACE_HEADERS if h not in columns]
+    if missing:
+        raise TraceParseError(f"missing required columns: {', '.join(missing)}")
+    if len(rows) == 1:
+        raise TraceParseError("document has a header but no data rows")
+
+    row_nums, records, errors = [], [], []
+    for row_num, row in rows[1:]:
+        try:
+            if len(row) < len(header):
+                raise ValueError(f"expected {len(header)} fields, got {len(row)}")
+            cells = [row[columns[name]].strip() for name in TRACE_HEADERS]
+            codes = []
+            for (_, name, kinds, aliases), cell in zip(_CODE_COLUMNS, cells[6:]):
+                if cell.lower() not in aliases:
+                    raise ValueError(f"unknown {name} {cell!r}")
+                codes.append(kinds.index(aliases[cell.lower()]))
+            records.append((_parse_time_us(cells[0], epoch_ms), *map(float, cells[1:6]), *codes))
+            row_nums.append(row_num)
+        except (ValueError, OverflowError) as exc:
+            errors.append((row_num, str(exc)))
+    trace = {f.name: np.array(column) for f, column in zip(fields(Trace), zip(*records))}
+    if records:
+        errors += [(row_nums[i], reason) for i, reason in rule_errors(_record_rules(trace))]
+    if errors:
+        errors.sort()
+        shown = "; ".join(f"row {row_num}: {reason}" for row_num, reason in errors[:10])
+        more = f" (+{len(errors) - 10} more)" if len(errors) > 10 else ""
+        raise TraceParseError(f"malformed rows: {shown}{more}")
+    try:
+        return Trace(**trace)
+    except ValueError as exc:
+        raise TraceParseError(str(exc)) from None
+
+
+def _data_rows(text: str, headers: tuple, kind: str) -> list:
+    rows = _records(text)
+    if not rows or tuple(rows[0][1]) != headers:
+        raise ValueError(f"expected {kind} header {','.join(headers)}")
+    return rows[1:]
+
+
+def _refuse_first_row(rows: list, failure, rules) -> None:
+    errors = rule_errors(rules)
+    if errors:
+        failure = (rows[errors[0][0]][0], errors[0][1])
+    if failure:
+        raise ValueError("row {}: {}".format(*failure))
+
+
+_LOG_NUMBERS = (0, 2, 3, 4, 5, 6, 7, 8, 9)
+
+
+def parse_log_csv(text: str) -> DeliveryLog:
+    """parse_log_csv, one record at a time."""
+    directions = {d.value: d.stream_code for d in Direction}
+    reasons = {r.value: code for code, r in enumerate(REASONS)}
+    delivered_flags = {"true": True, "false": False}
+    numbers, direction_codes, reason_codes, failure = [], [], [], None
+    rows = _data_rows(text, LOG_HEADERS, "log")
+    for row_num, row in rows:
+        try:
+            if len(row) != len(LOG_HEADERS):
+                raise ValueError(f"expected {len(LOG_HEADERS)} fields, got {len(row)}")
+            direction, reason = directions[row[1]], reasons[row[11]]
+            if row[10] not in delivered_flags:
+                raise ValueError(f"delivered must be true or false, got {row[10]!r}")
+            if delivered_flags[row[10]] != (reason == DELIVERED):
+                raise ValueError(f"delivered {row[10]} contradicts reason {row[11]}")
+            numbers.append([float(row[k]) for k in _LOG_NUMBERS])
+        except (KeyError, ValueError) as exc:
+            failure = (row_num, f"unknown enum value {exc}" if isinstance(exc, KeyError)
+                       else str(exc))
+            break
+        direction_codes.append(direction)
+        reason_codes.append(reason)
+
+    values = np.array(numbers, dtype=float).reshape(-1, 9)
+    tx, rx = values[:, 1:4], values[:, 4:7]
+    distance = np.array([math.dist(p, q) for p, q in zip(tx.tolist(), rx.tolist())], dtype=float)
+    with np.errstate(invalid="ignore"):
+        mismatch = np.abs(values[:, 7] - distance) > 1e-6
+    _refuse_first_row(rows, failure, [
+        *((~np.isfinite(values[:, j]), LOG_HEADERS[k] + " {} must be finite", values[:, j])
+          for j, k in enumerate(_LOG_NUMBERS)),
+        (mismatch, "distance column {} disagrees with positions ({:.9f})", values[:, 7], distance),
+    ])
+    return DeliveryLog(values[:, 0], np.array(direction_codes, dtype=int), tx, rx, distance,
+                       values[:, 8], np.array(reason_codes, dtype=int))
+
+
+def _count(cell: str) -> np.int64:
+    return np.int64(int(cell))
+
+
+def _convert_rows(rows: list, converters: tuple):
+    values, failure = [], None
+    for row_num, row in rows:
+        try:
+            values.append([convert(row[k]) for k, convert in enumerate(converters)])
+        except (ValueError, IndexError, OverflowError) as exc:
+            failure = (row_num, str(exc))
+            break
+    if not values:
+        raise ValueError("row {}: {}".format(*failure))
+    return [np.array(column) for column in zip(*values)], failure
+
+
+def parse_pdr_csv(text: str) -> PdrCurve:
+    """parse_pdr_csv, one record at a time."""
+    rows = _data_rows(text, PDR_HEADERS, "PDR")
+    if not rows:
+        raise ValueError("PDR document has no bins")
+    (start, end, sent, delivered), failure = _convert_rows(rows, (float, float, _count, _count))
+    k = np.arange(start.size)
+    tol = _BIN_EDGE_TOL_M + k * 1e-9
+    with np.errstate(invalid="ignore"):
+        width = float(end[0] - start[0])
+        off_grid = ~(isclose_array(start, k * width, tol)
+                     & isclose_array(end, (k + 1) * width, tol))
+    _refuse_first_row(rows, failure, [
+        *count_rules(sent, delivered),
+        (off_grid, "bin {}-{} m is not bin {} of a " + f"{width} m grid from 0",
+         # Only the rows read: a short row after them raised IndexError here.
+         [row[0] for _, row in rows[:k.size]], [row[1] for _, row in rows[:k.size]], k),
+        contiguity_rule(start, end),
+    ])
+    return PdrCurve(width, start, end, sent, delivered)
+
+
+def parse_heatmap_csv(text: str) -> HeatmapGrid:
+    """parse_heatmap_csv, one record at a time."""
+    rows = _data_rows(text, HEATMAP_HEADERS, "heatmap")
+    if not rows:
+        raise ValueError("heatmap document has no cells")
+    (x, y, cell, sent, delivered), failure = _convert_rows(
+        rows, (float, float, float, _count, _count))
+    cell_m = float(cell[0])
+    with np.errstate(invalid="ignore"):
+        inconsistent = ~isclose_array(cell, cell_m, 0.0, rel_tol=1e-12)
+    _refuse_first_row(rows, failure, [
+        (~((cell > 0.0) & (cell < math.inf)), "cell_m {} must be positive and finite", cell),
+        (inconsistent, "inconsistent cell_m {} " + f"(expected {cell_m})", cell),
+        *HeatmapGrid.rules(x, y, sent, delivered),
+    ])
+    return HeatmapGrid(cell_m, x, y, sent, delivered)

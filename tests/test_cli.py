@@ -445,6 +445,20 @@ def test_aggregation_refuses_a_log_with_non_finite_positions(sim_out, tmp_path, 
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command", ["pdr", "heatmap"])
+@pytest.mark.parametrize("direction", ["bsm", "both"])
+def test_aggregation_refuses_a_direction_with_no_packets(sim_out, tmp_path, capsys, command,
+                                                         direction):
+    # Both commands wrote a header-only CSV, which no parser reads back, and exited 0.
+    lines = read(str(sim_out / "log.csv")).splitlines()
+    log = tmp_path / "log.csv"
+    kept = [] if direction == "both" else [line for line in lines if ",rsu_to_vehicle," in line]
+    log.write_text("\n".join([lines[0], *kept]) + "\n", encoding="utf-8")
+    assert main([command, str(log), "--direction", direction, "--out", str(tmp_path / "o")]) == 1
+    assert f"error: {log}: no packets for --direction {direction}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 # ---------------------------------------------------------------------------
 # argument plumbing
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from v2xcal.simulator import (
     PdrCurve,
     ScenarioConfig,
     heatmap,
+    link_distance_m,
     pdr_curve,
     rmse,
     run_scenario,
@@ -455,3 +456,15 @@ def test_snr_override_changes_decisions():
     # Same seed, same draws: the rx powers agree packet for packet.
     assert log_harsh.rx_power_dbm.tolist() == log_base.rx_power_dbm.tolist()
 
+
+
+def test_link_distance_is_math_dist_of_each_pair():
+    # The log parser rederives the distance column with it, bit for bit.
+    rng = np.random.default_rng(7)
+    scale = rng.choice([1.0, 1e-160, 1e-310, 1e160, 1e308, 0.0], (4000, 2, 3))
+    points = rng.uniform(-1.0, 1.0, (4000, 2, 3)) * scale
+    points[:6, 0, 0] = [math.inf, -math.inf, math.nan, math.inf, 1.7e308, -1.7e308]
+    points[:6, 1, 0] = [math.inf, 0.0, 0.0, math.nan, -1.7e308, 1.7e308]
+    expected = [math.dist(p, q) for p, q in points.tolist()]
+    got = link_distance_m(points[:, 0], points[:, 1])
+    assert got.view(np.int64).tolist() == np.array(expected).view(np.int64).tolist()
