@@ -27,21 +27,19 @@ from time import perf_counter
 import numpy as np
 
 from .propagation import (
-    DELIVERED,
     FadingParams,
     FastFadingModel,
     RadioParams,
     SlowFadingModel,
     deterministic_gain_db,
-    reception_codes,
-    unit_gamma_draws,
 )
+from .dataio import line_cells, numbered_lines
 from .simulator import (
     EnuTrace,
     PdrCurve,
     ScenarioConfig,
-    channel_pass,
     check_bin_width,
+    delivery_pass,
     pdr_rmse,
     prepare_drive,
 )
@@ -291,8 +289,12 @@ class PreparedSearch:
     """An observed curve and a drive made ready for many genome scores.
 
     Under common random numbers only the channel depends on the genome, so
-    the drive, its draws and the compared bins are fixed here once. Unit
-    gamma draws are memoized by Nakagami m in gamma_by_m.
+    the drive, its draws and the compared bins are fixed here once. A score
+    needs one bit per packet, delivered or not, so under Nakagami it draws
+    no power: propagation.nakagami_delivered compares each packet's uniform
+    with the gamma CDF at its threshold and inverts the CDF only for the few
+    packets within NAKAGAMI_BAND of it. nakagami_packets counts the packets
+    of the Nakagami genomes scored, exact_packets those that were inverted.
     """
 
     def __init__(self, observed: PdrCurve, trace: EnuTrace, scenario: ScenarioConfig,
@@ -313,16 +315,7 @@ class PreparedSearch:
                         "not compared", np.count_nonzero(~shared), shared.size)
         self.compared_bins = index[shared]
         self.observed_pdr = observed.pdr_pct[self.compared_bins]
-        self.gamma_by_m = {}
-        self.m_hits = self.m_misses = 0
-
-    def _unit_gamma(self, m):
-        if m in self.gamma_by_m:
-            self.m_hits += 1
-        else:
-            self.m_misses += 1
-            self.gamma_by_m[m] = unit_gamma_draws(m, self.drive.uniforms)
-        return self.gamma_by_m[m]
+        self.nakagami_packets = self.exact_packets = 0
 
     def score(self, genome: Genome) -> float:
         """objective(genome, ...) on the prepared inputs."""
@@ -330,11 +323,10 @@ class PreparedSearch:
         d0 = np.array([fading.reference_distance_m])
         if deterministic_gain_db(radio, fading, d0)[0] > 0.0:
             return INFEASIBLE_RMSE
-        unit_gamma = None
+        delivered, exact = delivery_pass(self.drive, radio, fading, self.snr_table)
         if fading.fast_model is FastFadingModel.NAKAGAMI:
-            unit_gamma = self._unit_gamma(fading.nakagami_m)
-        rx_power = channel_pass(self.drive, radio, fading, unit_gamma)
-        delivered = reception_codes(rx_power, radio, self.snr_table) == DELIVERED
+            self.nakagami_packets += delivered.size
+            self.exact_packets += exact
         counts = np.bincount(self.drive.bin_index[delivered], minlength=self.drive.sent.size)
         compared = self.compared_bins
         return pdr_rmse(self.observed_pdr, 100.0 * counts[compared] / self.drive.sent[compared])
@@ -444,15 +436,9 @@ def evolve(
     best_genome = None
     best_rmse = math.inf
     score_by_genome = {}
-    previous_m = set()
     for gen in range(config.generations):
-        start, scored, m_hits, m_misses = (perf_counter(), len(score_by_genome),
-                                           search.m_hits, search.m_misses)
-        # The m memo keeps the m values of this generation and the last.
-        current_m = {g.nakagami_m for g in population}
-        search.gamma_by_m = {m: g for m, g in search.gamma_by_m.items()
-                             if m in previous_m or m in current_m}
-        previous_m = current_m
+        start, scored, packets, exact = (perf_counter(), len(score_by_genome),
+                                         search.nakagami_packets, search.exact_packets)
         for genome in population:
             if genome not in score_by_genome:
                 score_by_genome[genome] = _quantize(objective(
@@ -463,13 +449,12 @@ def evolve(
             if score < best_rmse:
                 best_rmse = score
                 best_genome = genome
-        m_hits, m_misses = search.m_hits - m_hits, search.m_misses - m_misses
         log.info("generation %d: best rmse %.6f, median %.6f, infeasible %d, %.0f evaluations/s, "
-                 "score memo hits %d/%d, m memo hits %d/%d", gen, min(scores),
+                 "score memo hits %d/%d, exact decisions %d/%d packets", gen, min(scores),
                  float(np.median(scores)), scores.count(INFEASIBLE_RMSE),
                  len(scores) / (perf_counter() - start),
                  len(scores) - (len(score_by_genome) - scored), len(scores),
-                 m_hits, m_hits + m_misses)
+                 search.exact_packets - exact, search.nakagami_packets - packets)
         if gen == config.generations - 1:
             break
         ranked = sorted(range(len(population)), key=lambda i: (scores[i], i))
@@ -578,14 +563,22 @@ def history_to_csv(result: CalibrationResult) -> str:
 
 
 def parse_history_csv(text: str) -> list:
-    rows = list(csv.reader(io.StringIO(text)))
-    if not rows or tuple(rows[0]) != HISTORY_HEADERS:
+    """Read history_to_csv text back into HistoryRecords.
+
+    Like the dataio readers, it skips blank lines anywhere and numbers rows
+    by line, blank ones counted.
+    """
+    lines = numbered_lines(text)
+    try:
+        header = tuple(line_cells(lines[0][1]))
+    except (IndexError, ValueError):
+        header = ()
+    if header != HISTORY_HEADERS:
         raise ValueError(f"expected history header {','.join(HISTORY_HEADERS)}")
     history = []
-    for row_num, row in enumerate(rows[1:], start=2):
-        if not row:
-            continue
+    for row_num, line in lines[1:]:
         try:
+            row = line_cells(line)
             if len(row) != len(HISTORY_HEADERS):
                 raise ValueError(f"expected {len(HISTORY_HEADERS)} fields, got {len(row)}")
             genes = {name: parse_gene_value(name, text) for name, text in zip(GENE_NAMES, row[2:])}

@@ -139,7 +139,7 @@ def cmd_simulate(args) -> int:
 
     enu = _parse_enu_trace(args, config, args.trace)
     delivery_log = run_scenario(enu, config.scenario, config.radio, config.fading)
-    direction = DIRECTION_CHOICES[args.direction]
+    direction = _direction(delivery_log, args, args.trace)
     curve = pdr_curve(delivery_log, config.scenario.bin_width_m, direction)
     grid = heatmap(delivery_log, config.scenario.heatmap_cell_m, direction)
 
@@ -200,19 +200,24 @@ def cmd_calibrate(args) -> int:
     }, summary)
 
 
-def _read_log(args):
-    """The log args.log names and the --direction filter, which must keep a packet.
+def _direction(delivery_log, args, path: str):
+    """The --direction filter, which must keep a packet of the log made from path.
 
     A table of no packets would be written as a header-only CSV that no parser reads back.
     """
+    direction = DIRECTION_CHOICES[args.direction]
+    if not delivery_log.sent_in(direction).any():
+        raise DataError(f"{path}: no packets for --direction {args.direction}")
+    return direction
+
+
+def _read_log(args):
+    """The log args.log names and its --direction filter."""
     try:
         delivery_log = parse_log_csv(_read_text(args.log))
     except ValueError as exc:
         raise DataError(f"{args.log}: {exc}") from None
-    direction = DIRECTION_CHOICES[args.direction]
-    if not delivery_log.sent_in(direction).any():
-        raise DataError(f"{args.log}: no packets for --direction {args.direction}")
-    return delivery_log, direction
+    return delivery_log, _direction(delivery_log, args, args.log)
 
 
 def cmd_pdr(args) -> int:

@@ -110,15 +110,22 @@ def _write_columns(headers: tuple, columns: list) -> str:
 _BLANK = ", \t\r\v\f"
 
 
-def _lines(text: str) -> list:
-    """The non-blank lines of a document, header first, each without its trailing \\r.
+def numbered_lines(text: str) -> list:
+    """(number, line) of each non-blank line of a document, header first.
 
-    Every record is one line.
+    Every record is one line. Lines are numbered from 1, blank ones
+    included, and lose their trailing \\r.
     """
-    return [line.rstrip("\r") for line in text.split("\n") if line.strip(_BLANK)]
+    return [(k, line.rstrip("\r")) for k, line in enumerate(text.split("\n"), 1)
+            if line.strip(_BLANK)]
 
 
-def _cells(line: str) -> list:
+def _lines(text: str) -> list:
+    """The non-blank lines of a document, header first."""
+    return [line for _, line in numbered_lines(text)]
+
+
+def line_cells(line: str) -> list:
     """The cells of one line as csv.reader splits them; a quote left open is refused."""
     reader = csv.reader((line, ""))
     try:
@@ -153,7 +160,7 @@ def _read(lines: list, fields: list, convert, check_row, usecols=None) -> tuple:
     failures = []
     for i, line in enumerate(lines):
         try:
-            check_row(_cells(line))
+            check_row(line_cells(line))
         except (ValueError, OverflowError) as exc:
             failures.append((i, str(exc)))
     read = sorted(set(range(len(lines))) - {i for i, _ in failures})
@@ -185,7 +192,7 @@ def _data_lines(text: str, headers: tuple, kind: str) -> list:
     """The data lines of a document whose header holds exactly these cells."""
     lines = _lines(text)
     try:
-        if lines and tuple(_cells(lines[0])) == headers:
+        if lines and tuple(line_cells(lines[0])) == headers:
             return lines[1:]
     except ValueError:
         pass
@@ -200,7 +207,7 @@ def _errors(text: str, read, failures: list, rules) -> list:
     errors = sorted(failures + [(read[i], reason) for i, reason in rule_errors(rules)])
     if not errors:
         return []
-    rows = [k for k, line in enumerate(text.split("\n"), 1) if line.strip(_BLANK)]
+    rows = [k for k, _ in numbered_lines(text)]
     return [(rows[i + 1], reason) for i, reason in errors]
 
 
@@ -511,7 +518,7 @@ def parse_trace_csv(text: str, epoch_ms: bool = False) -> Trace:
     if not lines:
         raise TraceParseError("document has no header row")
     try:
-        header = [_normalize_header(h) for h in _cells(lines[0])]
+        header = [_normalize_header(h) for h in line_cells(lines[0])]
     except ValueError as exc:
         raise TraceParseError(f"header row: {exc}") from None
     columns = {}
@@ -823,7 +830,7 @@ def parse_pdr_csv(text: str) -> PdrCurve:
     _refuse_first_row(text, read, failures, [
         *count_rules(sent, delivered),
         (off_grid, "bin {}-{} m is not bin {} of a " + f"{width} m grid from 0",
-         *(lambda i, j=j: _cells(lines[read[i]])[j] for j in (0, 1)), k),  # the cells as written
+         *(lambda i, j=j: line_cells(lines[read[i]])[j] for j in (0, 1)), k),  # the cells as written
         contiguity_rule(start, end),
     ])
     return PdrCurve(width, start, end, sent, delivered)

@@ -27,6 +27,18 @@ SNR_THRESHOLDS_DB = {6: 5.0, 12: 11.0, 18: 15.0, 27: 20.0}
 
 SUPPORTED_DATA_RATES_MBPS = (6, 12, 18, 27)
 
+#: Decimal places kept on logged floats so CSV round trips are lossless. The
+#: reception rule sees received power at this precision, as the log holds it.
+LOG_DECIMALS = 9
+
+#: Half-width, in uniform units, of the band around each packet's threshold
+#: uniform inside which nakagami_delivered runs the exact chain.
+NAKAGAMI_BAND = 1e-6
+
+#: Largest Nakagami m the band's derivation covers; a larger m (or one that
+#: is not finite) takes the exact chain for every packet.
+NAKAGAMI_BAND_MAX_M = 1e4
+
 
 class SlowFadingModel(enum.Enum):
     """Distance-driven stage of the channel."""
@@ -198,11 +210,16 @@ def unit_gamma_draws(m, uniforms):
     return special.gammaincinv(m, uniforms)
 
 
-def nakagami_power(omega_mw, m, unit_gamma):
-    """Nakagami-m received power (mW) with mean omega_mw from unit_gamma_draws(m, u)."""
+def _check_omega(omega_mw) -> np.ndarray:
     omega = np.asarray(omega_mw, dtype=float)
     if not np.all(np.isfinite(omega)) or np.any(omega <= 0.0):
         raise ValueError("omega_mw must be finite and positive")
+    return omega
+
+
+def nakagami_power(omega_mw, m, unit_gamma):
+    """Nakagami-m received power (mW) with mean omega_mw from unit_gamma_draws(m, u)."""
+    omega = _check_omega(omega_mw)
     if not (m >= 0.5 and math.isfinite(m)):
         raise ValueError(f"nakagami m must be >= 0.5, got {m}")
     return omega / m * unit_gamma
@@ -238,16 +255,21 @@ def cascade_rx_power(radio, fading, distance, rng, size=None, fast_rng=None):
     return cascade_from_draws(radio, fading, distance, normals, unit_gamma, size)
 
 
+def slow_rx_power(radio, fading, distance, normals):
+    """Slow-stage received power, dBm: shadowed by the standard normals under
+    LOGNORMAL (only then are they read), the log-distance law otherwise."""
+    if fading.slow_model is SlowFadingModel.LOGNORMAL:
+        return shadowed_rx_power(radio, fading, distance, normals)
+    return log_distance_rx_power(radio, fading, distance)
+
+
 def cascade_from_draws(radio, fading, distance, normals, unit_gamma, size=None):
     """cascade_rx_power for given draws: standard normals for the shadowing
     and unit_gamma_draws(nakagami_m, u) for the fast stage, each read only
     when its stage is enabled."""
-    if fading.slow_model is SlowFadingModel.LOGNORMAL:
-        slow_dbm = shadowed_rx_power(radio, fading, distance, normals)
-    else:
-        slow_dbm = log_distance_rx_power(radio, fading, distance)
-        if size is not None:
-            slow_dbm = np.broadcast_to(np.asarray(slow_dbm, dtype=float), size).copy()
+    slow_dbm = slow_rx_power(radio, fading, distance, normals)
+    if size is not None and fading.slow_model is not SlowFadingModel.LOGNORMAL:
+        slow_dbm = np.broadcast_to(np.asarray(slow_dbm, dtype=float), size).copy()
     if fading.fast_model is FastFadingModel.NONE:
         return slow_dbm
     omega_mw = to_linear(np.asarray(slow_dbm)) if size is not None else to_linear(float(slow_dbm))
@@ -285,6 +307,60 @@ def reception_codes(rx_power_dbm, radio: RadioParams, snr_table=None) -> np.ndar
     threshold = snr_threshold_db(radio.data_rate_mbps, snr_table)
     above_snr = np.where(power - radio.noise_floor_dbm >= threshold, DELIVERED, BELOW_SNR)
     return np.where(power >= radio.rx_sensitivity_dbm, above_snr, BELOW_SENSITIVITY)
+
+
+def nakagami_delivered(slow_dbm, m, uniforms, radio: RadioParams, snr_table=None):
+    """Delivery of Nakagami packets, decided mostly without drawing a power.
+
+    Packet k has slow-stage power slow_dbm[k] and fast-fading uniform
+    uniforms[k]. The result equals reception_codes(p) == DELIVERED, where p
+    is the cascade power rounded to LOG_DECIMALS: to_db(nakagami_power(
+    omega, m, unit_gamma_draws(m, u))) with omega = to_linear(slow_dbm).
+    Returns the boolean delivered array and how many packets took the exact
+    chain.
+
+    The rule. Power omega/m * g grows with the unit gamma draw g, and
+    g = G^-1(u) grows with u, where G is the regularized lower incomplete
+    gamma function (scipy's gammainc) of shape m. With the threshold
+    T = max(sensitivity, noise floor + SNR threshold) in dBm, packet k is
+    delivered iff g >= x_k = m * 10^(T/10) / omega_k, that is iff
+    u_k >= c_k = G(x_k). Packets with |u_k - c_k| > NAKAGAMI_BAND are
+    decided by that comparison; the others go through the exact chain.
+
+    The band. Three things separate the comparison from the exact chain:
+    - rounding p to LOG_DECIMALS (9) places moves it by at most 5e-10 dB;
+    - p - noise >= threshold and p >= noise + threshold differ by float
+      rounding near 100 dB, about 1e-14 dB, as do the float products and
+      logarithms that form p and x_k;
+    - scipy's G and G^-1 are inexact: |G(G^-1(u)) - u| measured at most
+      8e-15 for m in [0.5, 1e4] and u over (0, 1), tails included, and G
+      itself within 4e-15 of a 40-digit reference (mpmath) there.
+    So a packet whose true g is within a factor 1 + r of x_k, with
+    10 log10(1 + r) = 1e-9 dB (r = 2.3e-10), may go either way; outside that
+    factor the exact chain's decision is the comparison's. In u, the factor
+    spans G(x(1 + r)) - G(x) = integral of y G'(y) dy/y over [x, x(1 + r)]
+    <= ln(1 + r) max_y y G'(y) <= r m^m e^-m / Gamma(m) <= r sqrt(m / 2 pi),
+    the maximum taken at y = m and the last step by Stirling's lower bound
+    on Gamma(m). At m = 1e4 that is 9.2e-9; adding the 2e-14 of G's own
+    error in c_k and in the draw leaves the 1e-6 band more than a hundred
+    times wider than needed. For m beyond
+    NAKAGAMI_BAND_MAX_M, where G was not measured, or not finite, every
+    packet takes the exact chain, and so raises the errors it raises.
+    """
+    omega = _check_omega(to_linear(np.asarray(slow_dbm, dtype=float)))
+    u = np.asarray(uniforms, dtype=float)
+    if 0.5 <= m <= NAKAGAMI_BAND_MAX_M:
+        # np.maximum keeps a nan threshold nan, which delivers nothing, as there.
+        threshold = np.maximum(radio.rx_sensitivity_dbm, radio.noise_floor_dbm
+                               + snr_threshold_db(radio.data_rate_mbps, snr_table))
+        c = special.gammainc(m, m * to_linear(threshold) / omega)
+        delivered = u >= c
+        exact = np.flatnonzero(np.abs(u - c) <= NAKAGAMI_BAND)
+    else:
+        delivered, exact = np.empty(u.shape, dtype=bool), np.arange(u.size)
+    power = to_db(nakagami_power(omega[exact], m, unit_gamma_draws(m, u[exact])))
+    delivered[exact] = reception_codes(np.round(power, LOG_DECIMALS), radio, snr_table) == DELIVERED
+    return delivered, exact.size
 
 
 def is_received(rx_power_dbm: float, radio: RadioParams, snr_table=None):

@@ -17,13 +17,11 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .propagation import (DELIVERED, FadingParams, FastFadingModel, RadioParams,
-                          cascade_from_draws, reception_codes, unit_gamma_draws)
+from .propagation import (DELIVERED, LOG_DECIMALS, FadingParams, FastFadingModel, RadioParams,
+                          cascade_from_draws, nakagami_delivered, reception_codes,
+                          slow_rx_power, unit_gamma_draws)
 # Not called here: bench/tracing.py times these two under the v2xcal.simulator names.
 from .propagation import log_distance_rx_power, nakagami_power_sample  # noqa: F401
-
-#: Decimal places kept on logged floats so CSV round trips are lossless.
-LOG_DECIMALS = 9
 
 #: Guard for floating-point jitter when counting whole send intervals.
 _COUNT_EPS = 1e-9
@@ -327,16 +325,32 @@ def prepare_drive(trace: EnuTrace, scenario: ScenarioConfig) -> PreparedDrive:
     return PreparedDrive(times, codes, tx, rx, dist, bins, normals, uniforms, np.bincount(bins))
 
 
-def channel_pass(drive: PreparedDrive, radio: RadioParams, fading: FadingParams,
-                 unit_gamma=None) -> np.ndarray:
-    """Logged received power (dBm) of every prepared packet under one channel.
+def _link_m(drive: PreparedDrive) -> np.ndarray:
+    return np.maximum(drive.distance_m, 1e-12)
 
-    unit_gamma: unit_gamma_draws(nakagami_m, drive.uniforms), if the caller keeps it.
-    """
-    if unit_gamma is None and fading.fast_model is FastFadingModel.NAKAGAMI:
+
+def channel_pass(drive: PreparedDrive, radio: RadioParams, fading: FadingParams) -> np.ndarray:
+    """Logged received power (dBm) of every prepared packet under one channel."""
+    unit_gamma = None
+    if fading.fast_model is FastFadingModel.NAKAGAMI:
         unit_gamma = unit_gamma_draws(fading.nakagami_m, drive.uniforms)
-    return _round_log(cascade_from_draws(radio, fading, np.maximum(drive.distance_m, 1e-12),
-                                         drive.normals, unit_gamma, size=len(drive.distance_m)))
+    return _round_log(cascade_from_draws(radio, fading, _link_m(drive), drive.normals, unit_gamma,
+                                         size=len(drive.distance_m)))
+
+
+def delivery_pass(drive: PreparedDrive, radio: RadioParams, fading: FadingParams,
+                  snr_table=None):
+    """Which prepared packets one channel delivers, and how many took the exact chain.
+
+    The delivered array is reception_codes(channel_pass(...)) == DELIVERED.
+    Under Nakagami it comes from nakagami_delivered, which draws the power of
+    only the few packets near their thresholds; their count is the second
+    value, 0 without fast fading.
+    """
+    if fading.fast_model is FastFadingModel.NAKAGAMI:
+        slow = slow_rx_power(radio, fading, _link_m(drive), drive.normals)
+        return nakagami_delivered(slow, fading.nakagami_m, drive.uniforms, radio, snr_table)
+    return reception_codes(channel_pass(drive, radio, fading), radio, snr_table) == DELIVERED, 0
 
 
 def run_scenario(

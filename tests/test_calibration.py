@@ -409,6 +409,16 @@ def test_history_parse_refuses_a_row_of_the_wrong_width(edit):
         parse_history_csv(f"{header}\n{edit(row)}\n")
 
 
+def test_history_parse_skips_blank_lines_and_counts_them_in_row_numbers():
+    # A leading blank line was "expected history header", a whitespace-only
+    # line "row N: expected 13 fields, got 1".
+    header, row = _one_row_history().splitlines()
+    assert parse_history_csv(f"\n{header}\n \n") == []
+    assert parse_history_csv(f"\n{header}\n,, \t\n{row}\n\n") == parse_history_csv(f"{header}\n{row}\n")
+    with pytest.raises(ValueError, match="row 4: unknown slow_model 'psm'"):
+        parse_history_csv(f"\n{header}\n \r\n{row.replace('fsm', 'psm')}\n")
+
+
 @pytest.mark.parametrize("text", ["nan", "inf"])
 def test_history_parse_refuses_a_non_finite_gene(text):
     header, row = _one_row_history().splitlines()

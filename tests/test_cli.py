@@ -459,6 +459,20 @@ def test_aggregation_refuses_a_direction_with_no_packets(sim_out, tmp_path, caps
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("direction", ["bsm", "spat", "both"])
+def test_simulate_refuses_a_direction_with_no_packets(dataset, tmp_path, capsys, direction):
+    # Two records 0.05 s apart send nothing at 10 Hz. simulate wrote a header-only
+    # pdr.csv, which calibrate then refused, and exited 0.
+    lines = read(dataset["trace"]).splitlines()
+    trace = tmp_path / "trace.csv"
+    trace.write_text("\n".join([lines[0], lines[1], lines[2].replace(".100000Z", ".050000Z")])
+                     + "\n", encoding="utf-8")
+    out = tmp_path / "o"
+    assert main(["simulate", str(trace), "--direction", direction, "--out", str(out)]) == 1
+    assert f"error: {trace}: no packets for --direction {direction}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # argument plumbing
 # ---------------------------------------------------------------------------
