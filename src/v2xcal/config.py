@@ -27,7 +27,6 @@ from .calibration import (
     format_gene_value,
     format_typed_value,
     parse_frozen_genes,
-    parse_gene_value,
     parse_typed_value,
 )
 from .dataio import GeodeticPosition, SynthSection
@@ -184,14 +183,3 @@ def planted_params_text(config: RunConfig) -> str:
     lines = [f"{name} = {format_gene_value(name, getattr(genome, name))}" for name in GENE_NAMES]
     lines.append(f"seed = {config.synth.seed}")
     return "\n".join(lines) + "\n"
-
-
-__all__ = [
-    "RunConfig",
-    "apply_preset",
-    "format_gene_value",
-    "parse_config",
-    "parse_gene_value",
-    "planted_params_text",
-    "render_config",
-]

@@ -15,7 +15,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
+# scipy.special loads only for Nakagami; bench/run_bench.py reads scipy.__version__.
+import scipy  # noqa: F401
 
 SPEED_OF_LIGHT_M_S = 299_792_458.0
 
@@ -75,7 +76,7 @@ def to_db(linear):
 
 def to_linear(db):
     """Convert dB (or dBm) to a linear ratio (or mW value)."""
-    return 10.0 ** (np.asarray(db) / 10.0) if isinstance(db, np.ndarray) else 10.0 ** (db / 10.0)
+    return 10.0 ** (db / 10.0)
 
 
 @dataclass(frozen=True)
@@ -98,9 +99,11 @@ class RadioParams:
     def __post_init__(self):
         if not (self.tx_power_mw > 0.0 and math.isfinite(self.tx_power_mw)):
             raise ValueError(f"tx_power_mw must be positive, got {self.tx_power_mw}")
-        if self.antenna_gain_tx <= 0.0 or self.antenna_gain_rx <= 0.0:
-            raise ValueError("antenna gains must be positive linear ratios")
-        if self.carrier_frequency_hz <= 0.0:
+        for name in ("antenna_gain_tx", "antenna_gain_rx"):
+            gain = getattr(self, name)
+            if not (gain > 0.0 and math.isfinite(gain)):
+                raise ValueError(f"{name} must be a positive linear ratio, got {gain}")
+        if not (self.carrier_frequency_hz > 0.0 and math.isfinite(self.carrier_frequency_hz)):
             raise ValueError(f"carrier_frequency_hz must be positive, got {self.carrier_frequency_hz}")
         if self.data_rate_mbps not in SUPPORTED_DATA_RATES_MBPS:
             raise ValueError(
@@ -138,12 +141,12 @@ class FadingParams:
             raise ValueError(f"fast_model must be a FastFadingModel, got {self.fast_model!r}")
         if not (self.alpha > 0.0 and math.isfinite(self.alpha)):
             raise ValueError(f"alpha must be positive, got {self.alpha}")
-        if self.system_loss_db < 0.0:
+        if not (self.system_loss_db >= 0.0 and math.isfinite(self.system_loss_db)):
             raise ValueError(f"system_loss_db must be >= 0 dB, got {self.system_loss_db}")
-        if self.sigma_db < 0.0:
+        if not (self.sigma_db >= 0.0 and math.isfinite(self.sigma_db)):
             raise ValueError(f"sigma_db must be >= 0 dB, got {self.sigma_db}")
         # Gamma power sampling needs shape >= 0.5 for a proper envelope.
-        if self.nakagami_m < 0.5:
+        if not (self.nakagami_m >= 0.5 and math.isfinite(self.nakagami_m)):
             raise ValueError(f"nakagami_m must be >= 0.5, got {self.nakagami_m}")
         if not (self.reference_distance_m > 0.0 and math.isfinite(self.reference_distance_m)):
             raise ValueError(f"reference_distance_m must be positive, got {self.reference_distance_m}")
@@ -207,6 +210,8 @@ def lognormal_rx_power(radio, fading, distance, rng, size=None):
 
 def unit_gamma_draws(m, uniforms):
     """Gamma(shape m, scale 1) draws from uniforms: a Nakagami draw's only m-dependent factor."""
+    from scipy import special
+
     return special.gammaincinv(m, uniforms)
 
 
@@ -238,23 +243,6 @@ def nakagami_power_sample(omega_mw, m, rng, size=None):
     return float(sample) if size is None and np.ndim(omega_mw) == 0 else sample
 
 
-def cascade_rx_power(radio, fading, distance, rng, size=None, fast_rng=None):
-    """Per-packet received power through the slow and fast stages, dBm.
-
-    The slow stage consumes draws from ``rng`` (only under LOGNORMAL); the
-    fast stage consumes from ``fast_rng`` when given, else from ``rng``.
-    Separate streams keep one stage's draws independent of whether the
-    other stage is enabled.
-    """
-    normals = unit_gamma = None
-    if fading.slow_model is SlowFadingModel.LOGNORMAL:
-        normals = rng.standard_normal(size)
-    if fading.fast_model is FastFadingModel.NAKAGAMI:
-        uniforms = (fast_rng if fast_rng is not None else rng).random(size)
-        unit_gamma = unit_gamma_draws(fading.nakagami_m, uniforms)
-    return cascade_from_draws(radio, fading, distance, normals, unit_gamma, size)
-
-
 def slow_rx_power(radio, fading, distance, normals):
     """Slow-stage received power, dBm: shadowed by the standard normals under
     LOGNORMAL (only then are they read), the log-distance law otherwise."""
@@ -263,18 +251,10 @@ def slow_rx_power(radio, fading, distance, normals):
     return log_distance_rx_power(radio, fading, distance)
 
 
-def cascade_from_draws(radio, fading, distance, normals, unit_gamma, size=None):
-    """cascade_rx_power for given draws: standard normals for the shadowing
-    and unit_gamma_draws(nakagami_m, u) for the fast stage, each read only
-    when its stage is enabled."""
-    slow_dbm = slow_rx_power(radio, fading, distance, normals)
-    if size is not None and fading.slow_model is not SlowFadingModel.LOGNORMAL:
-        slow_dbm = np.broadcast_to(np.asarray(slow_dbm, dtype=float), size).copy()
-    if fading.fast_model is FastFadingModel.NONE:
-        return slow_dbm
-    omega_mw = to_linear(np.asarray(slow_dbm)) if size is not None else to_linear(float(slow_dbm))
-    out = to_db(nakagami_power(omega_mw, fading.nakagami_m, unit_gamma))
-    return float(out) if size is None else out
+def nakagami_rx_power(slow_dbm, m, uniforms):
+    """Fast stage: received power (dBm) after Nakagami-m fading of slow-stage
+    power slow_dbm, with one uniform per packet."""
+    return to_db(nakagami_power(to_linear(slow_dbm), m, unit_gamma_draws(m, uniforms)))
 
 
 def deterministic_gain_db(radio: RadioParams, fading: FadingParams, distance):
@@ -314,8 +294,7 @@ def nakagami_delivered(slow_dbm, m, uniforms, radio: RadioParams, snr_table=None
 
     Packet k has slow-stage power slow_dbm[k] and fast-fading uniform
     uniforms[k]. The result equals reception_codes(p) == DELIVERED, where p
-    is the cascade power rounded to LOG_DECIMALS: to_db(nakagami_power(
-    omega, m, unit_gamma_draws(m, u))) with omega = to_linear(slow_dbm).
+    is nakagami_rx_power(slow_dbm, m, uniforms) rounded to LOG_DECIMALS.
     Returns the boolean delivered array and how many packets took the exact
     chain.
 
@@ -347,7 +326,10 @@ def nakagami_delivered(slow_dbm, m, uniforms, radio: RadioParams, snr_table=None
     NAKAGAMI_BAND_MAX_M, where G was not measured, or not finite, every
     packet takes the exact chain, and so raises the errors it raises.
     """
-    omega = _check_omega(to_linear(np.asarray(slow_dbm, dtype=float)))
+    from scipy import special
+
+    slow = np.asarray(slow_dbm, dtype=float)
+    omega = _check_omega(to_linear(slow))
     u = np.asarray(uniforms, dtype=float)
     if 0.5 <= m <= NAKAGAMI_BAND_MAX_M:
         # np.maximum keeps a nan threshold nan, which delivers nothing, as there.
@@ -358,15 +340,6 @@ def nakagami_delivered(slow_dbm, m, uniforms, radio: RadioParams, snr_table=None
         exact = np.flatnonzero(np.abs(u - c) <= NAKAGAMI_BAND)
     else:
         delivered, exact = np.empty(u.shape, dtype=bool), np.arange(u.size)
-    power = to_db(nakagami_power(omega[exact], m, unit_gamma_draws(m, u[exact])))
+    power = nakagami_rx_power(slow[exact], m, u[exact])
     delivered[exact] = reception_codes(np.round(power, LOG_DECIMALS), radio, snr_table) == DELIVERED
     return delivered, exact.size
-
-
-def is_received(rx_power_dbm: float, radio: RadioParams, snr_table=None):
-    """Decide delivery of one packet received at rx_power_dbm.
-
-    Returns (delivered, reason) under the rule of :func:`reception_codes`.
-    """
-    reason = REASONS[int(reception_codes(rx_power_dbm, radio, snr_table))]
-    return reason is DeliveryReason.DELIVERED, reason

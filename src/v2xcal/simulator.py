@@ -18,8 +18,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .propagation import (DELIVERED, LOG_DECIMALS, FadingParams, FastFadingModel, RadioParams,
-                          cascade_from_draws, nakagami_delivered, reception_codes,
-                          slow_rx_power, unit_gamma_draws)
+                          nakagami_delivered, nakagami_rx_power, reception_codes, slow_rx_power)
 # Not called here: bench/tracing.py times these two under the v2xcal.simulator names.
 from .propagation import log_distance_rx_power, nakagami_power_sample  # noqa: F401
 
@@ -107,6 +106,9 @@ class ScenarioConfig:
             raise ValueError("message rates must be positive and finite")
         if not (0.0 < self.bin_width_m < math.inf and 0.0 < self.heatmap_cell_m < math.inf):
             raise ValueError("bin_width_m and heatmap_cell_m must be positive and finite")
+        for name in ("rsu_x_m", "rsu_y_m", "rsu_z_m"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not isinstance(self.master_seed, int) or self.master_seed < 0:
             raise ValueError(f"master_seed must be a non-negative integer, got {self.master_seed!r}")
 
@@ -330,12 +332,12 @@ def _link_m(drive: PreparedDrive) -> np.ndarray:
 
 
 def channel_pass(drive: PreparedDrive, radio: RadioParams, fading: FadingParams) -> np.ndarray:
-    """Logged received power (dBm) of every prepared packet under one channel."""
-    unit_gamma = None
+    """Logged received power (dBm) of every prepared packet under one channel:
+    the slow stage, then the Nakagami fast stage when it is enabled."""
+    power = slow_rx_power(radio, fading, _link_m(drive), drive.normals)
     if fading.fast_model is FastFadingModel.NAKAGAMI:
-        unit_gamma = unit_gamma_draws(fading.nakagami_m, drive.uniforms)
-    return _round_log(cascade_from_draws(radio, fading, _link_m(drive), drive.normals, unit_gamma,
-                                         size=len(drive.distance_m)))
+        power = nakagami_rx_power(power, fading.nakagami_m, drive.uniforms)
+    return _round_log(power)
 
 
 def delivery_pass(drive: PreparedDrive, radio: RadioParams, fading: FadingParams,

@@ -2,10 +2,13 @@
 
 import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import v2xcal
 from v2xcal.calibration import parse_history_csv
 from v2xcal.cli import main
 from v2xcal.config import RunConfig, apply_preset, parse_config, planted_params_text, render_config
@@ -413,6 +416,22 @@ def test_heatmap_command_matches_simulate_output(sim_out, tmp_path):
     out = tmp_path / "hm"
     assert main(["heatmap", str(sim_out / "log.csv"), "--out", str(out)]) == 0
     assert read(str(out / "heatmap.csv")) == read(str(sim_out / "heatmap.csv"))
+
+
+def test_pdr_and_heatmap_commands_never_load_scipy_special(sim_out, tmp_path):
+    # scipy.special is most of a fresh process's start-up, and only Nakagami
+    # fading needs it.
+    script = ("import sys\nfrom v2xcal.cli import main\n"
+              "for command in ('pdr', 'heatmap'):\n"
+              "    assert main([command, sys.argv[1], '--out', sys.argv[2]]) == 0\n"
+              "print('scipy.special' in sys.modules)\n")
+    src = os.path.dirname(os.path.dirname(v2xcal.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run([sys.executable, "-c", script, str(sim_out / "log.csv"),
+                           str(tmp_path)], capture_output=True, text=True, env=env, check=True)
+    assert proc.stdout.splitlines()[-1] == "False"
+    assert (tmp_path / "pdr.csv").exists() and (tmp_path / "heatmap.csv").exists()
 
 
 def test_pdr_command_direction_filter(sim_out, tmp_path):

@@ -4,13 +4,17 @@ import numpy as np
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
-from v2xcal.calibration import GENE_NAMES, GaConfig, calibrated_genome
+from v2xcal.calibration import (
+    GENE_NAMES,
+    GaConfig,
+    calibrated_genome,
+    format_gene_value,
+    parse_gene_value,
+)
 from v2xcal.config import (
     RunConfig,
     apply_preset,
-    format_gene_value,
     parse_config,
-    parse_gene_value,
     planted_params_text,
     render_config,
 )

@@ -1,5 +1,6 @@
 """The prepared scorer against the log path, its Nakagami rule, and search progress."""
 
+import copy
 import logging
 import math
 import re
@@ -213,8 +214,12 @@ def test_nakagami_search_inverts_only_band_packets(monkeypatch, caplog):
     ({"nakagami_m": math.nan}, "nakagami m must be >= 0.5"),
 ])
 def test_nakagami_decisions_keep_the_chain_errors(change, message):
+    # FadingParams refuses a non-finite nakagami_m; the channel it skips
+    # checking here stands for a direct caller's raw m.
     radio, fading = calibrated_genome().to_params()
-    fading = replace(fading, **change)
+    fading = copy.copy(fading)
+    for name, value in change.items():
+        object.__setattr__(fading, name, value)
     for decide in (delivery_pass, _decided_by_power):
         with pytest.raises(ValueError, match=message):
             decide(DRIVE, radio, fading)

@@ -8,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 from scipy import special, stats
 
 from v2xcal.propagation import (
+    LOG_DECIMALS,
+    REASONS,
     SNR_THRESHOLDS_DB,
     SPEED_OF_LIGHT_M_S,
     DeliveryReason,
@@ -15,23 +17,37 @@ from v2xcal.propagation import (
     FastFadingModel,
     RadioParams,
     SlowFadingModel,
-    cascade_rx_power,
     deterministic_gain_db,
     free_space_rx_power,
-    is_received,
     log_distance_rx_power,
     lognormal_rx_power,
     nakagami_power_sample,
+    reception_codes,
     snr_threshold_db,
     to_db,
     to_linear,
 )
+from v2xcal.simulator import EnuTrace, PreparedDrive, ScenarioConfig, channel_pass, prepare_drive
 
 import oracles
 
 
 DEFAULT_RADIO = RadioParams()
 DEFAULT_FADING = FadingParams()
+
+
+def drive_at(distance_m, normals, uniforms):
+    """A PreparedDrive of one packet per draw, every packet at distance_m."""
+    n = len(normals)
+    return PreparedDrive(timestamp_s=np.arange(n, dtype=float), direction_code=np.zeros(n, int),
+                         tx_position_m=np.zeros((n, 3)), rx_position_m=np.zeros((n, 3)),
+                         distance_m=np.full(n, distance_m), bin_index=np.zeros(n, int),
+                         normals=normals, uniforms=uniforms, sent=np.array([n]))
+
+
+def reason(rx_power_dbm, radio, snr_table=None):
+    """The DeliveryReason of one packet received at rx_power_dbm."""
+    return REASONS[reception_codes(rx_power_dbm, radio, snr_table)]
 
 
 # ---------------------------------------------------------------------------
@@ -217,8 +233,10 @@ def test_nakagami_rejects_bad_inputs():
 
 def test_cascade_pure_free_space_is_deterministic():
     rng = np.random.default_rng(1)
-    got = cascade_rx_power(DEFAULT_RADIO, DEFAULT_FADING, 300.0, rng)
-    assert got == pytest.approx(log_distance_rx_power(DEFAULT_RADIO, DEFAULT_FADING, 300.0), abs=1e-12)
+    (got,) = channel_pass(drive_at(300.0, rng.standard_normal(1), rng.random(1)),
+                          DEFAULT_RADIO, DEFAULT_FADING)
+    expect = round(log_distance_rx_power(DEFAULT_RADIO, DEFAULT_FADING, 300.0), LOG_DECIMALS)
+    assert got == pytest.approx(expect, abs=1e-12)
 
 
 def test_cascade_fast_stage_preserves_mean_power():
@@ -226,7 +244,8 @@ def test_cascade_fast_stage_preserves_mean_power():
     # stay on the slow-stage value.
     fading = FadingParams(fast_model=FastFadingModel.NAKAGAMI, nakagami_m=2.0, alpha=1.51)
     rng = np.random.default_rng(17)
-    draws_db = cascade_rx_power(DEFAULT_RADIO, fading, 150.0, rng, size=2_000_000)
+    n = 2_000_000
+    draws_db = channel_pass(drive_at(150.0, np.zeros(n), rng.random(n)), DEFAULT_RADIO, fading)
     mean_mw = to_linear(draws_db).mean()
     slow_mw = to_linear(log_distance_rx_power(DEFAULT_RADIO, fading, 150.0))
     assert mean_mw == pytest.approx(slow_mw, rel=0.01)
@@ -244,7 +263,9 @@ def test_cascade_both_stages_total_spread():
     )
     slow_rng = np.random.default_rng(31)
     fast_rng = np.random.default_rng(32)
-    draws = cascade_rx_power(DEFAULT_RADIO, fading, 100.0, slow_rng, size=1_000_000, fast_rng=fast_rng)
+    n = 1_000_000
+    drive = drive_at(100.0, slow_rng.standard_normal(n), fast_rng.random(n))
+    draws = channel_pass(drive, DEFAULT_RADIO, fading)
     # var(total dB) = sigma^2 + (10/ln10)^2 * psi'(m)
     fast_var = (10.0 / math.log(10.0)) ** 2 * special.polygamma(1, 2.0)
     assert float(np.var(draws)) == pytest.approx(6.03**2 + float(fast_var), rel=0.01)
@@ -252,22 +273,24 @@ def test_cascade_both_stages_total_spread():
 
 def test_cascade_slow_draws_independent_of_fast_stage():
     # Dedicated fast stream: enabling Nakagami must not shift which
-    # shadowing values the slow stream produces.
+    # shadowing values the slow stream produces. A parked vehicle 50 m from
+    # the RSU sends 32 packets each way in 3.2 s at the default 10 Hz.
+    trace = EnuTrace(times_s=[0.0, 3.2], x_m=[50.0, 50.0], y_m=[0.0, 0.0], z_m=[0.0, 0.0])
+    scenario = ScenarioConfig(master_seed=8)
     fading_slow = FadingParams(slow_model=SlowFadingModel.LOGNORMAL, sigma_db=4.0)
     fading_both = FadingParams(
         slow_model=SlowFadingModel.LOGNORMAL, sigma_db=4.0,
         fast_model=FastFadingModel.NAKAGAMI, nakagami_m=3.0,
     )
-    a = cascade_rx_power(DEFAULT_RADIO, fading_slow, 50.0, np.random.default_rng(8), size=64)
-    b = cascade_rx_power(
-        DEFAULT_RADIO, fading_both, 50.0, np.random.default_rng(8), size=64,
-        fast_rng=np.random.default_rng(9),
-    )
+    drive = prepare_drive(trace, scenario)
+    assert len(drive.distance_m) == 64
+    a = channel_pass(drive, DEFAULT_RADIO, fading_slow)
+    b = channel_pass(drive, DEFAULT_RADIO, fading_both)
     # Same slow stream, so the shadowed mean is recoverable: the Nakagami
     # stage has unit linear mean around each slow draw.
     assert np.all(np.isfinite(b))
     fading_det = FadingParams(slow_model=SlowFadingModel.LOGNORMAL, sigma_db=4.0)
-    again = cascade_rx_power(DEFAULT_RADIO, fading_det, 50.0, np.random.default_rng(8), size=64)
+    again = channel_pass(prepare_drive(trace, scenario), DEFAULT_RADIO, fading_det)
     assert np.array_equal(a, again)
 
 
@@ -281,8 +304,10 @@ def test_cascade_expected_delivery_matches_oracle():
         alpha=1.51, system_loss_db=0.13, sigma_db=6.03, nakagami_m=2.0,
     )
     rng = np.random.default_rng(1234)
+    n = 400_000
     for distance in (100.0, 400.0, 900.0):
-        draws = cascade_rx_power(radio, fading, distance, rng, size=400_000)
+        drive = drive_at(distance, rng.standard_normal(n), rng.random(n))
+        draws = channel_pass(drive, radio, fading)
         delivered = np.mean(
             (draws >= radio.rx_sensitivity_dbm)
             & (draws - radio.noise_floor_dbm >= snr_threshold_db(radio.data_rate_mbps))
@@ -346,39 +371,32 @@ def test_snr_threshold_custom_table():
 
 def test_is_received_below_sensitivity():
     radio = RadioParams(rx_sensitivity_dbm=-94.0, noise_floor_dbm=-110.0)
-    ok, reason = is_received(-200.0, radio)
-    assert not ok and reason is DeliveryReason.BELOW_SENSITIVITY
+    assert reason(-200.0, radio) is DeliveryReason.BELOW_SENSITIVITY
 
 
 def test_is_received_below_snr():
     # Above sensitivity but only 10 dB over the floor; 18 Mbps needs 15.
     radio = RadioParams(rx_sensitivity_dbm=-110.0, noise_floor_dbm=-90.0, data_rate_mbps=18)
-    ok, reason = is_received(-80.0, radio)
-    assert not ok and reason is DeliveryReason.BELOW_SNR
+    assert reason(-80.0, radio) is DeliveryReason.BELOW_SNR
 
 
 def test_is_received_boundaries_inclusive():
     radio = RadioParams(rx_sensitivity_dbm=-95.0, noise_floor_dbm=-110.0, data_rate_mbps=6)
-    ok, reason = is_received(-95.0, radio)  # exactly at sensitivity, SNR 15 >= 5
-    assert ok and reason is DeliveryReason.DELIVERED
+    assert reason(-95.0, radio) is DeliveryReason.DELIVERED  # exactly at sensitivity, SNR 15 >= 5
     radio = RadioParams(rx_sensitivity_dbm=-120.0, noise_floor_dbm=-90.0, data_rate_mbps=6)
-    ok, _ = is_received(-85.0, radio)  # margin exactly 5 dB
-    assert ok
+    assert reason(-85.0, radio) is DeliveryReason.DELIVERED  # margin exactly 5 dB
 
 
 def test_is_received_sensitivity_checked_first():
     # Fails both checks; the sensitivity reason wins.
     radio = RadioParams(rx_sensitivity_dbm=-90.0, noise_floor_dbm=-92.0, data_rate_mbps=27)
-    ok, reason = is_received(-100.0, radio)
-    assert not ok and reason is DeliveryReason.BELOW_SENSITIVITY
+    assert reason(-100.0, radio) is DeliveryReason.BELOW_SENSITIVITY
 
 
 def test_is_received_honors_custom_table():
     radio = RadioParams(rx_sensitivity_dbm=-120.0, noise_floor_dbm=-90.0, data_rate_mbps=6)
-    ok, _ = is_received(-84.0, radio)  # margin 6 dB clears the default 5
-    assert ok
-    ok, reason = is_received(-84.0, radio, snr_table={6: 7.0})
-    assert not ok and reason is DeliveryReason.BELOW_SNR
+    assert reason(-84.0, radio) is DeliveryReason.DELIVERED  # margin 6 dB clears the default 5
+    assert reason(-84.0, radio, snr_table={6: 7.0}) is DeliveryReason.BELOW_SNR
 
 
 @settings(max_examples=100, derandomize=True)
@@ -388,10 +406,8 @@ def test_is_received_honors_custom_table():
 )
 def test_is_received_monotone_in_power(rx, boost):
     radio = RadioParams(rx_sensitivity_dbm=-94.0, noise_floor_dbm=-104.0, data_rate_mbps=12)
-    weaker, _ = is_received(rx, radio)
-    stronger, _ = is_received(rx + boost, radio)
-    if weaker:
-        assert stronger
+    if reason(rx, radio) is DeliveryReason.DELIVERED:
+        assert reason(rx + boost, radio) is DeliveryReason.DELIVERED
 
 
 def test_effective_threshold_splits_regimes():
@@ -399,8 +415,8 @@ def test_effective_threshold_splits_regimes():
     radio = RadioParams(rx_sensitivity_dbm=-114.0, noise_floor_dbm=-90.0, data_rate_mbps=18)
     t_eff = oracles.effective_threshold_dbm(radio)
     assert t_eff == pytest.approx(-75.0)
-    assert is_received(t_eff, radio)[0]
-    assert not is_received(t_eff - 1e-6, radio)[0]
+    assert reason(t_eff, radio) is DeliveryReason.DELIVERED
+    assert reason(t_eff - 1e-6, radio) is not DeliveryReason.DELIVERED
 
 
 # ---------------------------------------------------------------------------
@@ -419,6 +435,10 @@ def test_radio_params_validation():
         RadioParams(noise_floor_dbm=3.0)
     with pytest.raises(ValueError, match="rx_sensitivity_dbm"):
         RadioParams(rx_sensitivity_dbm=math.nan)
+    for name in ("antenna_gain_tx", "antenna_gain_rx", "carrier_frequency_hz"):
+        for value in (math.nan, math.inf):
+            with pytest.raises(ValueError, match=name):
+                RadioParams(**{name: value})
 
 
 def test_fading_params_validation():
@@ -434,4 +454,8 @@ def test_fading_params_validation():
         FadingParams(reference_distance_m=0.0)
     with pytest.raises(ValueError, match="slow_model"):
         FadingParams(slow_model="lognormal")
+    for name in ("nakagami_m", "sigma_db", "system_loss_db"):
+        for value in (math.nan, math.inf):
+            with pytest.raises(ValueError, match=name):
+                FadingParams(**{name: value})
 

@@ -435,6 +435,10 @@ def test_scenario_validation():
         ScenarioConfig(master_seed=-1)
     with pytest.raises(ValueError, match="master_seed"):
         ScenarioConfig(master_seed=1.5)
+    for name in ("rsu_x_m", "rsu_y_m", "rsu_z_m"):
+        for value in (math.nan, math.inf):
+            with pytest.raises(ValueError, match=name):
+                ScenarioConfig(**{name: value})
 
 
 @pytest.mark.parametrize("field", ["bsm_rate_hz", "spat_rate_hz", "bin_width_m", "heatmap_cell_m"])
