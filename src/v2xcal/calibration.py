@@ -589,9 +589,13 @@ def parse_history_csv(text: str) -> list:
     return history
 
 
+def gene_lines(genome: Genome) -> list:
+    """One "gene = value" line per gene, in GENE_NAMES order; parse_gene_value reads a value back."""
+    return [f"{name} = {format_gene_value(name, value)}" for name, value in genome.as_dict().items()]
+
+
 def result_summary(result: CalibrationResult) -> str:
     """Key-value text form of a calibration outcome."""
-    lines = [f"{name} = {format_gene_value(name, value)}"
-             for name, value in result.best_genome.as_dict().items()]
+    lines = gene_lines(result.best_genome)
     lines += [f"best_rmse = {result.best_rmse!r}", f"evaluations = {result.evaluations}"]
     return "\n".join(lines) + "\n"

@@ -1,14 +1,17 @@
 """Command-line front end: simulate, calibrate, pdr, heatmap, synth.
 
-Every command reads an optional key=value configuration file, layers preset
-and flag overrides on top, writes its artifacts into --out, and echoes the
-fully resolved configuration next to them so any run can be reproduced from
-its own output directory. Identical inputs and flags produce identical
-output bytes.
+Every command resolves its configuration in one place and in one order: the
+optional key=value file given by --config, then the synth route spec, then
+--preset, then the command's field flags. Each subparser declares, next to
+its flags, the configuration key each field flag sets. A command writes its
+artifacts into --out together with resolved_config.txt, the echo of that
+configuration, so any run can be reproduced from its own output directory.
+Identical inputs and flags produce identical output bytes.
 
-Exit codes: 0 success, 1 for errors in the content of an input file,
-2 for usage and startup errors (bad flags, unreadable files, bad
-configuration keys, incompatible bin geometry).
+Exit codes: 0 success, 1 for errors in the content of an input file (the
+message names the file), 2 for usage and startup errors (bad flags,
+unreadable files, bad configuration keys, incompatible bin geometry, an
+--out directory that cannot be created or written).
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ from .calibration import (
 )
 from .config import RunConfig, apply_preset, parse_config, planted_params_text, render_config
 from .dataio import (
-    TraceParseError,
     export_log_csv,
     export_pdr_csv,
     export_heatmap_csv,
@@ -53,130 +55,111 @@ DIRECTION_CHOICES = {
 
 
 class UsageError(Exception):
-    """Bad flags, unreadable inputs, or inconsistent startup state: exit 2."""
+    """Bad flags, unreadable inputs, or inconsistent startup state: exit 2.
+
+    Any ValueError that reaches main is an error in an input's content: exit 1.
+    """
 
 
-class DataError(Exception):
-    """Malformed content inside an otherwise readable input: exit 1."""
-
-
-def _read_text(path: str) -> str:
+def _parse_file(path: str, parse, error=ValueError):
+    """parse(the text of path); undecodable or malformed content raises error naming path."""
     if not os.path.isfile(path):
         raise UsageError(f"no such file: {path}")
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
+            return parse(fh.read())
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}") from None
+    except ValueError as exc:
+        raise error(f"{path}: {exc}") from None
 
 
-def _write_outputs(args, documents: dict, summary: str) -> int:
-    """Write each {file name: text} into --out, then print summary and the paths."""
-    os.makedirs(args.out, exist_ok=True)
+def _config(args) -> RunConfig:
+    """The run's configuration: --config, the synth spec, --preset, then the field flags.
+
+    args.fields maps each field flag's dest to the "section.field" it sets;
+    that field's dataclass checks the value.
+    """
+    config = _parse_file(args.config, parse_config, UsageError) if args.config else RunConfig()
+    if getattr(args, "spec", None):
+        config = _parse_file(args.spec, lambda text: parse_config(text, base=config), UsageError)
+    if getattr(args, "preset", None):
+        config = apply_preset(config, args.preset)
+    for dest, key in args.fields.items():
+        value = getattr(args, dest)
+        if value is None:
+            continue
+        section, _, name = key.partition(".")
+        try:
+            if name == "frozen_genes":  # a bare gene name pins the resolved channel's value
+                value = parse_frozen_genes(value, Genome.from_params(config.radio, config.fading))
+            config = replace(config, **{section: replace(getattr(config, section), **{name: value})})
+        except ValueError as exc:
+            raise UsageError(f"--{dest.replace('_', '-')}: {exc}") from None
+    if "freeze" in args.fields:
+        # The frozen genes must make a valid channel before any input is read.
+        try:
+            base = Genome.from_params(config.radio, config.fading)
+            replace(base, **dict(config.ga.frozen_genes)).to_params(config.radio, config.fading)
+        except ValueError as exc:
+            source = "--freeze" if args.freeze else f"{args.config}: ga.freeze"
+            raise UsageError(f"{source}: {exc}") from None
+    return config
+
+
+def _write_outputs(args, config: RunConfig, documents: dict, summary: str) -> int:
+    """Write each {file name: text} and the resolved configuration into --out,
+    then print summary and the paths."""
+    documents = {**documents, "resolved_config.txt": render_config(config)}
     paths = [os.path.join(args.out, name) for name in documents]
-    for path, text in zip(paths, documents.values()):
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+    try:
+        os.makedirs(args.out, exist_ok=True)
+        for path, text in zip(paths, documents.values()):
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+    except OSError as exc:
+        raise UsageError(f"--out {args.out}: {exc}") from None
     print(summary.rstrip("\n"))
     for path in paths:
         print(f"wrote {path}")
     return 0
 
 
-def _load_config(args) -> RunConfig:
-    config = RunConfig()
-    if getattr(args, "config", None):
-        try:
-            config = parse_config(_read_text(args.config))
-        except ValueError as exc:
-            raise UsageError(f"{args.config}: {exc}") from None
-    return config
+def _delivery_summary(delivery_log) -> str:
+    sent = len(delivery_log)
+    delivered = delivery_log.delivered_count()
+    overall = 100.0 * delivered / sent if sent else 0.0
+    return f"packets sent {sent}, delivered {delivered}, overall pdr {overall:.4f}%"
 
 
-def _apply_preset_flag(config: RunConfig, args) -> RunConfig:
-    if getattr(args, "preset", None):
-        try:
-            config = apply_preset(config, args.preset)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
-    return config
-
-
-#: --bin-width and --cell: flag dest -> the "section.field" it sets.
-_GRID_FLAGS = {"bin_width": "scenario.bin_width_m", "cell": "scenario.heatmap_cell_m"}
-
-
-def _apply_field_flags(config: RunConfig, args, flags: dict) -> RunConfig:
-    """Set the "section.field" that each given flag names; that field's dataclass checks it."""
-    for dest, key in flags.items():
-        value = getattr(args, dest, None)
-        if value is None:
-            continue
-        section, _, name = key.partition(".")
-        try:
-            updated = replace(getattr(config, section), **{name: value})
-        except ValueError as exc:
-            raise UsageError(f"--{dest.replace('_', '-')}: {exc}") from None
-        config = replace(config, **{section: updated})
-    return config
-
-
-def _parse_enu_trace(args, config: RunConfig, path: str):
-    try:
-        trace = parse_trace_csv(_read_text(path), epoch_ms=getattr(args, "epoch_ms", False))
-    except TraceParseError as exc:
-        raise DataError(f"{path}: {exc}") from None
-    log.info("parsed %d trace records from %s", len(trace), path)
-    try:
+def _parse_enu_trace(args, config: RunConfig):
+    """The trace args.trace names, projected about the configured RSU."""
+    def parse(text):
+        trace = parse_trace_csv(text, epoch_ms=args.epoch_ms)
+        log.info("parsed %d trace records from %s", len(trace), args.trace)
         return project_enu(trace, config.rsu)
-    except ValueError as exc:
-        raise DataError(f"{path}: {exc}") from None
+    return _parse_file(args.trace, parse)
 
 
 def cmd_simulate(args) -> int:
-    config = _apply_field_flags(_apply_preset_flag(_load_config(args), args), args,
-                                {**_GRID_FLAGS, "seed": "scenario.master_seed"})
-
-    enu = _parse_enu_trace(args, config, args.trace)
+    config = _config(args)
+    enu = _parse_enu_trace(args, config)
     delivery_log = run_scenario(enu, config.scenario, config.radio, config.fading)
     direction = _direction(delivery_log, args, args.trace)
     curve = pdr_curve(delivery_log, config.scenario.bin_width_m, direction)
     grid = heatmap(delivery_log, config.scenario.heatmap_cell_m, direction)
 
-    documents = {
+    return _write_outputs(args, config, {
         "log.csv": export_log_csv(delivery_log),
         "pdr.csv": export_pdr_csv(curve),
         "heatmap.csv": export_heatmap_csv(grid),
-        "resolved_config.txt": render_config(config),
-    }
-    sent = len(delivery_log)
-    delivered = delivery_log.delivered_count()
-    overall = 100.0 * delivered / sent if sent else 0.0
-    return _write_outputs(args, documents, f"packets sent {sent}, delivered {delivered}, "
-                                           f"overall pdr {overall:.4f}%")
+    }, _delivery_summary(delivery_log))
 
 
 def cmd_calibrate(args) -> int:
-    config = _apply_field_flags(_apply_preset_flag(_load_config(args), args), args, {
-        **_GRID_FLAGS, "seed": "ga.master_seed", "generations": "ga.generations",
-        "population": "ga.population_size", "jobs": "ga.jobs"})
-    base = Genome.from_params(config.radio, config.fading)
-    try:
-        if args.freeze:
-            frozen = parse_frozen_genes(args.freeze, base)
-            config = replace(config, ga=replace(config.ga, frozen_genes=frozen))
-        # The frozen genes must make a valid channel before any input is read.
-        replace(base, **dict(config.ga.frozen_genes)).to_params(config.radio, config.fading)
-    except ValueError as exc:
-        source = "--freeze" if args.freeze else f"{args.config}: ga.freeze"
-        raise UsageError(f"{source}: {exc}") from None
-
-    observed_text = _read_text(args.observed_pdr)
-    enu = _parse_enu_trace(args, config, args.trace)
-    try:
-        observed = parse_pdr_csv(observed_text)
-    except ValueError as exc:
-        raise DataError(f"{args.observed_pdr}: {exc}") from None
+    config = _config(args)
+    observed = _parse_file(args.observed_pdr, parse_pdr_csv)
+    enu = _parse_enu_trace(args, config)
 
     log.info(
         "calibrating: population %d, generations %d, seed %d",
@@ -190,13 +173,12 @@ def cmd_calibrate(args) -> int:
     except BinWidthError as exc:
         raise UsageError(f"{args.observed_pdr}: {exc} m (observed vs configured)") from None
     except ValueError as exc:
-        raise DataError(f"calibrating {args.observed_pdr} on {args.trace}: {exc}") from None
+        raise ValueError(f"calibrating {args.observed_pdr} on {args.trace}: {exc}") from None
 
     summary = result_summary(result)
-    return _write_outputs(args, {
+    return _write_outputs(args, config, {
         "history.csv": history_to_csv(result),
         "calibration_result.txt": summary,
-        "resolved_config.txt": render_config(config),
     }, summary)
 
 
@@ -207,65 +189,49 @@ def _direction(delivery_log, args, path: str):
     """
     direction = DIRECTION_CHOICES[args.direction]
     if not delivery_log.sent_in(direction).any():
-        raise DataError(f"{path}: no packets for --direction {args.direction}")
+        raise ValueError(f"{path}: no packets for --direction {args.direction}")
     return direction
 
 
 def _read_log(args):
     """The log args.log names and its --direction filter."""
-    try:
-        delivery_log = parse_log_csv(_read_text(args.log))
-    except ValueError as exc:
-        raise DataError(f"{args.log}: {exc}") from None
+    delivery_log = _parse_file(args.log, parse_log_csv)
     return delivery_log, _direction(delivery_log, args, args.log)
 
 
 def cmd_pdr(args) -> int:
-    config = _apply_field_flags(_load_config(args), args, _GRID_FLAGS)
+    config = _config(args)
     delivery_log, direction = _read_log(args)
     curve = pdr_curve(delivery_log, config.scenario.bin_width_m, direction)
 
-    return _write_outputs(args, {"pdr.csv": export_pdr_csv(curve)},
+    return _write_outputs(args, config, {"pdr.csv": export_pdr_csv(curve)},
                           f"{len(curve)} bins of {config.scenario.bin_width_m} m "
                           f"covering {curve.sent.sum()} packets")
 
 
 def cmd_heatmap(args) -> int:
-    config = _apply_field_flags(_load_config(args), args, _GRID_FLAGS)
+    config = _config(args)
     delivery_log, direction = _read_log(args)
     grid = heatmap(delivery_log, config.scenario.heatmap_cell_m, direction)
 
-    return _write_outputs(args, {"heatmap.csv": export_heatmap_csv(grid)},
+    return _write_outputs(args, config, {"heatmap.csv": export_heatmap_csv(grid)},
                           f"{len(grid)} cells of {config.scenario.heatmap_cell_m} m "
                           f"covering {grid.sent.sum()} packets")
 
 
 def cmd_synth(args) -> int:
-    config = _load_config(args)
-    if args.spec:
-        try:
-            config = parse_config(_read_text(args.spec), base=config)
-        except ValueError as exc:
-            raise UsageError(f"{args.spec}: {exc}") from None
-    config = _apply_field_flags(_apply_preset_flag(config, args), args, {"seed": "synth.seed"})
-
+    config = _config(args)
     try:
         trace, delivery_log, curve = generate_synthetic(config.synth, config.radio, config.fading,
                                                         config.rsu, config.scenario)
     except ValueError as exc:
         raise UsageError(f"synthetic route: {exc}") from None
 
-    documents = {
+    return _write_outputs(args, config, {
         "trace.csv": export_trace_csv(trace),
         "observed_pdr.csv": export_pdr_csv(curve),
         "planted_params.txt": planted_params_text(config),
-        "resolved_config.txt": render_config(config),
-    }
-    sent = len(delivery_log)
-    delivered = delivery_log.delivered_count()
-    overall = 100.0 * delivered / sent if sent else 0.0
-    return _write_outputs(args, documents, f"trace records {len(trace)}, packets sent {sent}, "
-                                           f"delivered {delivered}, overall pdr {overall:.4f}%")
+    }, f"trace records {len(trace)}, {_delivery_summary(delivery_log)}")
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
@@ -293,7 +259,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="restrict PDR/heatmap aggregation to one message direction")
     p.add_argument("--epoch-ms", action="store_true",
                    help="trace time column holds integer epoch milliseconds")
-    p.set_defaults(func=cmd_simulate)
+    p.set_defaults(func=cmd_simulate, fields={
+        "seed": "scenario.master_seed", "bin_width": "scenario.bin_width_m",
+        "cell": "scenario.heatmap_cell_m"})
 
     p = sub.add_parser("calibrate", help="fit the channel genome to an observed PDR curve")
     _add_common(p)
@@ -307,26 +275,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, metavar="N",
                    help="accepted for compatibility; the search runs in one process "
                         "and its results never depend on N")
-    p.add_argument("--freeze", action="append", metavar="GENE[=VALUE]", default=[],
+    p.add_argument("--freeze", action="append", metavar="GENE[=VALUE]",
                    help="pin a gene for the whole search (repeatable)")
     p.add_argument("--bin-width", type=float, metavar="M", help="PDR bin width, meters")
     p.add_argument("--epoch-ms", action="store_true",
                    help="trace time column holds integer epoch milliseconds")
-    p.set_defaults(func=cmd_calibrate)
+    p.set_defaults(func=cmd_calibrate, fields={
+        "bin_width": "scenario.bin_width_m", "seed": "ga.master_seed",
+        "generations": "ga.generations", "population": "ga.population_size",
+        "jobs": "ga.jobs", "freeze": "ga.frozen_genes"})
 
     p = sub.add_parser("pdr", help="re-aggregate a delivery log into a PDR curve")
     _add_common(p)
     p.add_argument("log", help="delivery log CSV")
     p.add_argument("--bin-width", type=float, metavar="M", help="PDR bin width, meters")
     p.add_argument("--direction", choices=sorted(DIRECTION_CHOICES), default="both")
-    p.set_defaults(func=cmd_pdr)
+    p.set_defaults(func=cmd_pdr, fields={"bin_width": "scenario.bin_width_m"})
 
     p = sub.add_parser("heatmap", help="re-aggregate a delivery log into a spatial grid")
     _add_common(p)
     p.add_argument("log", help="delivery log CSV")
     p.add_argument("--cell", type=float, metavar="M", help="heatmap cell size, meters")
     p.add_argument("--direction", choices=sorted(DIRECTION_CHOICES), default="both")
-    p.set_defaults(func=cmd_heatmap)
+    p.set_defaults(func=cmd_heatmap, fields={"cell": "scenario.heatmap_cell_m"})
 
     p = sub.add_parser("synth", help="generate a synthetic ground-truth dataset")
     _add_common(p)
@@ -334,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="route/channel spec file (key=value; default: bundled drive-by)")
     p.add_argument("--preset", choices=sorted(PRESET_GENOMES), help="planted channel preset")
     p.add_argument("--seed", type=int, metavar="N", help="dataset seed")
-    p.set_defaults(func=cmd_synth)
+    p.set_defaults(func=cmd_synth, fields={"seed": "synth.seed"})
 
     return parser
 
@@ -355,9 +326,6 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

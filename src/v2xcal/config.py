@@ -20,12 +20,12 @@ from __future__ import annotations
 from dataclasses import dataclass, fields, replace
 
 from .calibration import (
-    GENE_NAMES,
     PRESET_GENOMES,
     GaConfig,
     Genome,
     format_gene_value,
     format_typed_value,
+    gene_lines,
     parse_frozen_genes,
     parse_typed_value,
 )
@@ -179,7 +179,6 @@ def apply_preset(config: RunConfig, preset: str) -> RunConfig:
 
 def planted_params_text(config: RunConfig) -> str:
     """Key=value record of the channel a synthetic dataset was planted with."""
-    genome = Genome.from_params(config.radio, config.fading)
-    lines = [f"{name} = {format_gene_value(name, getattr(genome, name))}" for name in GENE_NAMES]
+    lines = gene_lines(Genome.from_params(config.radio, config.fading))
     lines.append(f"seed = {config.synth.seed}")
     return "\n".join(lines) + "\n"

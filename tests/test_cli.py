@@ -497,6 +497,77 @@ def test_simulate_refuses_a_direction_with_no_packets(dataset, tmp_path, capsys,
 # ---------------------------------------------------------------------------
 
 
+#: Every field flag of every command: (command, flag, value, the key it sets).
+FIELD_FLAGS = [
+    ("simulate", "--seed", "7", "scenario.master_seed"),
+    ("simulate", "--bin-width", "25.0", "scenario.bin_width_m"),
+    ("simulate", "--cell", "30.0", "scenario.heatmap_cell_m"),
+    ("calibrate", "--seed", "7", "ga.master_seed"),
+    ("calibrate", "--generations", "3", "ga.generations"),
+    ("calibrate", "--population", "5", "ga.population_size"),
+    ("calibrate", "--jobs", "2", "ga.jobs"),
+    ("calibrate", "--bin-width", "25.0", "scenario.bin_width_m"),
+    ("calibrate", "--freeze", "alpha=1.7", "ga.freeze"),
+    ("pdr", "--bin-width", "25.0", "scenario.bin_width_m"),
+    ("heatmap", "--cell", "30.0", "scenario.heatmap_cell_m"),
+    ("synth", "--seed", "7", "synth.seed"),
+]
+
+
+@pytest.mark.parametrize("command,flag,value,key", FIELD_FLAGS)
+def test_each_field_flag_sets_its_key_in_the_echo(dataset, sim_out, tmp_path, command, flag,
+                                                  value, key):
+    observed = dataset["observed"]
+    if command == "calibrate" and flag == "--bin-width":
+        observed = str(tmp_path / "rebinned" / "pdr.csv")
+        assert main(["pdr", str(sim_out / "log.csv"), "--bin-width", value,
+                     "--out", str(tmp_path / "rebinned")]) == 0
+    inputs = {"simulate": [dataset["trace"]],
+              "calibrate": [observed, dataset["trace"], "--population", "4", "--generations", "2"],
+              "pdr": [str(sim_out / "log.csv")], "heatmap": [str(sim_out / "log.csv")],
+              "synth": [dataset["spec"]]}[command]
+    out = tmp_path / "o"
+    # A repeated flag takes its last value, so the flag under test overrides the inputs'.
+    assert main([command, *inputs, flag, value, "--out", str(out)]) == 0
+    echo = read(str(out / "resolved_config.txt"))
+    assert f"{key} = {value}\n" in echo
+    assert render_config(parse_config(echo)) == echo
+
+
+def test_unwritable_out_is_usage_error(sim_out, tmp_path, capsys):
+    afile = tmp_path / "afile"
+    afile.write_text("", encoding="utf-8")
+    assert main(["pdr", str(sim_out / "log.csv"), "--out", str(afile)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: --out {afile}: ") and captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command,position,code", [
+    ("simulate", 0, 1),  # the trace
+    ("calibrate", 0, 1),  # the observed curve
+    ("calibrate", 1, 1),  # the trace
+    ("pdr", 0, 1),  # the log
+    ("synth", 0, 2),  # the spec
+    ("simulate", "--config", 2),
+])
+def test_undecodable_input_names_its_file_once(dataset, sim_out, tmp_path, capsys, command,
+                                               position, code):
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(b"\xff\xfe")
+    inputs = {"simulate": [dataset["trace"]], "calibrate": [dataset["observed"], dataset["trace"]],
+              "pdr": [str(sim_out / "log.csv")], "synth": [dataset["spec"]]}[command]
+    if position == "--config":
+        inputs += ["--config", str(bad)]
+    else:
+        inputs[position] = str(bad)
+    assert main([command, *inputs, "--out", str(tmp_path / "o")]) == code
+    err = capsys.readouterr().err
+    assert err == f"error: {bad}: 'utf-8' codec can't decode byte 0xff in position 0: " \
+                  "invalid start byte\n"
+    assert not (tmp_path / "o").exists()
+
+
 def test_no_command_is_usage_error(capsys):
     assert main([]) == 2
     capsys.readouterr()
