@@ -96,7 +96,6 @@ GENE_NAMES = tuple(f.name for f in fields(Genome))
 _PACKAGE_GENOME = Genome.from_params(RadioParams(), FadingParams())
 
 CONTINUOUS_GENES = tuple(n for n in GENE_NAMES if isinstance(getattr(_PACKAGE_GENOME, n), float))
-CATEGORICAL_GENES = tuple(n for n in GENE_NAMES if n not in CONTINUOUS_GENES)
 
 
 def default_genome() -> Genome:
@@ -144,79 +143,27 @@ PRESET_GENOMES = {
 }
 
 
-@dataclass(frozen=True)
-class SearchSpace:
-    """Per-gene bounds: (lo, hi) for continuous genes, option tuples otherwise."""
-
-    continuous: tuple  # ((name, lo, hi), ...)
-    categorical: tuple  # ((name, (options...)), ...)
-
-    def __post_init__(self):
-        names = [n for n, *_ in self.continuous] + [n for n, _ in self.categorical]
-        if sorted(names) != sorted(GENE_NAMES):
-            raise ValueError("search space must cover each gene exactly once")
-        for name, lo, hi in self.continuous:
-            if not lo < hi:
-                raise ValueError(f"{name}: bounds ({lo}, {hi}) must satisfy lo < hi")
-        for name, options in self.categorical:
-            if len(options) < 1:
-                raise ValueError(f"{name}: needs at least one option")
-
-    def bounds(self, name: str):
-        for n, lo, hi in self.continuous:
-            if n == name:
-                return lo, hi
-        raise KeyError(name)
-
-    def options(self, name: str):
-        for n, opts in self.categorical:
-            if n == name:
-                return opts
-        raise KeyError(name)
-
-    def is_continuous(self, name: str) -> bool:
-        return any(n == name for n, *_ in self.continuous)
-
-    def contains(self, genome: Genome) -> bool:
-        for name, lo, hi in self.continuous:
-            if not lo <= getattr(genome, name) <= hi:
-                return False
-        for name, options in self.categorical:
-            if getattr(genome, name) not in options:
-                return False
-        return True
-
-    def sample(self, rng: np.random.Generator) -> Genome:
-        """Uniform draw, consuming one draw per gene in canonical order."""
-        values = {}
-        for name in GENE_NAMES:
-            if self.is_continuous(name):
-                lo, hi = self.bounds(name)
-                values[name] = _quantize(rng.uniform(lo, hi))
-            else:
-                options = self.options(name)
-                values[name] = options[rng.integers(len(options))]
-        return Genome(**values)
+#: The calibration bounds, gene by gene in GENE_NAMES order (the order the
+#: draws are taken in): (lo, hi) for each of CONTINUOUS_GENES, the options
+#: tuple for every other gene.
+SEARCH_SPACE = {
+    "tx_power_mw": (20.0, 40.0),
+    "data_rate_mbps": (6, 12, 18, 27),
+    "noise_floor_dbm": (-110.0, -90.0),
+    "rx_sensitivity_dbm": (-120.0, -90.0),
+    "slow_model": (SlowFadingModel.FREE_SPACE, SlowFadingModel.LOGNORMAL),
+    "fast_model": (FastFadingModel.NONE, FastFadingModel.NAKAGAMI),
+    "alpha": (1.0, 3.0),
+    "system_loss_db": (0.0, 3.0),
+    "sigma_db": (1.0, 10.0),
+    "nakagami_m": (1.0, 3.5),
+}
 
 
-def table_search_space() -> SearchSpace:
-    """The standard ten-gene calibration bounds."""
-    return SearchSpace(
-        continuous=(
-            ("tx_power_mw", 20.0, 40.0),
-            ("noise_floor_dbm", -110.0, -90.0),
-            ("rx_sensitivity_dbm", -120.0, -90.0),
-            ("alpha", 1.0, 3.0),
-            ("system_loss_db", 0.0, 3.0),
-            ("sigma_db", 1.0, 10.0),
-            ("nakagami_m", 1.0, 3.5),
-        ),
-        categorical=(
-            ("data_rate_mbps", (6, 12, 18, 27)),
-            ("slow_model", (SlowFadingModel.FREE_SPACE, SlowFadingModel.LOGNORMAL)),
-            ("fast_model", (FastFadingModel.NONE, FastFadingModel.NAKAGAMI)),
-        ),
-    )
+def _sample(rng: np.random.Generator) -> Genome:
+    """Uniform draw from SEARCH_SPACE, one draw per gene in GENE_NAMES order."""
+    return Genome(**{name: _quantize(rng.uniform(*span)) if name in CONTINUOUS_GENES
+                     else span[rng.integers(len(span))] for name, span in SEARCH_SPACE.items()})
 
 
 @dataclass(frozen=True)
@@ -235,6 +182,10 @@ class GaConfig:
     frozen_genes: tuple = ()  # ((name, value), ...) pinned for the whole run
 
     def __post_init__(self):
+        for name in ("population_size", "generations", "tournament_size", "elite_count",
+                     "master_seed", "jobs"):
+            if not isinstance(getattr(self, name), int):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.population_size < 2:
             raise ValueError("population_size must be >= 2")
         if self.generations < 1:
@@ -377,7 +328,7 @@ def _tournament(rng, scores, tournament_size: int) -> int:
     return best
 
 
-def _make_child(rng, population, scores, config: GaConfig, space: SearchSpace) -> Genome:
+def _make_child(rng, population, scores, config: GaConfig) -> Genome:
     """Selection, crossover, then mutation, drawing in a fixed order."""
     p1 = population[_tournament(rng, scores, config.tournament_size)]
     p2 = population[_tournament(rng, scores, config.tournament_size)]
@@ -388,16 +339,15 @@ def _make_child(rng, population, scores, config: GaConfig, space: SearchSpace) -
         for flag, name in zip(take_p2, GENE_NAMES):
             if flag:
                 child[name] = getattr(p2, name)
-    for name in GENE_NAMES:
+    for name, span in SEARCH_SPACE.items():
         if rng.random() >= config.mutation_prob_per_gene:
             continue
-        if space.is_continuous(name):
-            lo, hi = space.bounds(name)
+        if name in CONTINUOUS_GENES:
+            lo, hi = span
             step = rng.normal(0.0, config.mutation_sigma_fraction * (hi - lo))
             child[name] = float(np.clip(child[name] + step, lo, hi))
         else:
-            options = space.options(name)
-            child[name] = options[rng.integers(len(options))]
+            child[name] = span[rng.integers(len(span))]
     return _quantize_genome(_apply_frozen(Genome(**child), config.frozen_genes))
 
 
@@ -406,7 +356,6 @@ def evolve(
     observed: PdrCurve,
     trace: EnuTrace,
     scenario: ScenarioConfig,
-    search_space: SearchSpace | None = None,
     base_radio: RadioParams | None = None,
     base_fading: FadingParams | None = None,
 ) -> CalibrationResult:
@@ -422,12 +371,11 @@ def evolve(
     the other genes' draws untouched. The search runs in this process;
     config.jobs is validated but changes nothing.
     """
-    space = search_space if search_space is not None else table_search_space()
     search = PreparedSearch(observed, trace, scenario, base_radio, base_fading)
 
     population = [
         _quantize_genome(
-            _apply_frozen(space.sample(_slot_rng(config.master_seed, 0, i)), config.frozen_genes)
+            _apply_frozen(_sample(_slot_rng(config.master_seed, 0, i)), config.frozen_genes)
         )
         for i in range(config.population_size)
     ]
@@ -459,16 +407,9 @@ def evolve(
             break
         ranked = sorted(range(len(population)), key=lambda i: (scores[i], i))
         elites = [population[i] for i in ranked[: config.elite_count]]
-        children = [
-            _make_child(
-                _slot_rng(config.master_seed, gen + 1, slot),
-                population,
-                scores,
-                config,
-                space,
-            )
-            for slot in range(config.elite_count, config.population_size)
-        ]
+        children = [_make_child(_slot_rng(config.master_seed, gen + 1, slot),
+                                population, scores, config)
+                    for slot in range(config.elite_count, config.population_size)]
         population = elites + children
 
     return CalibrationResult(

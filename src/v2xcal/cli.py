@@ -5,7 +5,9 @@ optional key=value file given by --config, then the synth route spec, then
 --preset, then the command's field flags. Each subparser declares, next to
 its flags, the configuration key each field flag sets. A command writes its
 artifacts into --out together with resolved_config.txt, the echo of that
-configuration, so any run can be reproduced from its own output directory.
+configuration, so a run can be reproduced from its own output directory.
+--direction and --epoch-ms are not configuration keys, so the echo does not
+record them; a run that used either needs it again.
 Identical inputs and flags produce identical output bytes.
 
 Exit codes: 0 success, 1 for errors in the content of an input file (the

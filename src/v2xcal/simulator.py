@@ -87,6 +87,17 @@ class EnuTrace:
         return x, y, z
 
 
+#: The narrowest PDR bin or heatmap cell: one unit of the CSVs' ninth decimal.
+MIN_WIDTH_M = 1e-9
+
+
+def check_width(name: str, width: float) -> None:
+    """Refuse a bin or cell width that is not finite or is below MIN_WIDTH_M."""
+    if not MIN_WIDTH_M <= width < math.inf:
+        raise ValueError(f"{name} must be positive and finite, at least {MIN_WIDTH_M} m, "
+                         f"got {width}")
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Replay settings: RSU antenna position, message cadences, seed, grids."""
@@ -104,8 +115,8 @@ class ScenarioConfig:
     def __post_init__(self):
         if not (0.0 < self.bsm_rate_hz < math.inf and 0.0 < self.spat_rate_hz < math.inf):
             raise ValueError("message rates must be positive and finite")
-        if not (0.0 < self.bin_width_m < math.inf and 0.0 < self.heatmap_cell_m < math.inf):
-            raise ValueError("bin_width_m and heatmap_cell_m must be positive and finite")
+        check_width("bin_width_m", self.bin_width_m)
+        check_width("heatmap_cell_m", self.heatmap_cell_m)
         for name in ("rsu_x_m", "rsu_y_m", "rsu_z_m"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
@@ -385,8 +396,7 @@ def pdr_curve(log: DeliveryLog, bin_width_m: float, direction: Direction | None 
     bins that saw no traffic are kept as explicit empties. An empty log
     yields an empty curve.
     """
-    if not 0.0 < bin_width_m < math.inf:
-        raise ValueError("bin_width_m must be positive and finite")
+    check_width("bin_width_m", bin_width_m)
     keep = log.sent_in(direction)
     idx = np.floor(log.distance_m[keep] / bin_width_m).astype(int)
     sent = np.bincount(idx)
@@ -397,8 +407,7 @@ def pdr_curve(log: DeliveryLog, bin_width_m: float, direction: Direction | None 
 
 def heatmap(log: DeliveryLog, cell_m: float, direction: Direction | None = None) -> HeatmapGrid:
     """Aggregate PDR over vehicle positions on a square grid of side cell_m."""
-    if not 0.0 < cell_m < math.inf:
-        raise ValueError("cell_m must be positive and finite")
+    check_width("cell_m", cell_m)
     keep = log.sent_in(direction)
     # The vehicle is the transmitter of a vehicle-to-RSU packet, else the receiver.
     v2r = log.direction_code[keep] == Direction.VEHICLE_TO_RSU.stream_code

@@ -1,13 +1,14 @@
 """Genome plumbing, objective semantics, and GA behavior checks."""
 
 import math
+import pathlib
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from v2xcal.calibration import (
-    CATEGORICAL_GENES,
     CONTINUOUS_GENES,
     GENE_NAMES,
     HISTORY_HEADERS,
@@ -16,18 +17,19 @@ from v2xcal.calibration import (
     GaConfig,
     Genome,
     HistoryRecord,
-    SearchSpace,
+    SEARCH_SPACE,
+    _sample,
     _slot_rng,
     _tournament,
     calibrated_genome,
     default_genome,
     evolve,
+    format_gene_value,
     history_to_csv,
     noise_raised_genome,
     objective,
     parse_history_csv,
     result_summary,
-    table_search_space,
 )
 from v2xcal.dataio import GeodeticPosition, SynthSection, generate_synthetic, project_enu
 from v2xcal.propagation import (
@@ -74,7 +76,8 @@ def test_gene_names_canonical_order():
         "tx_power_mw", "data_rate_mbps", "noise_floor_dbm", "rx_sensitivity_dbm",
         "slow_model", "fast_model", "alpha", "system_loss_db", "sigma_db", "nakagami_m",
     )
-    assert set(CONTINUOUS_GENES) | set(CATEGORICAL_GENES) == set(GENE_NAMES)
+    assert CONTINUOUS_GENES == tuple(
+        n for n in GENE_NAMES if n not in ("data_rate_mbps", "slow_model", "fast_model"))
 
 
 def test_genome_params_round_trip():
@@ -126,49 +129,67 @@ def test_default_preset_is_friis_free_space():
 # ---------------------------------------------------------------------------
 
 
-def test_table_search_space_bounds():
-    space = table_search_space()
-    assert space.bounds("tx_power_mw") == (20.0, 40.0)
-    assert space.bounds("noise_floor_dbm") == (-110.0, -90.0)
-    assert space.bounds("rx_sensitivity_dbm") == (-120.0, -90.0)
-    assert space.bounds("alpha") == (1.0, 3.0)
-    assert space.bounds("system_loss_db") == (0.0, 3.0)
-    assert space.bounds("sigma_db") == (1.0, 10.0)
-    assert space.bounds("nakagami_m") == (1.0, 3.5)
-    assert space.options("data_rate_mbps") == (6, 12, 18, 27)
-    assert len(space.options("slow_model")) == 2
-    assert len(space.options("fast_model")) == 2
+def in_search_space(genome: Genome) -> bool:
+    """Each continuous gene within its (lo, hi), every other gene one of its options."""
+    return all(span[0] <= getattr(genome, name) <= span[1] if name in CONTINUOUS_GENES
+               else getattr(genome, name) in span for name, span in SEARCH_SPACE.items())
+
+
+def test_search_space_bounds():
+    assert SEARCH_SPACE["tx_power_mw"] == (20.0, 40.0)
+    assert SEARCH_SPACE["noise_floor_dbm"] == (-110.0, -90.0)
+    assert SEARCH_SPACE["rx_sensitivity_dbm"] == (-120.0, -90.0)
+    assert SEARCH_SPACE["alpha"] == (1.0, 3.0)
+    assert SEARCH_SPACE["system_loss_db"] == (0.0, 3.0)
+    assert SEARCH_SPACE["sigma_db"] == (1.0, 10.0)
+    assert SEARCH_SPACE["nakagami_m"] == (1.0, 3.5)
+    assert SEARCH_SPACE["data_rate_mbps"] == (6, 12, 18, 27)
+    assert len(SEARCH_SPACE["slow_model"]) == 2
+    assert len(SEARCH_SPACE["fast_model"]) == 2
 
 
 def test_search_space_sampling_stays_inside():
-    space = table_search_space()
     for seed in range(50):
-        genome = space.sample(np.random.default_rng(seed))
-        assert space.contains(genome)
+        genome = _sample(np.random.default_rng(seed))
+        assert in_search_space(genome)
         for name in CONTINUOUS_GENES:
             value = getattr(genome, name)
             assert value == round(value, 9)
 
 
 def test_search_space_contains():
-    space = table_search_space()
-    assert space.contains(calibrated_genome())
-    assert not space.contains(replace(calibrated_genome(), alpha=3.5))
-    assert not space.contains(noise_raised_genome())  # noise -60 is out of range
+    assert in_search_space(calibrated_genome())
+    assert not in_search_space(replace(calibrated_genome(), alpha=3.5))
+    assert not in_search_space(replace(calibrated_genome(), data_rate_mbps=24))
+    assert not in_search_space(noise_raised_genome())  # noise -60 is out of range
 
 
 def test_search_space_validation():
-    with pytest.raises(ValueError, match="each gene exactly once"):
-        SearchSpace(continuous=(), categorical=())
-    space = table_search_space()
-    with pytest.raises(ValueError, match="lo < hi"):
-        SearchSpace(
-            continuous=tuple(
-                (n, 5.0, 5.0) if n == "alpha" else (n, lo, hi)
-                for n, lo, hi in space.continuous
-            ),
-            categorical=space.categorical,
-        )
+    # One entry per gene in draw order; the genome's types alone decide each
+    # gene's kind: a range for a float gene, options of its type otherwise.
+    assert tuple(SEARCH_SPACE) == GENE_NAMES
+    package = Genome.from_params(RadioParams(), FadingParams())
+    for name, span in SEARCH_SPACE.items():
+        if name in CONTINUOUS_GENES:
+            lo, hi = span
+            assert type(lo) is type(hi) is float and lo < hi, name
+        else:
+            assert isinstance(span, tuple) and span, name
+            assert all(type(v) is type(getattr(package, name)) for v in span), name
+
+
+def test_readme_gene_table_matches_the_search_space():
+    # The README spelled the slow model free_space, a name the parser refuses.
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    rows = re.findall(r"^\| `(\w+)` \| ([\[{][^|]*[\]}]) \|", readme.read_text("utf-8"), re.M)
+    assert [name for name, _ in rows] == list(GENE_NAMES)
+    for name, text in rows:
+        span = SEARCH_SPACE[name]
+        values = [value.strip() for value in text[1:-1].split(",")]
+        if name in CONTINUOUS_GENES:
+            assert text[0] == "[" and tuple(map(float, values)) == span, name
+        else:
+            assert text[0] == "{" and values == [format_gene_value(name, v) for v in span], name
 
 
 # ---------------------------------------------------------------------------
@@ -246,8 +267,7 @@ def test_single_generation_is_best_of_initial_samples():
     enu, curve, scenario = small_dataset()
     config = GaConfig(population_size=4, generations=1, master_seed=9)
     result = evolve(config, curve, enu, scenario)
-    space = table_search_space()
-    expected = [space.sample(_slot_rng(9, 0, i)) for i in range(4)]
+    expected = [_sample(_slot_rng(9, 0, i)) for i in range(4)]
     assert [rec.genome for rec in result.history] == expected
     scores = [objective(g, curve, enu, scenario) for g in expected]
     assert result.best_rmse == round(min(scores), 9)
@@ -284,9 +304,8 @@ def test_children_respect_bounds_under_max_mutation():
     config = GaConfig(population_size=10, generations=5, master_seed=3,
                       mutation_prob_per_gene=1.0, mutation_sigma_fraction=1.0)
     result = evolve(config, curve, enu, scenario)
-    space = table_search_space()
     for rec in result.history:
-        assert space.contains(rec.genome), rec
+        assert in_search_space(rec.genome), rec
 
 
 def test_frozen_genes_pin_values_through_the_run():
@@ -362,6 +381,15 @@ def test_ga_config_validation():
         GaConfig(jobs=0)
     with pytest.raises(ValueError, match="unknown frozen gene"):
         GaConfig(frozen_genes=(("bandwidth", 1.0),))
+
+
+@pytest.mark.parametrize("field", ["population_size", "generations", "tournament_size",
+                                   "elite_count", "master_seed", "jobs"])
+@pytest.mark.parametrize("value", [4.5, 2.0, "4"])
+def test_ga_config_refuses_non_integer_counts(field, value):
+    # A float count used to pass here and fail later in evolve with a TypeError.
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        GaConfig(**{field: value})
 
 
 # ---------------------------------------------------------------------------

@@ -534,6 +534,15 @@ def test_each_field_flag_sets_its_key_in_the_echo(dataset, sim_out, tmp_path, co
     assert render_config(parse_config(echo)) == echo
 
 
+@pytest.mark.parametrize("command,flag", [("pdr", "--bin-width"), ("heatmap", "--cell")])
+def test_sub_resolution_width_is_usage_error(sim_out, tmp_path, capsys, command, flag):
+    # heatmap wrote one cell of cell_m 0.000000000 and pdr died in np.bincount.
+    out = tmp_path / "o"
+    assert main([command, str(sim_out / "log.csv"), flag, "1e-300", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {flag}: ")
+    assert not out.exists()
+
+
 def test_unwritable_out_is_usage_error(sim_out, tmp_path, capsys):
     afile = tmp_path / "afile"
     afile.write_text("", encoding="utf-8")

@@ -26,7 +26,7 @@ from v2xcal.propagation import (
     RadioParams,
     SlowFadingModel,
 )
-from v2xcal.simulator import ScenarioConfig
+from v2xcal.simulator import MIN_WIDTH_M, ScenarioConfig
 
 
 FULL_DOCUMENT = """
@@ -208,6 +208,7 @@ def test_gene_value_round_trip():
 # Finite floats of every exponent, subnormals and signed zeros included.
 _finite = st.floats(allow_nan=False, allow_infinity=False)
 _positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+_width = st.floats(min_value=MIN_WIDTH_M, allow_infinity=False)
 _negative = st.floats(max_value=0.0, exclude_max=True, allow_infinity=False)
 _unit = st.floats(min_value=0.0, max_value=1.0)
 _seed = st.integers(min_value=0, max_value=2**63)
@@ -257,8 +258,8 @@ _run_configs = st.builds(
                      reference_distance_m=_positive),
     scenario=st.builds(
         ScenarioConfig, rsu_x_m=_finite, rsu_y_m=_finite, rsu_z_m=_finite,
-        bsm_rate_hz=_positive, spat_rate_hz=_positive, bin_width_m=_positive,
-        heatmap_cell_m=_positive, master_seed=_seed,
+        bsm_rate_hz=_positive, spat_rate_hz=_positive, bin_width_m=_width,
+        heatmap_cell_m=_width, master_seed=_seed,
         # The file form overrides single rates of the full table, so a
         # resolved configuration carries either no table or all of it.
         snr_thresholds_db=st.none() | st.tuples(

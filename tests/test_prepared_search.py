@@ -13,14 +13,15 @@ from hypothesis import strategies as st
 from scipy import special
 
 from v2xcal.calibration import (
+    CONTINUOUS_GENES,
     INFEASIBLE_RMSE,
+    SEARCH_SPACE,
     GaConfig,
     Genome,
     PreparedSearch,
     calibrated_genome,
     evolve,
     objective,
-    table_search_space,
 )
 from v2xcal.dataio import GeodeticPosition, SynthSection, generate_synthetic, project_enu
 from v2xcal.propagation import (
@@ -73,10 +74,8 @@ SEARCHES = {base: PreparedSearch(OBSERVED, ENU, SCENARIO, base_radio=base)
 
 
 def genomes():
-    space = table_search_space()
-    genes = {name: st.floats(lo, hi) for name, lo, hi in space.continuous}
-    genes.update({name: st.sampled_from(options) for name, options in space.categorical})
-    return st.builds(Genome, **genes)
+    return st.builds(Genome, **{name: st.floats(*span) if name in CONTINUOUS_GENES
+                                else st.sampled_from(span) for name, span in SEARCH_SPACE.items()})
 
 
 @settings(max_examples=150, deadline=None)

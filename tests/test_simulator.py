@@ -448,6 +448,19 @@ def test_scenario_refuses_non_finite_rates_and_grids(field, value):
         ScenarioConfig(**{field: value})
 
 
+@pytest.mark.parametrize("width", [1e-300, 5e-10, 0.999e-9])
+def test_widths_below_the_csv_resolution_are_refused(width):
+    # 1e-300 m made heatmap one cell of cell_m 0.000000000, which its own
+    # reader refused, and made pdr_curve fail inside np.bincount.
+    for field in ("bin_width_m", "heatmap_cell_m"):
+        with pytest.raises(ValueError, match=f"{field} .*at least 1e-09 m"):
+            ScenarioConfig(**{field: width})
+    with pytest.raises(ValueError, match="bin_width_m .*at least 1e-09 m"):
+        pdr_curve(_log([]), width)
+    with pytest.raises(ValueError, match="cell_m .*at least 1e-09 m"):
+        heatmap(_log([]), width)
+
+
 def test_snr_override_changes_decisions():
     # An 18 Mbps threshold pushed to 50 dB kills most of a drive that the
     # default table happily delivers.
