@@ -39,6 +39,7 @@ from .simulator import (
     PdrCurve,
     ScenarioConfig,
     check_bin_width,
+    delivered_per_bin,
     delivery_pass,
     pdr_rmse,
     prepare_drive,
@@ -243,9 +244,10 @@ class PreparedSearch:
     the drive, its draws and the compared bins are fixed here once. A score
     needs one bit per packet, delivered or not, so under Nakagami it draws
     no power: propagation.nakagami_delivered compares each packet's uniform
-    with the gamma CDF at its threshold and inverts the CDF only for the few
-    packets within NAKAGAMI_BAND of it. nakagami_packets counts the packets
-    of the Nakagami genomes scored, exact_packets those that were inverted.
+    with bounds on the gamma CDF at its threshold and inverts the CDF only
+    for the few packets within NAKAGAMI_BAND of it. nakagami_packets counts
+    the packets of the Nakagami genomes scored, exact_packets those that
+    were inverted.
     """
 
     def __init__(self, observed: PdrCurve, trace: EnuTrace, scenario: ScenarioConfig,
@@ -278,7 +280,7 @@ class PreparedSearch:
         if fading.fast_model is FastFadingModel.NAKAGAMI:
             self.nakagami_packets += delivered.size
             self.exact_packets += exact
-        counts = np.bincount(self.drive.bin_index[delivered], minlength=self.drive.sent.size)
+        counts = delivered_per_bin(self.drive, delivered)
         compared = self.compared_bins
         return pdr_rmse(self.observed_pdr, 100.0 * counts[compared] / self.drive.sent[compared])
 

@@ -44,7 +44,8 @@ from .dataio import (
     parse_trace_csv,
     project_enu,
 )
-from .simulator import BinWidthError, Direction, heatmap, pdr_curve, run_scenario
+from .simulator import (BinCountError, BinWidthError, Direction, heatmap, pdr_curve,
+                        run_scenario)
 
 log = logging.getLogger(__name__)
 
@@ -127,9 +128,7 @@ def _write_outputs(args, config: RunConfig, documents: dict, summary: str) -> in
     return 0
 
 
-def _delivery_summary(delivery_log) -> str:
-    sent = len(delivery_log)
-    delivered = delivery_log.delivered_count()
+def _delivery_summary(sent: int, delivered: int) -> str:
     overall = 100.0 * delivered / sent if sent else 0.0
     return f"packets sent {sent}, delivered {delivered}, overall pdr {overall:.4f}%"
 
@@ -155,7 +154,7 @@ def cmd_simulate(args) -> int:
         "log.csv": export_log_csv(delivery_log),
         "pdr.csv": export_pdr_csv(curve),
         "heatmap.csv": export_heatmap_csv(grid),
-    }, _delivery_summary(delivery_log))
+    }, _delivery_summary(len(delivery_log), delivery_log.delivered_count()))
 
 
 def cmd_calibrate(args) -> int:
@@ -174,6 +173,8 @@ def cmd_calibrate(args) -> int:
                         base_radio=config.radio, base_fading=config.fading)
     except BinWidthError as exc:
         raise UsageError(f"{args.observed_pdr}: {exc} m (observed vs configured)") from None
+    except BinCountError:
+        raise
     except ValueError as exc:
         raise ValueError(f"calibrating {args.observed_pdr} on {args.trace}: {exc}") from None
 
@@ -224,8 +225,10 @@ def cmd_heatmap(args) -> int:
 def cmd_synth(args) -> int:
     config = _config(args)
     try:
-        trace, delivery_log, curve = generate_synthetic(config.synth, config.radio, config.fading,
-                                                        config.rsu, config.scenario)
+        trace, curve = generate_synthetic(config.synth, config.radio, config.fading, config.rsu,
+                                          config.scenario)
+    except BinCountError:
+        raise
     except ValueError as exc:
         raise UsageError(f"synthetic route: {exc}") from None
 
@@ -233,7 +236,8 @@ def cmd_synth(args) -> int:
         "trace.csv": export_trace_csv(trace),
         "observed_pdr.csv": export_pdr_csv(curve),
         "planted_params.txt": planted_params_text(config),
-    }, f"trace records {len(trace)}, {_delivery_summary(delivery_log)}")
+    }, f"trace records {len(trace)}, "
+       f"{_delivery_summary(int(curve.sent.sum()), int(curve.delivered.sum()))}")
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
@@ -327,6 +331,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except BinCountError as exc:
+        source = "scenario.bin_width_m" if getattr(args, "bin_width", None) is None else "--bin-width"
+        print(f"error: {source}: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -44,11 +44,12 @@ from .simulator import (
     ScenarioConfig,
     contiguity_rule,
     count_rules,
+    delivered_per_bin,
+    delivery_pass,
     isclose_array,
     link_distance_m,
-    pdr_curve,
+    prepare_drive,
     rule_errors,
-    run_scenario,
 )
 
 EARTH_RADIUS_M = 6_371_000.0
@@ -611,14 +612,17 @@ def _heading_deg(leg) -> float:
 
 def generate_synthetic(synth: SynthSection, radio: RadioParams, fading: FadingParams,
                        rsu: GeodeticPosition, scenario: ScenarioConfig):
-    """Build (Trace, DeliveryLog, PdrCurve) for a planted channel truth.
+    """Build (Trace, PdrCurve) for a planted channel truth.
 
     The trace is anchored at rsu and drives synth's route; radio and
-    fading decide every delivery. Deterministic in its arguments; the
-    simulation seed is synth.seed, so the dataset is self-contained, and
-    calibrating against the returned curve with scenario.master_seed equal
-    to synth.seed can reach zero error. Raises ValueError unless synth has
-    one leg speed per waypoint pair.
+    fading decide every delivery. The curve is pdr_curve(run_scenario(...))
+    of that trace, bit for bit, but comes from delivery_pass on the prepared
+    drive, so no power is drawn and Nakagami fading mostly needs no gamma
+    inverse. Deterministic in its arguments; the simulation seed is
+    synth.seed, so the dataset is self-contained, and calibrating against
+    the returned curve with scenario.master_seed equal to synth.seed can
+    reach zero error. Raises ValueError unless synth has one leg speed per
+    waypoint pair.
     """
     if len(synth.leg_speeds_mps) != len(synth.waypoints_enu_m) - 1:
         raise ValueError("need one leg speed per waypoint pair")
@@ -662,10 +666,11 @@ def generate_synthetic(synth: SynthSection, radio: RadioParams, fading: FadingPa
         message_code=np.full(n_samples, MESSAGE_TYPES.index(MessageType.BSM)),
         direction_code=np.full(n_samples, TRACE_DIRECTIONS.index(TraceDirection.SENT)),
     )
-    enu = project_enu(trace, rsu)
-    log = run_scenario(enu, replace(scenario, master_seed=synth.seed), radio, fading)
-    curve = pdr_curve(log, scenario.bin_width_m)
-    return trace, log, curve
+    drive = prepare_drive(project_enu(trace, rsu), replace(scenario, master_seed=synth.seed))
+    delivered, _ = delivery_pass(drive, radio, fading, scenario.snr_table())
+    edges = np.arange(drive.sent.size + 1) * scenario.bin_width_m
+    return trace, PdrCurve(scenario.bin_width_m, edges[:-1], edges[1:], drive.sent,
+                           delivered_per_bin(drive, delivered))
 
 
 # ---------------------------------------------------------------------------

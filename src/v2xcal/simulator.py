@@ -98,6 +98,25 @@ def check_width(name: str, width: float) -> None:
                          f"got {width}")
 
 
+#: Most distance bins one PDR curve or prepared drive may span: np.bincount
+#: allocates a count for every bin, so a tiny width over a long drive would
+#: ask for terabytes.
+MAX_BINS = 10**6
+
+
+class BinCountError(ValueError):
+    """A bin width would split the packets' distances into more than MAX_BINS bins."""
+
+
+def _bin_indices(distance_m: np.ndarray, bin_width_m: float) -> np.ndarray:
+    """floor(distance / bin_width) of each packet, refused above MAX_BINS bins."""
+    bins = np.floor(distance_m / bin_width_m)
+    if bins.size and bins.max() >= MAX_BINS:
+        raise BinCountError(f"{bin_width_m} m bins to {distance_m.max()} m would number "
+                            f"{int(bins.max()) + 1}, more than {MAX_BINS}")
+    return bins.astype(int)
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Replay settings: RSU antenna position, message cadences, seed, grids."""
@@ -334,8 +353,13 @@ def prepare_drive(trace: EnuTrace, scenario: ScenarioConfig) -> PreparedDrive:
                       np.random.default_rng(slow_seed).standard_normal(n),
                       np.random.default_rng(fast_seed).random(n)))
     times, codes, tx, rx, dist, normals, uniforms = (np.concatenate(c) for c in zip(*parts))
-    bins = np.floor(dist / scenario.bin_width_m).astype(int)
+    bins = _bin_indices(dist, scenario.bin_width_m)
     return PreparedDrive(times, codes, tx, rx, dist, bins, normals, uniforms, np.bincount(bins))
+
+
+def delivered_per_bin(drive: PreparedDrive, delivered: np.ndarray) -> np.ndarray:
+    """How many of each distance bin's packets were delivered, bin by bin."""
+    return np.bincount(drive.bin_index[delivered], minlength=drive.sent.size)
 
 
 def _link_m(drive: PreparedDrive) -> np.ndarray:
@@ -398,7 +422,7 @@ def pdr_curve(log: DeliveryLog, bin_width_m: float, direction: Direction | None 
     """
     check_width("bin_width_m", bin_width_m)
     keep = log.sent_in(direction)
-    idx = np.floor(log.distance_m[keep] / bin_width_m).astype(int)
+    idx = _bin_indices(log.distance_m[keep], bin_width_m)
     sent = np.bincount(idx)
     delivered = np.bincount(idx[log.delivered[keep]], minlength=sent.size)
     edges = np.arange(sent.size + 1) * bin_width_m

@@ -62,7 +62,7 @@ def small_dataset(seed=1729):
     )
     rsu = GeodeticPosition(latitude_deg=45.0, longitude_deg=-93.0)
     scenario = ScenarioConfig(master_seed=seed)
-    trace, _, curve = generate_synthetic(synth, radio, fading, rsu, scenario)
+    trace, curve = generate_synthetic(synth, radio, fading, rsu, scenario)
     return project_enu(trace, rsu), curve, scenario
 
 

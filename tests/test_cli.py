@@ -1,5 +1,6 @@
 """End-to-end command-line checks: exit codes, artifacts, determinism."""
 
+import json
 import os
 import re
 import subprocess
@@ -418,20 +419,36 @@ def test_heatmap_command_matches_simulate_output(sim_out, tmp_path):
     assert read(str(out / "heatmap.csv")) == read(str(sim_out / "heatmap.csv"))
 
 
-def test_pdr_and_heatmap_commands_never_load_scipy_special(sim_out, tmp_path):
-    # scipy.special is most of a fresh process's start-up, and only Nakagami
-    # fading needs it.
-    script = ("import sys\nfrom v2xcal.cli import main\n"
-              "for command in ('pdr', 'heatmap'):\n"
-              "    assert main([command, sys.argv[1], '--out', sys.argv[2]]) == 0\n"
+def _loads_scipy_special(*commands):
+    """Whether a fresh process that runs each argv list through main imports scipy.special."""
+    script = ("import json, sys\nfrom v2xcal.cli import main\n"
+              "for argv in json.loads(sys.argv[1]):\n"
+              "    assert main(argv) == 0\n"
               "print('scipy.special' in sys.modules)\n")
     src = os.path.dirname(os.path.dirname(v2xcal.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    proc = subprocess.run([sys.executable, "-c", script, str(sim_out / "log.csv"),
-                           str(tmp_path)], capture_output=True, text=True, env=env, check=True)
-    assert proc.stdout.splitlines()[-1] == "False"
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(commands)],
+                          capture_output=True, text=True, env=env, check=True)
+    return proc.stdout.splitlines()[-1] == "True"
+
+
+def test_pdr_and_heatmap_commands_never_load_scipy_special(dataset, sim_out, tmp_path):
+    # scipy.special is most of a fresh process's start-up, and only drawn
+    # powers need it: pdr and heatmap read theirs from the log, and synth and
+    # calibrate decide Nakagami deliveries from bounds on the gamma CDF.
+    log, synth, cal = str(sim_out / "log.csv"), tmp_path / "synth", tmp_path / "cal"
+    assert not _loads_scipy_special(
+        ["pdr", log, "--out", str(tmp_path)], ["heatmap", log, "--out", str(tmp_path)],
+        ["synth", dataset["spec"], "--preset", "calibrated", "--out", str(synth)],
+        ["calibrate", str(synth / "observed_pdr.csv"), str(synth / "trace.csv"),
+         "--population", "4", "--generations", "2", "--freeze", "fast_model=nakagami",
+         "--out", str(cal)])
     assert (tmp_path / "pdr.csv").exists() and (tmp_path / "heatmap.csv").exists()
+    assert "nakagami" in read(str(cal / "history.csv"))
+    # simulate logs every drawn power, so it does load scipy.special.
+    assert _loads_scipy_special(["simulate", dataset["trace"], "--preset", "calibrated",
+                                 "--out", str(tmp_path / "sim")])
 
 
 def test_pdr_command_direction_filter(sim_out, tmp_path):
@@ -540,6 +557,24 @@ def test_sub_resolution_width_is_usage_error(sim_out, tmp_path, capsys, command,
     out = tmp_path / "o"
     assert main([command, str(sim_out / "log.csv"), flag, "1e-300", "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith(f"error: {flag}: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["pdr", "simulate", "calibrate", "synth"])
+def test_bin_width_of_too_many_bins_is_usage_error(dataset, sim_out, tmp_path, capsys, command):
+    # np.bincount allocated one count per bin and died asking for terabytes.
+    observed, config = tmp_path / "observed.csv", tmp_path / "width.txt"
+    observed.write_text(export_pdr_csv(PdrCurve(1e-9, [0.0], [1e-9], [1], [1])), encoding="utf-8")
+    config.write_text("scenario.bin_width_m = 1e-9\n", encoding="utf-8")
+    argv = {"pdr": [str(sim_out / "log.csv"), "--bin-width", "1e-9"],
+            "simulate": [dataset["trace"], "--bin-width", "1e-9"],
+            "calibrate": [str(observed), dataset["trace"], "--bin-width", "1e-9"],
+            "synth": [dataset["spec"], "--config", str(config)]}[command]
+    source = "scenario.bin_width_m" if command == "synth" else "--bin-width"
+    out = tmp_path / "o"
+    assert main([command, *argv, "--out", str(out)]) == 2
+    assert re.fullmatch(rf"error: {source}: 1e-09 m bins to [\d.]+ m would number \d{{12}}, "
+                        r"more than 1000000\n", capsys.readouterr().err)
     assert not out.exists()
 
 

@@ -371,17 +371,30 @@ def synthesize(synth, scenario=None, rsu=RSU):
 
 def test_synthetic_is_deterministic():
     scenario = ScenarioConfig()
-    t1, l1, c1 = synthesize(synthetic_spec(), scenario)
-    t2, l2, c2 = synthesize(synthetic_spec(), scenario)
+    t1, c1 = synthesize(synthetic_spec(), scenario)
+    t2, c2 = synthesize(synthetic_spec(), scenario)
     assert _columns(t1) == _columns(t2)
-    assert _columns(l1) == _columns(l2)
     assert export_pdr_csv(c1) == export_pdr_csv(c2)
 
 
+@pytest.mark.parametrize("fast_model", list(FastFadingModel))
+def test_synthetic_curve_is_the_simulated_log_curve(fast_model):
+    # The curve is decided without drawing powers; simulating the same trace
+    # at the synth seed must bin the drawn powers into the same bytes.
+    fading = FadingParams(slow_model=SlowFadingModel.LOGNORMAL, fast_model=fast_model,
+                          alpha=2.2, sigma_db=4.0, nakagami_m=1.5)
+    scenario = ScenarioConfig(master_seed=5, bin_width_m=25.0)
+    synth = synthetic_spec()
+    trace, curve = generate_synthetic(synth, RADIO, fading, RSU, scenario)
+    log = run_scenario(project_enu(trace, RSU), ScenarioConfig(master_seed=synth.seed,
+                                                              bin_width_m=25.0), RADIO, fading)
+    assert export_pdr_csv(curve) == export_pdr_csv(pdr_curve(log, 25.0))
+
+
 def test_synthetic_trace_shape():
-    trace, log, curve = synthesize(synthetic_spec())
+    trace, curve = synthesize(synthetic_spec())
     assert len(trace) == 401  # 40 s at 10 Hz inclusive of t=0
-    assert len(log) == 800    # two directions at 10 Hz for 40 s
+    assert curve.sent.sum() == 800    # two directions at 10 Hz for 40 s
     # The drive is west to east at constant speed.
     enu = project_enu(trace, RSU)
     assert enu.x_m[0] == pytest.approx(-400.0, abs=0.01)
@@ -394,7 +407,7 @@ def test_synthetic_trace_shape():
 def test_synthetic_vehicle_parks_at_route_end():
     spec = synthetic_spec(waypoints_enu_m=((0.0, 0.0, 0.0), (100.0, 0.0, 0.0)),
                           leg_speeds_mps=(10.0,), duration_s=20.0)
-    trace, _, _ = synthesize(spec)
+    trace, _ = synthesize(spec)
     enu = project_enu(trace, RSU)
     assert enu.x_m[-1] == pytest.approx(100.0, abs=0.01)  # parked at the end
     assert trace.speed_mph[-1] == 0.0
@@ -404,7 +417,7 @@ def test_synthetic_vehicle_parks_at_route_end():
 def test_synthetic_pdr_decays_with_distance():
     spec = synthetic_spec(waypoints_enu_m=((-1500.0, 8.0, 0.0), (1500.0, 8.0, 0.0)),
                           leg_speeds_mps=(13.4,), duration_s=220.0)
-    _, _, curve = synthesize(spec)
+    _, curve = synthesize(spec)
     seen = curve.sent > 0
     pdr = dict(zip(curve.bin_start_m[seen].tolist(), curve.pdr_pct[seen].tolist()))
     near = np.mean([pdr[k] for k in sorted(pdr)[:3]])
@@ -479,7 +492,7 @@ def _routes(draw):
 @given(route=_routes())
 def test_synthetic_trace_matches_the_per_sample_route(route):
     synth, rsu = route
-    trace, _, _ = synthesize(synth, rsu=rsu)
+    trace, _ = synthesize(synth, rsu=rsu)
     assert export_trace_csv(trace) == oracles.synthetic_trace_csv(synth, rsu)
 
 

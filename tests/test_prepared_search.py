@@ -61,7 +61,7 @@ def _drive(half_length_m):
     synth = SynthSection(waypoints_enu_m=((-half_length_m, 8.0, 0.0), (half_length_m, 8.0, 0.0)),
                          leg_speeds_mps=(13.4,), duration_s=2 * half_length_m / 13.4,
                          seed=SCENARIO.master_seed)
-    trace, _, curve = generate_synthetic(synth, radio, fading, RSU, SCENARIO)
+    trace, curve = generate_synthetic(synth, radio, fading, RSU, SCENARIO)
     return project_enu(trace, RSU), curve
 
 
@@ -198,13 +198,14 @@ def test_nakagami_search_inverts_only_band_packets(monkeypatch, caplog):
                       frozen_genes=(("fast_model", FastFadingModel.NAKAGAMI),))
     history = evolve(config, OBSERVED, ENU, SCENARIO).history
     scored = {r.genome for r in history if r.rmse != INFEASIBLE_RMSE}
-    assert len(sizes) == len(scored) > 2 * config.population_size
-    assert max(sizes) < DRIVE.uniforms.size // 100
+    assert len(scored) > 2 * config.population_size
+    # The exact chain runs only for a score that has band packets to invert.
+    assert all(0 < size < DRIVE.uniforms.size // 100 for size in sizes)
     counts = [re.search(r"exact decisions (\d+)/(\d+) packets", r.getMessage()).groups()
               for r in caplog.records if r.levelno == logging.INFO]
     assert len(counts) == config.generations
     assert sum(int(k) for k, _ in counts) == sum(sizes)
-    assert sum(int(n) for _, n in counts) == len(sizes) * DRIVE.uniforms.size
+    assert sum(int(n) for _, n in counts) == len(scored) * DRIVE.uniforms.size
 
 
 @pytest.mark.parametrize("change, message", [

@@ -9,7 +9,9 @@ from scipy import special, stats
 
 from v2xcal.propagation import (
     LOG_DECIMALS,
+    NAKAGAMI_BAND,
     REASONS,
+    SERIES_TERMS,
     SNR_THRESHOLDS_DB,
     SPEED_OF_LIGHT_M_S,
     DeliveryReason,
@@ -19,6 +21,7 @@ from v2xcal.propagation import (
     SlowFadingModel,
     deterministic_gain_db,
     free_space_rx_power,
+    gamma_cdf_bounds,
     log_distance_rx_power,
     lognormal_rx_power,
     nakagami_power_sample,
@@ -325,6 +328,53 @@ def test_deterministic_gain_default_radio():
     got = deterministic_gain_db(DEFAULT_RADIO, DEFAULT_FADING, 1.0)
     assert got == pytest.approx(-47.86, abs=0.05)
     assert got < 0.0
+
+
+#: The float slack within which nakagami_delivered states gamma_cdf_bounds hold.
+BOUND_SLACK = 1e-9
+
+
+@st.composite
+def shapes_and_points(draw):
+    """m log-uniform in [0.5, 1e4] and x across decades, at the edges of the
+    float range, and about m - 1, m and m + 1, where the bounds change form."""
+    m = math.exp(draw(st.floats(math.log(0.5), math.log(1e4))))
+    near = st.tuples(st.sampled_from([m - 1.0, m, m + 1.0]), st.floats(-1e-6, 1e-6)).map(
+        lambda p: max(0.0, p[0] * (1.0 + p[1]) + p[1]))
+    points = st.one_of(st.floats(-12.0, 6.0).map(lambda k: m * 10.0**k),
+                       st.sampled_from([0.0, 5e-324, 1e-310, math.inf, math.nan]), near)
+    return m, np.array(draw(st.lists(points, min_size=1, max_size=12)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=shapes_and_points())
+def test_gamma_cdf_bounds_contain_the_cdf(case):
+    m, x = case
+    p, known = special.gammainc(m, x), ~np.isnan(x)
+    for terms in SERIES_TERMS:
+        lo, hi = gamma_cdf_bounds(m, x, terms)
+        # Only a nan x has nan bounds, which decide nothing.
+        assert np.array_equal(np.isnan(lo), ~known) and np.array_equal(np.isnan(hi), ~known)
+        assert np.all(lo[known] - BOUND_SLACK <= p[known])
+        assert np.all(p[known] <= hi[known] + BOUND_SLACK)
+    # The last refinement leaves no packet wide: none takes the exact chain for want of terms.
+    assert np.all(hi[known] - lo[known] < NAKAGAMI_BAND)
+
+
+@pytest.mark.parametrize("m", [0.5, 0.9, 1.0, 2.0, 1e4])
+def test_gamma_cdf_bounds_at_the_ends(m):
+    for terms in SERIES_TERMS:
+        lo, hi = gamma_cdf_bounds(m, np.array([0.0, math.inf]), terms)
+        assert lo.tolist() == hi.tolist() == [0.0, 1.0]
+
+
+def test_gamma_cdf_bounds_do_not_depend_on_the_batch():
+    # A batch too big for one term matrix is split; each x keeps its bounds.
+    x = 2.0 * 10.0 ** np.linspace(-3.0, 3.0, 600)
+    whole = gamma_cdf_bounds(2.0, x, SERIES_TERMS[-1])
+    halves = [gamma_cdf_bounds(2.0, part, SERIES_TERMS[-1]) for part in (x[:300], x[300:])]
+    for bound, parts in zip(whole, zip(*halves)):
+        assert np.array_equal(bound, np.concatenate(parts))
 
 
 def test_deterministic_gain_positive_when_antennas_amplify():
