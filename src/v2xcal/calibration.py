@@ -27,6 +27,8 @@ from time import perf_counter
 import numpy as np
 
 from .propagation import (
+    LOG_DECIMALS,
+    SUPPORTED_DATA_RATES_MBPS,
     FadingParams,
     FastFadingModel,
     RadioParams,
@@ -50,10 +52,6 @@ from .simulator import pdr_curve, rmse, run_scenario  # noqa: F401
 log = logging.getLogger(__name__)
 
 INFEASIBLE_RMSE = 1000.0
-
-#: Decimal places kept on genes and scores so history CSVs are lossless.
-_GENE_DECIMALS = 9
-
 
 #: The genes that set RadioParams fields; the other six set FadingParams fields.
 _RADIO_GENES = ("tx_power_mw", "data_rate_mbps", "noise_floor_dbm", "rx_sensitivity_dbm")
@@ -149,7 +147,7 @@ PRESET_GENOMES = {
 #: tuple for every other gene.
 SEARCH_SPACE = {
     "tx_power_mw": (20.0, 40.0),
-    "data_rate_mbps": (6, 12, 18, 27),
+    "data_rate_mbps": SUPPORTED_DATA_RATES_MBPS,
     "noise_floor_dbm": (-110.0, -90.0),
     "rx_sensitivity_dbm": (-120.0, -90.0),
     "slow_model": (SlowFadingModel.FREE_SPACE, SlowFadingModel.LOGNORMAL),
@@ -229,12 +227,15 @@ class CalibrationResult:
 
 
 def _quantize(value: float) -> float:
-    return round(float(value), _GENE_DECIMALS)
+    """Round a gene or score to the decimals the history CSV carries, so it round-trips."""
+    return round(float(value), LOG_DECIMALS)
 
 
-def _quantize_genome(genome: Genome) -> Genome:
-    updates = {name: _quantize(getattr(genome, name)) for name in CONTINUOUS_GENES}
-    return replace(genome, **updates)
+def _settle(genes: dict, frozen: tuple) -> Genome:
+    """A slot's genome: the frozen genes pinned, then the continuous genes quantized."""
+    genes = {**genes, **dict(frozen)}
+    return Genome(**{name: _quantize(value) if name in CONTINUOUS_GENES else value
+                     for name, value in genes.items()})
 
 
 class PreparedSearch:
@@ -314,20 +315,14 @@ def _slot_rng(master_seed: int, generation: int, individual: int) -> np.random.G
     return np.random.default_rng(np.random.SeedSequence((master_seed, generation, individual)))
 
 
-def _apply_frozen(genome: Genome, frozen: tuple) -> Genome:
-    if not frozen:
-        return genome
-    return replace(genome, **dict(frozen))
+def _by_score(scores):
+    """The GA's one order on slots: lower score first, lower slot on a tie."""
+    return lambda slot: (scores[slot], slot)
 
 
 def _tournament(rng, scores, tournament_size: int) -> int:
     entrants = rng.integers(0, len(scores), size=tournament_size)
-    best = int(entrants[0])
-    for raw in entrants[1:]:
-        i = int(raw)
-        if scores[i] < scores[best] or (scores[i] == scores[best] and i < best):
-            best = i
-    return best
+    return min(map(int, entrants), key=_by_score(scores))
 
 
 def _make_child(rng, population, scores, config: GaConfig) -> Genome:
@@ -350,7 +345,7 @@ def _make_child(rng, population, scores, config: GaConfig) -> Genome:
             child[name] = float(np.clip(child[name] + step, lo, hi))
         else:
             child[name] = span[rng.integers(len(span))]
-    return _quantize_genome(_apply_frozen(Genome(**child), config.frozen_genes))
+    return _settle(child, config.frozen_genes)
 
 
 def evolve(
@@ -370,21 +365,17 @@ def evolve(
     (master_seed, g, i): generation 0 by uniform sampling, later ones by
     tournament selection, uniform crossover, and clamped Gaussian mutation.
     Frozen genes are overridden after every variation step, which leaves
-    the other genes' draws untouched. The search runs in this process;
-    config.jobs is validated but changes nothing.
+    the other genes' draws untouched. Tournaments and elites rank slots by
+    lower score, then lower slot; the best genome is the first history row
+    at the lowest score. The search runs in this process; config.jobs is
+    validated but changes nothing.
     """
     search = PreparedSearch(observed, trace, scenario, base_radio, base_fading)
 
-    population = [
-        _quantize_genome(
-            _apply_frozen(_sample(_slot_rng(config.master_seed, 0, i)), config.frozen_genes)
-        )
-        for i in range(config.population_size)
-    ]
+    population = [_settle(_sample(_slot_rng(config.master_seed, 0, i)).as_dict(),
+                          config.frozen_genes) for i in range(config.population_size)]
 
     history = []
-    best_genome = None
-    best_rmse = math.inf
     score_by_genome = {}
     for gen in range(config.generations):
         start, scored, packets, exact = (perf_counter(), len(score_by_genome),
@@ -396,9 +387,6 @@ def evolve(
         scores = [score_by_genome[g] for g in population]
         for i, (genome, score) in enumerate(zip(population, scores)):
             history.append(HistoryRecord(generation=gen, individual=i, genome=genome, rmse=score))
-            if score < best_rmse:
-                best_rmse = score
-                best_genome = genome
         log.info("generation %d: best rmse %.6f, median %.6f, infeasible %d, %.0f evaluations/s, "
                  "score memo hits %d/%d, exact decisions %d/%d packets", gen, min(scores),
                  float(np.median(scores)), scores.count(INFEASIBLE_RMSE),
@@ -407,16 +395,18 @@ def evolve(
                  search.exact_packets - exact, search.nakagami_packets - packets)
         if gen == config.generations - 1:
             break
-        ranked = sorted(range(len(population)), key=lambda i: (scores[i], i))
+        ranked = sorted(range(len(population)), key=_by_score(scores))
         elites = [population[i] for i in ranked[: config.elite_count]]
         children = [_make_child(_slot_rng(config.master_seed, gen + 1, slot),
                                 population, scores, config)
                     for slot in range(config.elite_count, config.population_size)]
         population = elites + children
 
+    # min keeps the first of equal rows: the earliest generation, then the lowest slot.
+    best = min(history, key=lambda record: record.rmse)
     return CalibrationResult(
-        best_genome=best_genome,
-        best_rmse=best_rmse,
+        best_genome=best.genome,
+        best_rmse=best.rmse,
         history=history,
         evaluations=len(history),
     )

@@ -26,7 +26,7 @@ FOUR_PI = 4.0 * math.pi
 #: Typical figures for 802.11p-class OFDM receivers in a 10 MHz channel.
 SNR_THRESHOLDS_DB = {6: 5.0, 12: 11.0, 18: 15.0, 27: 20.0}
 
-SUPPORTED_DATA_RATES_MBPS = (6, 12, 18, 27)
+SUPPORTED_DATA_RATES_MBPS = tuple(SNR_THRESHOLDS_DB)
 
 #: Decimal places kept on logged floats so CSV round trips are lossless. The
 #: reception rule sees received power at this precision, as the log holds it.

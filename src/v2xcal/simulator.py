@@ -17,8 +17,9 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .propagation import (DELIVERED, LOG_DECIMALS, FadingParams, FastFadingModel, RadioParams,
-                          nakagami_delivered, nakagami_rx_power, reception_codes, slow_rx_power)
+from .propagation import (DELIVERED, LOG_DECIMALS, SUPPORTED_DATA_RATES_MBPS, FadingParams,
+                          FastFadingModel, RadioParams, nakagami_delivered, nakagami_rx_power,
+                          reception_codes, slow_rx_power)
 # Not called here: bench/tracing.py times these two under the v2xcal.simulator names.
 from .propagation import log_distance_rx_power, nakagami_power_sample  # noqa: F401
 
@@ -129,7 +130,7 @@ class ScenarioConfig:
     bin_width_m: float = 20.0
     heatmap_cell_m: float = 20.0
     master_seed: int = 1729
-    snr_thresholds_db: tuple | None = None  # ((rate, dB), ...) override, else defaults
+    snr_thresholds_db: tuple | None = None  # ((rate, dB), ...) for every rate, else defaults
 
     def __post_init__(self):
         if not (0.0 < self.bsm_rate_hz < math.inf and 0.0 < self.spat_rate_hz < math.inf):
@@ -141,6 +142,14 @@ class ScenarioConfig:
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not isinstance(self.master_seed, int) or self.master_seed < 0:
             raise ValueError(f"master_seed must be a non-negative integer, got {self.master_seed!r}")
+        table = self.snr_thresholds_db
+        if table is not None and not (
+                all(isinstance(row, tuple) and len(row) == 2 for row in table)
+                and tuple(rate for rate, _ in table) == SUPPORTED_DATA_RATES_MBPS
+                and all(isinstance(rate, int) and isinstance(db, (int, float)) and math.isfinite(db)
+                        for rate, db in table)):
+            raise ValueError(f"snr_thresholds_db must hold one finite threshold per data rate "
+                             f"{SUPPORTED_DATA_RATES_MBPS}, in that order, got {table!r}")
 
     def snr_table(self) -> dict | None:
         return dict(self.snr_thresholds_db) if self.snr_thresholds_db is not None else None

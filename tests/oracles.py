@@ -7,7 +7,8 @@ two is meaningful evidence rather than a tautology. The synthetic route has
 a scalar reference too: one sample at a time, with plain floats, and so do
 the four CSV exports: one row at a time through csv.writer, one "{:.9f}"
 call per float. So do the four CSV parsers: one record at a time through
-csv.reader, one float() per number and one dict lookup per word.
+csv.reader, one float() per number and one dict lookup per word. The GA
+tournament has one too: a loop over its entrants.
 """
 
 from __future__ import annotations
@@ -438,3 +439,15 @@ def parse_heatmap_csv(text: str) -> HeatmapGrid:
         *HeatmapGrid.rules(x, y, sent, delivered),
     ])
     return HeatmapGrid(cell_m, x, y, sent, delivered)
+
+
+def loop_tournament(rng, scores, tournament_size: int) -> int:
+    """calibration._tournament as a hand-written loop over the entrants:
+    a lower score wins, and so does a lower slot on an equal score."""
+    entrants = rng.integers(0, len(scores), size=tournament_size)
+    best = int(entrants[0])
+    for raw in entrants[1:]:
+        i = int(raw)
+        if scores[i] < scores[best] or (scores[i] == scores[best] and i < best):
+            best = i
+    return best

@@ -7,6 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from v2xcal.calibration import (
     CONTINUOUS_GENES,
@@ -258,6 +259,16 @@ def test_tournament_breaks_ties_by_lowest_index():
         assert winner == min(entrants)
 
 
+@settings(max_examples=300, deadline=None)
+@given(scores=st.lists(st.sampled_from([0.0, 2.5, 2.5000000001, 1000.0]), min_size=1, max_size=12),
+       tournament_size=st.integers(2, 6), seed=st.integers(0, 2**32 - 1))
+def test_tournament_is_the_loop_over_its_entrants(scores, tournament_size, seed):
+    rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert (_tournament(rng, scores, tournament_size)
+            == oracles.loop_tournament(reference, scores, tournament_size))
+    assert rng.bit_generator.state == reference.bit_generator.state
+
+
 # ---------------------------------------------------------------------------
 # evolution
 # ---------------------------------------------------------------------------
@@ -296,6 +307,30 @@ def test_elitism_keeps_best_score_monotone():
     assert per_gen_best == sorted(per_gen_best, reverse=True) or all(
         b <= a + 1e-12 for a, b in zip(per_gen_best, per_gen_best[1:])
     )
+
+
+def test_ties_go_to_the_earliest_row_and_the_lowest_slot():
+    # Under the free-space stage without fast fading, sigma_db and nakagami_m
+    # set nothing; with the noise floor at -90 dBm and 18 Mbps, noise plus
+    # SNR threshold (-75 dBm) also outbids any rx_sensitivity_dbm. Genomes
+    # that differ only in those genes are distinct but score the same.
+    enu, curve, scenario = small_dataset()
+    config = GaConfig(population_size=8, generations=6, master_seed=12, elite_count=2,
+                      frozen_genes=(("slow_model", SlowFadingModel.FREE_SPACE),
+                                    ("fast_model", FastFadingModel.NONE),
+                                    ("noise_floor_dbm", -90.0), ("data_rate_mbps", 18)))
+    result = evolve(config, curve, enu, scenario)
+    at_best = [r for r in result.history if r.rmse == result.best_rmse]
+    assert len({r.genome for r in at_best}) > 1
+    assert result.best_genome == at_best[0].genome
+    generations = [[r for r in result.history if r.generation == g] for g in range(6)]
+    ties = 0
+    for previous, current in zip(generations, generations[1:]):
+        ranked = sorted(previous, key=lambda r: (r.rmse, r.individual))
+        assert [r.genome for r in current[:2]] == [r.genome for r in ranked[:2]]
+        ties += ranked[0].rmse == ranked[1].rmse and ranked[0].genome != ranked[1].genome
+    # Some elite pair was a tie of distinct genomes, settled by the slot.
+    assert ties
 
 
 def test_children_respect_bounds_under_max_mutation():

@@ -114,6 +114,30 @@ def test_snr_override_materializes_full_table():
     assert RunConfig().scenario.snr_thresholds_db is None
 
 
+@pytest.mark.parametrize("table", [
+    # The reader would fill in 12-27 Mbps, and a search would die at its
+    # first 18 Mbps genome.
+    ((6, 5.0),),
+    ((6, float("nan")), (7, 1.0)),
+    ((6, 5.0), (12, 11.0), (18, 15.0), (27, float("inf"))),
+    ((6, 5.0), (12, 11.0), (18, 15.0), (27, 20.0), (54, 25.0)),
+    ((12, 11.0), (6, 5.0), (18, 15.0), (27, 20.0)),
+    ((6.0, 5.0), (12, 11.0), (18, 15.0), (27, 20.0)),
+    ((6, 5.0, 1.0), (12, 11.0, 1.0), (18, 15.0, 1.0), (27, 20.0, 1.0)),
+    ((6, "5.0"), (12, 11.0), (18, 15.0), (27, 20.0)),
+    (),
+])
+def test_scenario_refuses_an_snr_table_it_cannot_round_trip(table):
+    with pytest.raises(ValueError, match="snr_thresholds_db"):
+        ScenarioConfig(snr_thresholds_db=table)
+
+
+def test_a_full_snr_table_round_trips():
+    table = tuple(zip(SUPPORTED_DATA_RATES_MBPS, (4.5, 10.0, -3.0, 21.25)))
+    config = RunConfig(scenario=ScenarioConfig(snr_thresholds_db=table))
+    assert parse_config(render_config(config)) == config
+
+
 def test_layering_overrides_only_named_keys():
     base = parse_config("radio.tx_power_mw = 25.0\nfading.alpha = 2.2\n")
     layered = parse_config("fading.alpha = 1.7\n", base=base)

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special
 
+from v2xcal import calibration
 from v2xcal.calibration import (
     CONTINUOUS_GENES,
     INFEASIBLE_RMSE,
@@ -185,7 +186,25 @@ def test_uniforms_in_the_band_take_the_exact_chain(monkeypatch):
 
 
 def test_nakagami_search_inverts_only_band_packets(monkeypatch, caplog):
+    # Every gene that sets the channel is frozen to one Nakagami genome, so
+    # each packet's c_k is known. The free genes are idle: sigma_db under the
+    # free-space slow stage, and rx_sensitivity_dbm below the -75 dBm that
+    # noise floor plus the 18 Mbps SNR threshold set. A few uniforms are
+    # planted within NAKAGAMI_BAND / 10 of c_k, so every score inverts them.
     caplog.set_level(logging.INFO, logger="v2xcal.calibration")
+    genome = replace(calibrated_genome(), slow_model=SlowFadingModel.FREE_SPACE)
+    radio, fading = genome.to_params()
+    c = _threshold_uniforms(DRIVE, radio, fading)
+    inside = np.flatnonzero((c > NAKAGAMI_BAND) & (c < 1.0 - NAKAGAMI_BAND))
+    planted = inside[::max(1, inside.size // 5)][:5]
+    prepare = calibration.prepare_drive
+
+    def planting(trace, scenario):
+        drive = prepare(trace, scenario)
+        u = drive.uniforms.copy()
+        u[planted] = c[planted] + np.linspace(-0.05, 0.05, planted.size) * NAKAGAMI_BAND
+        return replace(drive, uniforms=u)
+
     sizes = []
     inverse = special.gammaincinv
 
@@ -193,14 +212,18 @@ def test_nakagami_search_inverts_only_band_packets(monkeypatch, caplog):
         sizes.append(np.size(uniforms))
         return inverse(m, uniforms)
 
+    monkeypatch.setattr(calibration, "prepare_drive", planting)
     monkeypatch.setattr(special, "gammaincinv", spy)
-    config = GaConfig(population_size=6, generations=10, master_seed=3,
-                      frozen_genes=(("fast_model", FastFadingModel.NAKAGAMI),))
+    config = GaConfig(population_size=6, generations=10, master_seed=3, mutation_prob_per_gene=1.0,
+                      frozen_genes=tuple((name, value) for name, value in genome.as_dict().items()
+                                         if name not in ("sigma_db", "rx_sensitivity_dbm")))
     history = evolve(config, OBSERVED, ENU, SCENARIO).history
     scored = {r.genome for r in history if r.rmse != INFEASIBLE_RMSE}
-    assert len(scored) > 2 * config.population_size
-    # The exact chain runs only for a score that has band packets to invert.
-    assert all(0 < size < DRIVE.uniforms.size // 100 for size in sizes)
+    assert planted.size == 5 and len(scored) > 2 * config.population_size
+    # The exact chain runs only for a score that has band packets to invert,
+    # and every score here has the planted ones.
+    assert len(sizes) == len(scored)
+    assert all(0 < planted.size <= size < DRIVE.uniforms.size // 100 for size in sizes)
     counts = [re.search(r"exact decisions (\d+)/(\d+) packets", r.getMessage()).groups()
               for r in caplog.records if r.levelno == logging.INFO]
     assert len(counts) == config.generations
