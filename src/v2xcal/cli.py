@@ -323,10 +323,14 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
 
-    level = logging.WARNING - 10 * min(args.verbose, 2)
-    logging.basicConfig(stream=sys.stderr, level=level,
-                        format="%(levelname)s %(name)s: %(message)s", force=True)
-
+    # The package's log lines go to this call's stderr, and only during it: a
+    # handler left behind would hold a stream its caller may since have closed.
+    package_log, handler = logging.getLogger("v2xcal"), logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    handler.setLevel(logging.WARNING - 10 * min(args.verbose, 2))
+    level = package_log.level
+    package_log.addHandler(handler)
+    package_log.setLevel(handler.level)
     try:
         return args.func(args)
     except UsageError as exc:
@@ -339,6 +343,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        package_log.removeHandler(handler)
+        package_log.setLevel(level)
 
 
 def entrypoint() -> None:

@@ -443,15 +443,20 @@ def heatmap(log: DeliveryLog, cell_m: float, direction: Direction | None = None)
     check_width("cell_m", cell_m)
     keep = log.sent_in(direction)
     # The vehicle is the transmitter of a vehicle-to-RSU packet, else the receiver.
-    v2r = log.direction_code[keep] == Direction.VEHICLE_TO_RSU.stream_code
-    vehicle = np.where(v2r[:, None], log.tx_position_m[keep], log.rx_position_m[keep])
-    keys = np.floor(vehicle[:, :2] / cell_m).astype(np.int64)
-    cell_keys, inverse = np.unique(keys, axis=0, return_inverse=True)
-    inverse = inverse.ravel()
+    v2r = log.direction_code == Direction.VEHICLE_TO_RSU.stream_code
+    vehicle = np.where(v2r[:, None], log.tx_position_m[:, :2], log.rx_position_m[:, :2])[keep]
+    kx, ky = np.floor(vehicle / cell_m).astype(np.int64).T
+    # Cells in (kx, ky) order: each run of equal keys in the sorted order is one cell.
+    order = np.lexsort((ky, kx))
+    kx, ky = kx[order], ky[order]
+    starts = np.ones(order.size, dtype=bool)
+    starts[1:] = (kx[1:] != kx[:-1]) | (ky[1:] != ky[:-1])
+    inverse = np.empty(order.size, dtype=np.intp)
+    inverse[order] = np.cumsum(starts) - 1
     sent = np.bincount(inverse)
     delivered = np.bincount(inverse[log.delivered[keep]], minlength=sent.size)
-    centers = (cell_keys + 0.5) * cell_m
-    return HeatmapGrid(cell_m, centers[:, 0], centers[:, 1], sent, delivered)
+    return HeatmapGrid(cell_m, (kx[starts] + 0.5) * cell_m, (ky[starts] + 0.5) * cell_m,
+                       sent, delivered)
 
 
 class BinWidthError(ValueError):

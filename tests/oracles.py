@@ -8,7 +8,8 @@ a scalar reference too: one sample at a time, with plain floats, and so do
 the four CSV exports: one row at a time through csv.writer, one "{:.9f}"
 call per float. So do the four CSV parsers: one record at a time through
 csv.reader, one float() per number and one dict lookup per word. The GA
-tournament has one too: a loop over its entrants.
+tournament has one too: a loop over its entrants. The heatmap's cells have
+one from np.unique over the rows of cell keys.
 """
 
 from __future__ import annotations
@@ -241,6 +242,20 @@ def pdr_csv(curve) -> str:
         for start, end, sent, delivered, pct in zip(
             curve.bin_start_m.tolist(), curve.bin_end_m.tolist(), curve.sent.tolist(),
             curve.delivered.tolist(), curve.pdr_pct.tolist())))
+
+
+def heatmap(log: DeliveryLog, cell_m: float, direction=None) -> HeatmapGrid:
+    """simulator.heatmap with its cells from np.unique over the (kx, ky) rows."""
+    keep = log.sent_in(direction)
+    v2r = log.direction_code[keep] == Direction.VEHICLE_TO_RSU.stream_code
+    vehicle = np.where(v2r[:, None], log.tx_position_m[keep], log.rx_position_m[keep])
+    keys = np.floor(vehicle[:, :2] / cell_m).astype(np.int64)
+    cell_keys, inverse = np.unique(keys, axis=0, return_inverse=True)
+    inverse = inverse.ravel()
+    sent = np.bincount(inverse)
+    delivered = np.bincount(inverse[log.delivered[keep]], minlength=sent.size)
+    centers = (cell_keys + 0.5) * cell_m
+    return HeatmapGrid(cell_m, centers[:, 0], centers[:, 1], sent, delivered)
 
 
 def heatmap_csv(grid) -> str:

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special
 
-from v2xcal import calibration
+from v2xcal import calibration, propagation
 from v2xcal.calibration import (
     CONTINUOUS_GENES,
     INFEASIBLE_RMSE,
@@ -171,13 +171,13 @@ def test_uniforms_in_the_band_take_the_exact_chain(monkeypatch):
     u[planted] = np.tile([0.0, 0.5, -0.5], 20)[:planted.size] * NAKAGAMI_BAND + c[planted]
     drive = replace(DRIVE, uniforms=u)
     sizes = []
-    inverse = special.gammaincinv
+    inverse = propagation.unit_gamma_draws
 
     def spy(m, uniforms):
         sizes.append(np.size(uniforms))
         return inverse(m, uniforms)
 
-    monkeypatch.setattr(special, "gammaincinv", spy)
+    monkeypatch.setattr(propagation, "unit_gamma_draws", spy)
     delivered, exact = delivery_pass(drive, radio, fading)
     assert planted.size == 60 and exact >= planted.size and sizes == [exact]
     # Both outcomes occur among the planted packets, so the band decides both ways.
@@ -206,14 +206,14 @@ def test_nakagami_search_inverts_only_band_packets(monkeypatch, caplog):
         return replace(drive, uniforms=u)
 
     sizes = []
-    inverse = special.gammaincinv
+    inverse = propagation.unit_gamma_draws
 
     def spy(m, uniforms):
         sizes.append(np.size(uniforms))
         return inverse(m, uniforms)
 
     monkeypatch.setattr(calibration, "prepare_drive", planting)
-    monkeypatch.setattr(special, "gammaincinv", spy)
+    monkeypatch.setattr(propagation, "unit_gamma_draws", spy)
     config = GaConfig(population_size=6, generations=10, master_seed=3, mutation_prob_per_gene=1.0,
                       frozen_genes=tuple((name, value) for name, value in genome.as_dict().items()
                                          if name not in ("sigma_db", "rx_sensitivity_dbm")))

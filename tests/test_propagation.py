@@ -7,9 +7,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import special, stats
 
+from v2xcal import propagation
 from v2xcal.propagation import (
+    GAMMA_INVERSE_STEPS,
     LOG_DECIMALS,
     NAKAGAMI_BAND,
+    NAKAGAMI_BAND_MAX_M,
     REASONS,
     SERIES_TERMS,
     SNR_THRESHOLDS_DB,
@@ -29,6 +32,7 @@ from v2xcal.propagation import (
     snr_threshold_db,
     to_db,
     to_linear,
+    unit_gamma_draws,
 )
 from v2xcal.simulator import EnuTrace, PreparedDrive, ScenarioConfig, channel_pass, prepare_drive
 
@@ -227,6 +231,66 @@ def test_nakagami_rejects_bad_inputs():
         nakagami_power_sample(-1.0, 1.0, rng)
     with pytest.raises(ValueError):
         nakagami_power_sample(1.0, 0.3, rng)
+
+
+# ---------------------------------------------------------------------------
+# gamma inverse: unit_gamma_draws against scipy.special
+# ---------------------------------------------------------------------------
+
+#: unit_gamma_draws' stated bounds against scipy. Relative error up to
+#: m = 1e4, and at m = 1e5 and 1e6, where gammaincinv itself is off by up to
+#: 2e-9 of a 40-digit root; |P(P^-1(u)) - u|, the bound nakagami_delivered's
+#: band takes for its exact chain; and how far rounding may take a sorted
+#: draw below the one before it.
+INVERSE_REL_BOUND = 5e-13
+LARGE_M_REL_BOUND = 1e-8
+INVERSE_RESIDUAL_BOUND = 5e-14
+MONOTONE_SLACK = 2e-15
+
+_shapes = st.one_of(
+    st.floats(math.log(0.5), math.log(1e4)).map(lambda v: min(max(math.exp(v), 0.5), 1e4)),
+    st.sampled_from([1e5, 1e6]),
+)
+#: Normal floats only: below 2.2e-308 u carries too few bits for a relative
+#: bound, and a 53-bit uniform never goes there.
+_uniforms = st.one_of(
+    st.floats(np.finfo(float).tiny, 1.0, exclude_max=True),
+    st.floats(np.finfo(float).tiny, 1e-300),
+    st.floats(1.0 - 2.0**-20, 1.0 - 2.0**-53),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(m=_shapes, draws=st.lists(_uniforms, min_size=1, max_size=40))
+def test_gamma_inverse_matches_scipy(m, draws):
+    u = np.sort(np.array(draws))
+    x = unit_gamma_draws(m, u)
+    expected = special.gammaincinv(m, u)
+    normal = expected >= np.finfo(float).tiny  # a subnormal root has no relative precision
+    bound = INVERSE_REL_BOUND if m <= 1e4 else LARGE_M_REL_BOUND
+    assert np.all(np.abs(x[normal] - expected[normal]) <= bound * expected[normal])
+    assert np.all(np.diff(x) >= -MONOTONE_SLACK * x[1:])
+    if m <= NAKAGAMI_BAND_MAX_M:
+        assert np.all(np.abs(special.gammainc(m, x) - u) <= INVERSE_RESIDUAL_BOUND)
+
+
+def test_gamma_inverse_edges_follow_scipy():
+    u = np.array([0.0, math.nan, 1.0, -0.25, 1.5, 0.5])
+    np.testing.assert_array_equal(unit_gamma_draws(2.0, u)[:5], special.gammaincinv(2.0, u)[:5])
+    assert unit_gamma_draws(2.0, np.array([0.0, math.nan]))[0] == 0.0
+    with pytest.raises(ValueError, match="nakagami m must be >= 0.5"):
+        unit_gamma_draws(math.inf, u)
+
+
+def test_gamma_inverse_converges_inside_its_step_cap(monkeypatch):
+    # A size check, not a timing: the drive's 6,000 draws at m = 2 take two
+    # Halley steps, the second only for entries the first left unconverged.
+    sizes, term = [], propagation._gamma_term
+    monkeypatch.setattr(propagation, "_gamma_term", lambda m, x: sizes.append(x.size) or term(m, x))
+    u = np.random.default_rng(0).random(6000)
+    x = unit_gamma_draws(2.0, u)
+    assert sizes[0] == 6000 and len(sizes) <= 3 < GAMMA_INVERSE_STEPS
+    np.testing.assert_allclose(x, special.gammaincinv(2.0, u), rtol=INVERSE_REL_BOUND, atol=0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from v2xcal.propagation import (
@@ -364,6 +365,34 @@ def test_heatmap_uses_vehicle_end_for_both_directions():
     ])
     grid = heatmap(log, 20.0)
     assert len(grid) == 1 and grid.sent[0] == 2
+
+
+@st.composite
+def _heatmap_cases(draw):
+    """A log whose vehicle positions repeat on a few cells either side of the
+    origin, so keys are negative and duplicated, and a direction to select,
+    which may select no packet."""
+    n = draw(st.integers(0, 24))
+    coords = st.integers(-12, 12).map(lambda k: k * 6.25)
+    vehicle = np.array([[draw(coords), draw(coords), 0.0] for _ in range(n)]).reshape(n, 3)
+    codes = np.array(draw(st.lists(st.sampled_from([0, 1]), min_size=n, max_size=n)), dtype=int)
+    delivered = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
+    v2r = (codes == Direction.VEHICLE_TO_RSU.stream_code)[:, None]
+    log = DeliveryLog(
+        timestamp_s=np.zeros(n), direction_code=codes,
+        tx_position_m=np.where(v2r, vehicle, 0.0), rx_position_m=np.where(v2r, 0.0, vehicle),
+        distance_m=np.hypot(vehicle[:, 0], vehicle[:, 1]), rx_power_dbm=np.full(n, -70.0),
+        reason_code=np.where(delivered, DELIVERED, BELOW_SNR))
+    return log, draw(st.sampled_from([12.5, 20.0, 25.0])), draw(st.sampled_from([None, *Direction]))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(case=_heatmap_cases())
+def test_heatmap_cells_match_the_unique_rows_oracle(case):
+    log, cell_m, direction = case
+    got, expected = heatmap(log, cell_m, direction), oracles.heatmap(log, cell_m, direction)
+    for field in fields(HeatmapGrid):
+        assert np.array_equal(getattr(got, field.name), getattr(expected, field.name)), field.name
 
 
 def test_heatmap_pdr_declines_with_distance():
