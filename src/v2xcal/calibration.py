@@ -387,9 +387,10 @@ def evolve(
         scores = [score_by_genome[g] for g in population]
         for i, (genome, score) in enumerate(zip(population, scores)):
             history.append(HistoryRecord(generation=gen, individual=i, genome=genome, rmse=score))
+        ordered, half = sorted(scores), len(scores) // 2  # np.median would load numpy.ma
         log.info("generation %d: best rmse %.6f, median %.6f, infeasible %d, %.0f evaluations/s, "
-                 "score memo hits %d/%d, exact decisions %d/%d packets", gen, min(scores),
-                 float(np.median(scores)), scores.count(INFEASIBLE_RMSE),
+                 "score memo hits %d/%d, exact decisions %d/%d packets", gen, ordered[0],
+                 (ordered[half] + ordered[-1 - half]) / 2, scores.count(INFEASIBLE_RMSE),
                  len(scores) / (perf_counter() - start),
                  len(scores) - (len(score_by_genome) - scored), len(scores),
                  search.exact_packets - exact, search.nakagami_packets - packets)

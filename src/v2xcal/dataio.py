@@ -18,9 +18,10 @@ and infinities are formatted one at a time.
 The reader takes each record as one line and skips blank lines (nothing but
 commas and ASCII whitespace), which still count in row numbers. One loadtxt
 pass turns the data lines into float, int64 and fixed-width word columns,
-cells unquoted as csv does; each word column becomes codes by one lookup per
-distinct word, and the format's rules then run on whole columns. Only when a
-line fails to load does a per-row check, the same rules cell by cell, name it.
+cells unquoted as csv does. Exported words take codes by one comparison per
+word, other trace spellings by one lookup per distinct cell, exported times
+are read by integer arithmetic, and the format's rules run on whole columns.
+Only a line that fails to load meets a per-row check, which names it.
 """
 
 from __future__ import annotations
@@ -123,7 +124,10 @@ def numbered_lines(text: str) -> list:
 
 def _lines(text: str) -> list:
     """The non-blank lines of a document, header first."""
-    return [line for _, line in numbered_lines(text)]
+    lines = text.removesuffix("\n").split("\n")
+    # "-" sorts above every character a blank line may hold, so no line from "-" up is blank.
+    return lines if "\r" not in text and min(lines) >= "-" else [
+        line for _, line in numbered_lines(text)]
 
 
 def line_cells(line: str) -> list:
@@ -171,10 +175,17 @@ def _read(lines: list, fields: list, convert, check_row, usecols=None) -> tuple:
     return columns, read, failures
 
 
-def _codes(cells: np.ndarray, code_of) -> np.ndarray:
-    """code_of(cell) for each cell, called once per distinct cell; -1 marks a refused cell."""
-    distinct, index = np.unique(cells, return_inverse=True)
-    return np.array([code_of(cell) for cell in distinct.tolist()], dtype=int)[index]
+def _codes(cells: np.ndarray, words: dict, code_of=None) -> np.ndarray:
+    """The code of each cell, -1 if refused: words[cell] by one whole-column comparison per
+    word, else code_of(cell), if given, called once per distinct cell."""
+    codes = np.full(len(cells), -1)
+    for word, code in words.items():
+        codes[cells == word] = code
+    if code_of:
+        rest = np.flatnonzero(codes < 0)
+        distinct, index = np.unique(cells[rest], return_inverse=True)
+        codes[rest] = np.array([code_of(cell) for cell in distinct.tolist()], dtype=int)[index]
+    return codes
 
 
 def _parse_number(cell: str, kind=float):
@@ -435,27 +446,30 @@ def _parse_time_us(value: str, epoch_ms: bool) -> int:
 
 #: The widest time and word cells the trace reader takes, padding included.
 _TIME_WIDTH, _WORD_WIDTH = 40, 16
-#: export_trace_csv's spelling of a time, "0" standing for any digit.
-_EXPORTED_TIME = np.array(list("0000-00-00T00:00:00.000000Z"))
+#: export_trace_csv's time as code points ("0" for any digit), then the NUL that pads a
+#: cell; the span of code points each place takes; where the seven numbers sit.
+_EXPORTED_TIME = np.array([ord(c) for c in "0000-00-00T00:00:00.000000Z\0"], np.uint32)
+_TIME_SPAN = np.where(_EXPORTED_TIME == ord("0"), 9, 0).astype(np.uint32)
+_TIME_FIELDS = ((0, 4), (5, 7), (8, 10), (11, 13), (14, 16), (17, 19), (20, 26))
+_MONTH_DAYS = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
 
 
 def _exported_time_us(cells: np.ndarray) -> tuple:
-    """(microseconds, mask) of the time cells spelled as export_trace_csv writes them.
-
-    A cell outside the mask has another spelling or names no existing time;
-    its microseconds are 0.
-    """
-    n = len(_EXPORTED_TIME)
-    chars = np.ascontiguousarray(cells).view("U1").reshape(len(cells), cells.itemsize // 4)
-    digit = (chars[:, :n] >= "0") & (chars[:, :n] <= "9")
-    ok = (chars[:, n] == "") & np.all(
-        np.where(_EXPORTED_TIME == "0", digit, chars[:, :n] == _EXPORTED_TIME), axis=1)
-    time_us = np.zeros(len(cells), np.int64)
-    try:
-        time_us[ok] = cells[ok].astype(f"U{n - 1}").astype("M8[us]").view(np.int64)
-    except ValueError:  # a day or time of day that does not exist
-        ok[:] = False
-    return time_us, ok & (time_us >= _TIME_RANGE_US[0])  # and year 0, which numpy reads
+    """(microseconds, mask) of the time cells spelled as export_trace_csv writes them, the day
+    counted by the Gregorian days-from-civil rule. A cell outside the mask has another spelling
+    or names no existing time, year 0 included; its microseconds are 0."""
+    points = np.ascontiguousarray(cells).view(np.uint32).reshape(len(cells), cells.itemsize // 4)
+    digits = points[:, :len(_EXPORTED_TIME)] - _EXPORTED_TIME  # below its span wraps far above
+    ok = np.all(digits <= _TIME_SPAN, axis=1)
+    year, month, day, hour, minute, second, micro = (
+        digits[:, a:b] @ 10 ** np.arange(b - a - 1, -1, -1) for a, b in _TIME_FIELDS)
+    leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
+    ok &= ((year >= 1) & (day >= 1) & (hour < 24) & (minute < 60) & (second < 60)
+           & (day <= _MONTH_DAYS[np.where(month <= 12, month, 0)] + (leap & (month == 2))))
+    y = year - (month <= 2)  # years from March, so that a leap day ends its year
+    days = (y * 365 + y // 4 - y // 100 + y // 400 + (153 * ((month + 9) % 12) + 2) // 5
+            + day - 719469)
+    return np.where(ok, (((days * 24 + hour) * 60 + minute) * 60 + second) * 10**6 + micro, 0), ok
 
 
 def _word_code(cell: str, kinds: tuple, aliases: dict) -> int:
@@ -484,7 +498,8 @@ def _trace_columns(table: np.ndarray, epoch_ms: bool):
     columns = {"time_us": time_us, **{name: np.ascontiguousarray(table[name])
                                       for name in _FLOAT_COLUMNS}}
     for name, _, kinds, aliases in _CODE_COLUMNS:
-        columns[name] = _codes(table[name], partial(_word_code, kinds=kinds, aliases=aliases))
+        columns[name] = _codes(table[name], {kind.value: code for code, kind in enumerate(kinds)},
+                               partial(_word_code, kinds=kinds, aliases=aliases))
         ok &= columns[name] >= 0
     return columns if ok.all() else None
 
@@ -522,11 +537,8 @@ def parse_trace_csv(text: str, epoch_ms: bool = False) -> Trace:
         header = [_normalize_header(h) for h in line_cells(lines[0])]
     except ValueError as exc:
         raise TraceParseError(f"header row: {exc}") from None
-    columns = {}
-    for pos, name in enumerate(header):
-        canonical = _HEADER_ALIASES.get(name)
-        if canonical is not None and canonical not in columns:
-            columns[canonical] = pos
+    columns = {_HEADER_ALIASES[name]: pos for pos, name in reversed(list(enumerate(header)))
+               if name in _HEADER_ALIASES}  # reversed: the first column of a name counts
     missing = [h for h in TRACE_HEADERS if h not in columns]
     if missing:
         raise TraceParseError(f"missing required columns: {', '.join(missing)}")
@@ -718,8 +730,7 @@ def _log_columns(table: np.ndarray):
     """The columns of a loaded log table, or None if a word is unknown or contradicts another."""
     columns = {name: np.ascontiguousarray(table[name]) for name in _LOG_NUMBERS}
     for name, words in _LOG_WORDS.items():
-        columns[name] = _codes(table[name], lambda cell, words=words: words.get(
-            cell.decode("latin-1"), -1))
+        columns[name] = _codes(table[name], {word.encode(): code for word, code in words.items()})
     known = np.all([columns[name] >= 0 for name in _LOG_WORDS], axis=0)
     agree = (columns["delivered"] == 1) == (columns["reason"] == DELIVERED)
     return columns if np.all(known & agree) else None

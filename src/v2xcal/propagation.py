@@ -253,7 +253,10 @@ def _gamma_series(m, x):
     while bound > 2.0**-55 * (1.0 - top / (m + len(coef))):
         coef.append(coef[-1] * s / (m + len(coef)))
         bound *= top / (m + len(coef) - 1)
-    return np.polynomial.polynomial.polyval(x / s, coef)
+    y, total = x / s, coef[-1] + x / s * 0  # polyval's loop, as numpy.polynomial loads slowly
+    for c in coef[-2::-1]:
+        total = c + total * y
+    return total
 
 
 def _gamma_fraction(m, x):

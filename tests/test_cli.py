@@ -438,29 +438,32 @@ def test_heatmap_command_matches_simulate_output(sim_out, tmp_path):
     assert read(str(out / "heatmap.csv")) == read(str(sim_out / "heatmap.csv"))
 
 
-def _loaded_modules(*commands):
-    """Which of scipy and scipy.special a fresh process has imported after
-    running each argv list through main."""
+def _loaded_modules(names, *commands):
+    """Which of the named modules a fresh process has imported after running
+    each argv list through main."""
     script = ("import json, sys\nfrom v2xcal.cli import main\n"
-              "for argv in json.loads(sys.argv[1]):\n"
+              "names, commands = json.loads(sys.argv[1])\n"
+              "for argv in commands:\n"
               "    assert main(argv) == 0\n"
-              "print(json.dumps([name for name in ('scipy', 'scipy.special') if name in sys.modules]))\n")
+              "print(json.dumps([name for name in names if name in sys.modules]))\n")
     src = os.path.dirname(os.path.dirname(v2xcal.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    proc = subprocess.run([sys.executable, "-c", script, json.dumps(commands)],
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps([names, commands])],
                           capture_output=True, text=True, env=env, check=True)
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-def test_no_command_loads_scipy_special(dataset, sim_out, tmp_path):
-    # scipy.special would be most of a fresh process's start-up: pdr and
-    # heatmap read their powers from the log, synth and calibrate decide
-    # Nakagami deliveries from bounds on the gamma CDF, and simulate draws
-    # its powers with the package's own gamma inverse.
+def test_no_command_loads_costly_modules(dataset, sim_out, tmp_path):
+    # Each of these would be a large part of a fresh process's start-up:
+    # scipy.special, which pdr and heatmap never needed, synth and calibrate
+    # replace with bounds on the gamma CDF and simulate with the package's
+    # own gamma inverse; numpy.ma, which np.median loads; and
+    # numpy.polynomial, whose polyval the gamma series spells out.
     log, synth, cal = str(sim_out / "log.csv"), tmp_path / "synth", tmp_path / "cal"
     # The bare import scipy that bench/run_bench.py reads is the check's positive control.
     assert _loaded_modules(
+        ["scipy", "scipy.special", "numpy.ma", "numpy.polynomial"],
         ["pdr", log, "--out", str(tmp_path)], ["heatmap", log, "--out", str(tmp_path)],
         ["synth", dataset["spec"], "--preset", "calibrated", "--out", str(synth)],
         ["calibrate", str(synth / "observed_pdr.csv"), str(synth / "trace.csv"),

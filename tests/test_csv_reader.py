@@ -11,13 +11,16 @@ columns. The reader's few deliberate refusals are pinned separately below.
 
 from dataclasses import fields
 from datetime import datetime, timedelta, timezone
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from v2xcal.dataio import (
+    _CODE_COLUMNS,
     _HEADER_SPELLINGS,
+    _LOG_WORDS as LOG_CODES,
     EPOCH,
     HEATMAP_HEADERS,
     LOG_HEADERS,
@@ -25,6 +28,9 @@ from v2xcal.dataio import (
     TRACE_HEADERS,
     Trace,
     TraceParseError,
+    _codes,
+    _exported_time_us,
+    _word_code,
     export_heatmap_csv,
     export_log_csv,
     export_pdr_csv,
@@ -320,3 +326,107 @@ def test_a_short_pdr_row_after_good_ones_is_named():
     # messages, and a one-cell row after a good one escaped as an IndexError.
     with pytest.raises(ValueError, match="row 3: list index out of range"):
         parse_pdr_csv(",".join(PDR_HEADERS) + "\n0,20,10,5,\n20\n")
+
+
+# ---------------------------------------------------------------------------
+# the column decoders
+# ---------------------------------------------------------------------------
+
+
+def _iso_us(text: str):
+    """Microseconds of an export-spelled time by datetime.fromisoformat, or None if refused."""
+    try:
+        t = datetime.fromisoformat(text[:-1] + "+00:00")
+    except ValueError:
+        return None
+    return (t - EPOCH) // timedelta(microseconds=1)
+
+
+def _numpy_us(text: str):
+    """Microseconds of an export-spelled time by numpy's datetime64 parse, or None if refused."""
+    try:
+        return int(np.array([text[:-1]]).astype("M8[us]").view(np.int64)[0])
+    except ValueError:
+        return None
+
+
+def _assert_times_read_as_the_parsers_do(texts: list):
+    time_us, ok = _exported_time_us(np.array(texts, dtype="U41"))
+    for text, us, read in zip(texts, time_us.tolist(), ok.tolist()):
+        expected = _iso_us(text)
+        assert (us if read else None) == expected, text
+        if expected is not None:  # numpy also reads year 0, which datetime refuses
+            assert _numpy_us(text) == expected, text
+
+
+def _spelled(y, mo, d, h, mi, s, us):
+    return f"{y:04d}-{mo:02d}-{d:02d}T{h:02d}:{mi:02d}:{s:02d}.{us:06d}Z"
+
+
+_instants = st.datetimes(min_value=datetime(1, 1, 1), max_value=datetime(9999, 12, 31, 23, 59, 59,
+                                                                          999999))
+_fields = st.tuples(st.integers(0, 9999), st.integers(0, 13), st.integers(0, 32),
+                    st.integers(0, 24), st.integers(0, 60), st.integers(0, 60),
+                    st.integers(0, 999999))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(texts=st.lists(st.one_of(
+    _instants.map(lambda t: _spelled(t.year, t.month, t.day, t.hour, t.minute, t.second,
+                                     t.microsecond)),
+    _fields.map(lambda f: _spelled(*f))), min_size=1, max_size=20))
+def test_exported_times_read_as_datetime_and_numpy_read_them(texts):
+    _assert_times_read_as_the_parsers_do(texts)
+
+
+def test_exported_times_at_the_calendar_edges():
+    valid = ["0001-01-01T00:00:00.000000Z", "9999-12-31T23:59:59.999999Z",
+             *(f"{y}-02-29T12:00:00.000000Z" for y in (1600, 2000, 2024)),
+             *(f"{y}-03-01T00:00:00.000000Z" for y in (1600, 1900, 2000))]
+    damaged = ["2024-00-10T00:00:00.000000Z", "2024-13-10T00:00:00.000000Z",
+               "2024-03-00T00:00:00.000000Z", "2024-03-32T00:00:00.000000Z",
+               "2023-02-29T00:00:00.000000Z", "1900-02-29T00:00:00.000000Z",
+               "2024-04-31T00:00:00.000000Z", "2024-03-14T24:00:00.000000Z",
+               "2024-03-14T15:60:00.000000Z", "2024-03-14T15:00:60.000000Z",
+               "0000-01-01T00:00:00.000000Z"]
+    _assert_times_read_as_the_parsers_do(valid + damaged)
+    assert _exported_time_us(np.array(valid + damaged, dtype="U41"))[1].tolist() == (
+        [True] * len(valid) + [False] * len(damaged))
+
+
+def test_every_exported_log_word_decodes_as_the_per_distinct_lookup():
+    # Both directions, every reason, and the delivered flag each implies.
+    n = 2 * len(REASONS)
+    tx = np.column_stack([np.arange(n) * 3.0, np.full(n, 4.0), np.zeros(n)])
+    log = DeliveryLog(np.arange(n) * 0.05, np.arange(n) % 2, tx, np.zeros((n, 3)),
+                      link_distance_m(tx, np.zeros((n, 3))), np.full(n, -70.0),
+                      np.arange(n) // 2)
+    text = export_log_csv(log)
+    parsed = parse_log_csv(text)
+    assert parsed.direction_code.tolist() == log.direction_code.tolist()
+    assert parsed.reason_code.tolist() == log.reason_code.tolist()
+    assert _outcome(parse_log_csv, text) == _outcome(oracles.parse_log_csv, text)
+    for name, words in LOG_CODES.items():
+        cells = np.array([line.split(",")[LOG_HEADERS.index(name)]
+                          for line in text.splitlines()[1:]] + ["", "TRUE"], dtype="S")
+        spelled = _codes(cells, {word.encode(): code for word, code in words.items()})
+        looked_up = _codes(cells, {}, lambda cell, words=words: words.get(cell.decode(), -1))
+        assert spelled.tolist() == looked_up.tolist()
+        assert sorted(set(spelled.tolist())) == [-1, *sorted(words.values())]
+
+
+def test_trace_words_in_mixed_spellings_decode_as_the_per_distinct_lookup():
+    spellings = (("DSRC", "dsrc", " C-V2X ", "CV2X", "c-v2x", "Cv2x"),
+                 ("BSM", "spat", "SPaT", "\tbsm", "SPAT", "BSM"),
+                 ("Sent", "rx", "Received", " TX", "received", "Sent"))
+    rows = [f"2024-03-14T15:00:0{i}.000000Z,45.0,-93.0,900,90,30," + ",".join(words)
+            for i, words in enumerate(zip(*spellings))]
+    text = ",".join(TRACE_HEADERS) + "\n" + "\n".join(rows) + "\n"
+    assert len(parse_trace_csv(text)) == len(rows)
+    assert _outcome(parse_trace_csv, text) == _outcome(oracles.parse_trace_csv, text)
+    for (_, _, kinds, aliases), words in zip(_CODE_COLUMNS, spellings):
+        cells = np.array([*words, "LTE", "DSRC" + " " * 13], dtype="U17")
+        code_of = partial(_word_code, kinds=kinds, aliases=aliases)
+        spelled = _codes(cells, {kind.value: code for code, kind in enumerate(kinds)}, code_of)
+        assert spelled.tolist() == _codes(cells, {}, code_of).tolist()
+        assert spelled.tolist()[-2:] == [-1, -1]
