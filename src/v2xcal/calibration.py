@@ -16,9 +16,7 @@ a flat 1000.0 without being simulated.
 
 from __future__ import annotations
 
-import csv
 import enum
-import io
 import logging
 import math
 from dataclasses import dataclass, fields, replace
@@ -26,27 +24,13 @@ from time import perf_counter
 
 import numpy as np
 
-from .propagation import (
-    LOG_DECIMALS,
-    SUPPORTED_DATA_RATES_MBPS,
-    FadingParams,
-    FastFadingModel,
-    RadioParams,
-    SlowFadingModel,
-    deterministic_gain_db,
-)
+from .propagation import (LOG_DECIMALS, SUPPORTED_DATA_RATES_MBPS, FadingParams, FastFadingModel,
+                          RadioParams, SlowFadingModel, free_space_rx_power, to_db)
 from .dataio import line_cells, numbered_lines
-from .simulator import (
-    EnuTrace,
-    PdrCurve,
-    ScenarioConfig,
-    check_bin_width,
-    delivered_per_bin,
-    delivery_pass,
-    pdr_rmse,
-    prepare_drive,
-)
+from .simulator import (EnuTrace, PdrCurve, ScenarioConfig, check_bin_width, delivered_per_bin,
+                        delivery_pass, link_decades, pdr_rmse, prepare_drive)
 # Not called here: bench/tracing.py times these under the v2xcal.calibration names.
+from .propagation import deterministic_gain_db  # noqa: F401
 from .simulator import pdr_curve, rmse, run_scenario  # noqa: F401
 
 log = logging.getLogger(__name__)
@@ -86,7 +70,7 @@ class Genome:
                       for f in fields(cls)})
 
     def as_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return {name: getattr(self, name) for name in GENE_NAMES}
 
 
 GENE_NAMES = tuple(f.name for f in fields(Genome))
@@ -159,10 +143,10 @@ SEARCH_SPACE = {
 }
 
 
-def _sample(rng: np.random.Generator) -> Genome:
-    """Uniform draw from SEARCH_SPACE, one draw per gene in GENE_NAMES order."""
-    return Genome(**{name: _quantize(rng.uniform(*span)) if name in CONTINUOUS_GENES
-                     else span[rng.integers(len(span))] for name, span in SEARCH_SPACE.items()})
+def _sample(rng: np.random.Generator, frozen: tuple = ()) -> Genome:
+    """Uniform draw from SEARCH_SPACE, one draw per gene in GENE_NAMES order, settled."""
+    return _settle({name: rng.uniform(*span) if name in CONTINUOUS_GENES
+                    else span[rng.integers(len(span))] for name, span in SEARCH_SPACE.items()}, frozen)
 
 
 @dataclass(frozen=True)
@@ -233,9 +217,8 @@ def _quantize(value: float) -> float:
 
 def _settle(genes: dict, frozen: tuple) -> Genome:
     """A slot's genome: the frozen genes pinned, then the continuous genes quantized."""
-    genes = {**genes, **dict(frozen)}
     return Genome(**{name: _quantize(value) if name in CONTINUOUS_GENES else value
-                     for name, value in genes.items()})
+                     for name, value in {**genes, **dict(frozen)}.items()})
 
 
 class PreparedSearch:
@@ -269,32 +252,27 @@ class PreparedSearch:
                         "not compared", np.count_nonzero(~shared), shared.size)
         self.compared_bins = index[shared]
         self.observed_pdr = observed.pdr_pct[self.compared_bins]
+        self.compared_sent = drive.sent[self.compared_bins]
+        self.decades = link_decades(drive, base_fading or FadingParams())
         self.nakagami_packets = self.exact_packets = 0
 
     def score(self, genome: Genome) -> float:
         """objective(genome, ...) on the prepared inputs."""
         radio, fading = genome.to_params(self.base_radio, self.base_fading)
-        d0 = np.array([fading.reference_distance_m])
-        if deterministic_gain_db(radio, fading, d0)[0] > 0.0:
+        # The deterministic gain at the reference distance, where the log-distance term is 0.
+        if free_space_rx_power(radio, fading) - to_db(radio.tx_power_mw) > 0.0:
             return INFEASIBLE_RMSE
-        delivered, exact = delivery_pass(self.drive, radio, fading, self.snr_table)
+        delivered, exact = delivery_pass(self.drive, radio, fading, self.snr_table, self.decades)
         if fading.fast_model is FastFadingModel.NAKAGAMI:
             self.nakagami_packets += delivered.size
             self.exact_packets += exact
-        counts = delivered_per_bin(self.drive, delivered)
-        compared = self.compared_bins
-        return pdr_rmse(self.observed_pdr, 100.0 * counts[compared] / self.drive.sent[compared])
+        counts = delivered_per_bin(self.drive, delivered)[self.compared_bins]
+        return pdr_rmse(self.observed_pdr, 100.0 * counts / self.compared_sent)
 
 
-def objective(
-    genome: Genome,
-    observed: PdrCurve,
-    trace: EnuTrace,
-    scenario: ScenarioConfig,
-    base_radio: RadioParams | None = None,
-    base_fading: FadingParams | None = None,
-    search: PreparedSearch | None = None,
-) -> float:
+def objective(genome: Genome, observed: PdrCurve, trace: EnuTrace, scenario: ScenarioConfig,
+              base_radio: RadioParams | None = None, base_fading: FadingParams | None = None,
+              search: PreparedSearch | None = None) -> float:
     """Score a genome against the observed curve; lower is better.
 
     The RMSE of pdr_curve(run_scenario(...)) against the observed curve.
@@ -329,11 +307,10 @@ def _make_child(rng, population, scores, config: GaConfig) -> Genome:
     """Selection, crossover, then mutation, drawing in a fixed order."""
     p1 = population[_tournament(rng, scores, config.tournament_size)]
     p2 = population[_tournament(rng, scores, config.tournament_size)]
-    child = dict(p1.as_dict())
+    child = p1.as_dict()
     if rng.random() < config.crossover_prob:
         # Uniform crossover; categorical genes swap whole values.
-        take_p2 = rng.random(len(GENE_NAMES)) < 0.5
-        for flag, name in zip(take_p2, GENE_NAMES):
+        for flag, name in zip((rng.random(len(GENE_NAMES)) < 0.5).tolist(), GENE_NAMES):
             if flag:
                 child[name] = getattr(p2, name)
     for name, span in SEARCH_SPACE.items():
@@ -342,20 +319,15 @@ def _make_child(rng, population, scores, config: GaConfig) -> Genome:
         if name in CONTINUOUS_GENES:
             lo, hi = span
             step = rng.normal(0.0, config.mutation_sigma_fraction * (hi - lo))
-            child[name] = float(np.clip(child[name] + step, lo, hi))
+            child[name] = min(max(child[name] + step, lo), hi)
         else:
             child[name] = span[rng.integers(len(span))]
     return _settle(child, config.frozen_genes)
 
 
-def evolve(
-    config: GaConfig,
-    observed: PdrCurve,
-    trace: EnuTrace,
-    scenario: ScenarioConfig,
-    base_radio: RadioParams | None = None,
-    base_fading: FadingParams | None = None,
-) -> CalibrationResult:
+def evolve(config: GaConfig, observed: PdrCurve, trace: EnuTrace, scenario: ScenarioConfig,
+           base_radio: RadioParams | None = None,
+           base_fading: FadingParams | None = None) -> CalibrationResult:
     """Run the generational GA and return the best genome found.
 
     Exactly population_size * generations objective evaluations are logged
@@ -372,8 +344,8 @@ def evolve(
     """
     search = PreparedSearch(observed, trace, scenario, base_radio, base_fading)
 
-    population = [_settle(_sample(_slot_rng(config.master_seed, 0, i)).as_dict(),
-                          config.frozen_genes) for i in range(config.population_size)]
+    population = [_sample(_slot_rng(config.master_seed, 0, i), config.frozen_genes)
+                  for i in range(config.population_size)]
 
     history = []
     score_by_genome = {}
@@ -405,12 +377,8 @@ def evolve(
 
     # min keeps the first of equal rows: the earliest generation, then the lowest slot.
     best = min(history, key=lambda record: record.rmse)
-    return CalibrationResult(
-        best_genome=best.genome,
-        best_rmse=best.rmse,
-        history=history,
-        evaluations=len(history),
-    )
+    return CalibrationResult(best_genome=best.genome, best_rmse=best.rmse, history=history,
+                             evaluations=len(history))
 
 
 # ---------------------------------------------------------------------------
@@ -419,7 +387,7 @@ def evolve(
 
 HISTORY_HEADERS = ("generation", "individual", *GENE_NAMES, "rmse")
 
-_FLOAT_FMT = "{:.9f}"
+_FLOAT_TEXT = "%.9f".__mod__
 
 
 def parse_typed_value(name: str, text: str, like):
@@ -442,13 +410,13 @@ def parse_typed_value(name: str, text: str, like):
     return value
 
 
-def format_typed_value(value, like, float_text=repr) -> str:
-    """Text form of a value of like's type, which parse_typed_value reads back."""
+def typed_formatter(like, float_text=repr):
+    """The text form of values of like's type, which parse_typed_value reads back."""
     if isinstance(like, enum.Enum):
-        return value.value
+        return lambda value: value.value
     if isinstance(like, int):
-        return str(value)
-    return float_text(float(value))
+        return str
+    return lambda value: float_text(float(value))
 
 
 def _known_gene(name: str) -> str:
@@ -464,7 +432,7 @@ def parse_gene_value(name: str, text: str):
 
 def format_gene_value(name: str, value, float_text=repr) -> str:
     """Text form of one gene: model values, the integer data rate, float_text of the rest."""
-    return format_typed_value(value, getattr(_PACKAGE_GENOME, name), float_text)
+    return typed_formatter(getattr(_PACKAGE_GENOME, name), float_text)(value)
 
 
 def parse_frozen_genes(entries, base: Genome | None = None) -> tuple:
@@ -484,16 +452,13 @@ def parse_frozen_genes(entries, base: Genome | None = None) -> tuple:
 
 
 def history_to_csv(result: CalibrationResult) -> str:
-    """One row per objective evaluation, fixed decimal formatting."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(HISTORY_HEADERS)
-    for rec in result.history:
-        writer.writerow([str(rec.generation), str(rec.individual),
-                         *(format_gene_value(name, value, _FLOAT_FMT.format)
-                           for name, value in rec.genome.as_dict().items()),
-                         _FLOAT_FMT.format(rec.rmse)])
-    return out.getvalue()
+    """One row per objective evaluation, fixed decimal formatting; no cell needs quoting."""
+    genes = [(name, typed_formatter(getattr(_PACKAGE_GENOME, name), _FLOAT_TEXT))
+             for name in GENE_NAMES]
+    rows = [",".join([str(rec.generation), str(rec.individual),
+                      *(text(getattr(rec.genome, name)) for name, text in genes),
+                      _FLOAT_TEXT(rec.rmse)]) for rec in result.history]
+    return "\n".join([",".join(HISTORY_HEADERS), *rows, ""])
 
 
 def parse_history_csv(text: str) -> list:

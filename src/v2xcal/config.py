@@ -7,7 +7,7 @@ the replay, ``rsu.*`` the geodetic anchor of the site, ``synth.*`` the
 synthetic-route recipe, and ``ga.*`` the calibration settings. The keys are
 read off those dataclasses: each section's fields in declaration order, a
 scalar written and read by the type of its default (calibration's
-format_typed_value and parse_typed_value: repr of a float, a base-10 int,
+typed_formatter and parse_typed_value: repr of a float, a base-10 int,
 an enum by value). Four fields are not one scalar and have their own text
 forms: ``synth.waypoints_enu_m``, ``synth.leg_speeds_mps``, the per-rate
 ``scenario.snr_threshold_<rate>_mbps`` lines of ``snr_thresholds_db`` and
@@ -24,10 +24,10 @@ from .calibration import (
     GaConfig,
     Genome,
     format_gene_value,
-    format_typed_value,
     gene_lines,
     parse_frozen_genes,
     parse_typed_value,
+    typed_formatter,
 )
 from .dataio import GeodeticPosition, SynthSection
 from .propagation import FadingParams, RadioParams, SNR_THRESHOLDS_DB, SUPPORTED_DATA_RATES_MBPS
@@ -162,7 +162,7 @@ def render_config(config: RunConfig) -> str:
         for name, like in _fields(section):
             value = getattr(values, name)
             compound = _COMPOUND_LINES.get(f"{section}.{name}")
-            pairs = compound(value) if compound else [(name, format_typed_value(value, like))]
+            pairs = compound(value) if compound else [(name, typed_formatter(like)(value))]
             lines += [f"{section}.{key} = {text}" for key, text in pairs]
     return "\n".join(lines) + "\n"
 

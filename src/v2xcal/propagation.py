@@ -160,22 +160,18 @@ def free_space_rx_power(radio: RadioParams, fading: FadingParams) -> float:
     loss applied: P_t G_t G_r lambda^2 / ((4 pi)^2 d0^2 L).
     """
     lam = SPEED_OF_LIGHT_M_S / radio.carrier_frequency_hz
-    loss_linear = to_linear(fading.system_loss_db)
-    pr_mw = (
-        radio.tx_power_mw
-        * radio.antenna_gain_tx
-        * radio.antenna_gain_rx
-        * lam**2
-        / (FOUR_PI**2 * fading.reference_distance_m**2 * loss_linear)
-    )
+    pr_mw = (radio.tx_power_mw * radio.antenna_gain_tx * radio.antenna_gain_rx * lam**2
+             / (FOUR_PI**2 * fading.reference_distance_m**2 * to_linear(fading.system_loss_db)))
     return float(to_db(pr_mw))
 
 
-def _check_distance(distance) -> np.ndarray:
+def log_decades(distance, reference_distance_m: float) -> np.ndarray:
+    """log10(max(d, d0) / d0) of each distance d: the decades beyond the
+    reference distance d0 that the log-distance law counts. No gene sets d0."""
     d = np.asarray(distance, dtype=float)
     if not np.all(np.isfinite(d)) or np.any(d <= 0.0):
         raise ValueError("distance must be finite and positive")
-    return d
+    return np.log10(np.maximum(d, reference_distance_m) / reference_distance_m)
 
 
 def log_distance_rx_power(radio: RadioParams, fading: FadingParams, distance) -> np.ndarray | float:
@@ -185,27 +181,16 @@ def log_distance_rx_power(radio: RadioParams, fading: FadingParams, distance) ->
     Distances inside the reference distance clamp to it, so the reference
     power is the model's ceiling.
     """
-    d = _check_distance(distance)
-    d_eff = np.maximum(d, fading.reference_distance_m)
-    p = free_space_rx_power(radio, fading) - 10.0 * fading.alpha * np.log10(
-        d_eff / fading.reference_distance_m
-    )
+    p = free_space_rx_power(radio, fading) - 10.0 * fading.alpha * log_decades(
+        distance, fading.reference_distance_m)
     return float(p) if np.isscalar(distance) or np.ndim(distance) == 0 else p
 
 
-def shadowed_rx_power(radio, fading, distance, normals):
-    """Log-distance power plus sigma_db times standard-normal draws, dBm."""
-    return log_distance_rx_power(radio, fading, distance) + fading.sigma_db * normals
-
-
 def lognormal_rx_power(radio, fading, distance, rng, size=None):
-    """Slow-stage received power with Gaussian shadowing, dBm.
-
-    Adds N(0, sigma_db^2) to the log-distance mean. With size=None a single
-    float is returned; otherwise an array of independent draws at the same
-    distance(s).
-    """
-    power = shadowed_rx_power(radio, fading, distance, rng.standard_normal(size))
+    """Slow-stage received power with Gaussian shadowing, dBm: the log-distance
+    mean plus N(0, sigma_db^2). With size=None a single float is returned;
+    otherwise an array of independent draws at the same distance(s)."""
+    power = log_distance_rx_power(radio, fading, distance) + fading.sigma_db * rng.standard_normal(size)
     return float(power) if size is None else power
 
 
@@ -287,6 +272,10 @@ def unit_gamma_draws(m, uniforms):
     digits. An entry stops after a step under 1e-6 x / sqrt(m + 1): Halley's
     error is cubic in the step, on the root's scale x / sqrt(m).
 
+    Cost. Near the root the series and the continued fraction each take
+    about 9 sqrt(m) terms: 10,000 draws take about 3 ms at m = 3.5, the top
+    of the search box, and 0.14 s at m = 1e6, where scipy takes 5 ms.
+
     Accuracy. At m = 2, within 4 ulp of 40-digit roots (mpmath; scipy's
     gammaincinv within 11). Tested against scipy for normal u up to
     1 - 2^-53: within 5e-13 relative for m in [0.5, 1e4], 1e-8 at m = 1e5
@@ -352,12 +341,17 @@ def nakagami_power_sample(omega_mw, m, rng, size=None):
     return float(sample) if size is None and np.ndim(omega_mw) == 0 else sample
 
 
-def slow_rx_power(radio, fading, distance, normals):
-    """Slow-stage received power, dBm: shadowed by the standard normals under
-    LOGNORMAL (only then are they read), the log-distance law otherwise."""
+def slow_rx_power(radio, fading, distance, normals, decades=None):
+    """Slow-stage received power, dBm: the log-distance law, plus sigma_db
+    times the standard normals under LOGNORMAL (only then are they read).
+    decades, when given, is log_decades(distance, fading.reference_distance_m),
+    and distance is not read."""
+    if decades is None:
+        decades = log_decades(distance, fading.reference_distance_m)
+    power = free_space_rx_power(radio, fading) - 10.0 * fading.alpha * decades
     if fading.slow_model is SlowFadingModel.LOGNORMAL:
-        return shadowed_rx_power(radio, fading, distance, normals)
-    return log_distance_rx_power(radio, fading, distance)
+        return power + fading.sigma_db * normals
+    return power
 
 
 def nakagami_rx_power(slow_dbm, m, uniforms):
@@ -409,7 +403,7 @@ _MAX_TERM_CELLS = 2**20
 def _exp_above_floor(exponent):
     """exp(exponent), but 0 at or below -700 (1e-304), where libm's exp slows
     tenfold or more; nan stays nan."""
-    return np.exp(exponent, out=np.zeros(np.shape(exponent)), where=~(exponent <= -700.0))
+    return np.exp(np.maximum(exponent, -700.0)) * (exponent > -700.0)
 
 
 def gamma_cdf_bounds(m, x, terms):
@@ -418,8 +412,8 @@ def gamma_cdf_bounds(m, x, terms):
     P is the regularized lower incomplete gamma function (scipy's gammainc),
     bounded by its series to `terms` terms and by the tail bounds of Q = 1 - P,
     as nakagami_delivered states. x = 0 gives (0, 0), x = inf (1, 1) and a
-    nan x nan bounds. A bound that does not apply is nan until fmax and fmin
-    skip it.
+    nan x nan bounds. A bound that does not apply is inf or nan until fmax
+    and fmin skip it.
     """
     x = np.minimum(x, np.finfo(float).max)  # inf -> max, nan stays
     block = max(1, _MAX_TERM_CELLS // (terms + 1))
@@ -434,12 +428,25 @@ def gamma_cdf_bounds(m, x, terms):
         g_t = _exp_above_floor(shape[:, None] * log_x - x - log_gamma[:, None])
         lo, rho = g_t.sum(axis=0), x / (m + terms + 1.0)
         hi = np.where(rho < 1.0, lo + g_t[-1] * rho / (1.0 - rho), np.nan)
-        h = _exp_above_floor((m - 1.0) * log_x - x - math.lgamma(m))
-        if m >= 1.0:
-            q_lo, q_hi = h, np.where(x > m - 1.0, h * x / (x - (m - 1.0)), np.nan)
-        else:
-            q_lo, q_hi = h * x / (x - (m - 1.0)), h
+        return _tail_bounds(m, x, _exp_above_floor((m - 1.0) * log_x - x - math.lgamma(m)), lo, hi)
+
+
+def _tail_bounds(m, x, h, lo, hi):
+    """lo and hi narrowed by the bounds on Q = 1 - P that h = x^(m-1) e^-x / Gamma(m) gives."""
+    if m >= 1.0:  # at x <= m - 1 the upper bound does not apply: inf or nan, which fmax skips
+        q_lo, q_hi = h, h * x / np.maximum(x - (m - 1.0), 0.0)
+    else:
+        q_lo, q_hi = h * x / (x - (m - 1.0)), h
     return np.fmax(lo, 1.0 - q_hi), np.fmin(hi, 1.0 - q_lo)
+
+
+def _band_split(u, lo, hi):
+    """Masks of the uniforms above their bounds by more than NAKAGAMI_BAND, of those
+    within the band of bounds narrower than it, and of those within wider bounds."""
+    top = hi + NAKAGAMI_BAND
+    inside = (u >= lo - NAKAGAMI_BAND) & (u <= top)
+    narrow = hi - lo < NAKAGAMI_BAND
+    return u > top, inside & narrow, inside & ~narrow
 
 
 def nakagami_delivered(slow_dbm, m, uniforms, radio: RadioParams, snr_table=None):
@@ -455,8 +462,8 @@ def nakagami_delivered(slow_dbm, m, uniforms, radio: RadioParams, snr_table=None
     y = P^-1(u) grows with u, where P is the regularized lower incomplete
     gamma function of shape m. With the threshold
     T = max(sensitivity, noise floor + SNR threshold) in dBm, packet k is
-    delivered iff y >= x_k = m * 10^(T/10) / omega_k, that is iff
-    u_k >= c_k = P(m, x_k). gamma_cdf_bounds brackets c_k, with
+    delivered iff y >= x_k = m * 10^((T - slow_k)/10), that is iff
+    u_k >= c_k = P(m, x_k). Bounds bracket c_k, with
     g = x^m e^-x / Gamma(m + 1) and h = g m / x:
     - P = g (t_0 + t_1 + ...), where t_0 = 1 and t_n = t_(n-1) x / (m + n).
       After N terms, with partial sum S_N and last term t_N,
@@ -467,10 +474,15 @@ def nakagami_delivered(slow_dbm, m, uniforms, radio: RadioParams, snr_table=None
       x^(m-1) e^((m-1)(t-x)/x) on the other puts Q in
       [h, h x / (x - m + 1)] for m >= 1 and x > m - 1, and in
       [h x / (x + 1 - m), h] for m < 1.
-    A packet is decided once u_k lies more than NAKAGAMI_BAND outside its
-    bounds, delivered if above. It takes the exact chain once its bounds
-    are narrower than the band. Otherwise its bounds are refined with the
-    next count of SERIES_TERMS, so there are at most three refinements.
+    The first bounds (N = 0) take two exponentials per packet, of
+    ln x = (T - slow) ln(10)/10 + ln m and of (m - 1) ln x - x - lgamma(m)
+    for h; then g = h x / m, as at a tiny x g falls below 1e-304 where h,
+    for m near 1, does not. ln x is clamped to [-700, 709], which moves c_k
+    by under 1e-150 for m in [0.5, 1e4]. A packet is decided once u_k lies
+    more than NAKAGAMI_BAND outside its bounds, delivered if above. It
+    takes the exact chain once its bounds are narrower than the band.
+    Otherwise gamma_cdf_bounds refines them with the next count of
+    SERIES_TERMS, so there are at most three refinements.
     For m up to NAKAGAMI_BAND_MAX_M the bounds are narrower than the band
     for every x by the last of them: on a dense grid of m and x, the widest
     bounds measure 0.09 after 256 terms and 6e-8 after 1024, both at
@@ -478,22 +490,26 @@ def nakagami_delivered(slow_dbm, m, uniforms, radio: RadioParams, snr_table=None
     exact chain. A nan threshold gives nan bounds, so its packets are
     delivered nowhere and take no exact chain.
 
-    Float error. Each term g t_n is the exponential of its own exponent,
-    (m + n) ln x - x - lgamma(m + n + 1), rounded to within a few ulp of
-    its largest part. Where the term exceeds 1e-304 that part is below 2e5
-    for m <= 1e4, so the term carries a relative error under 3e-10; smaller
-    terms, and a smaller h, are taken as 0. As the terms sum to at most 1,
-    the series bounds move by under 1e-9 in all. 1 - rho loses precision
-    only within 2e-6 of rho = 1, near the series' peak, where the tail term
-    already exceeds 1. The Q bounds hold as closely: x - m + 1 is small only
-    near the mode, where h exceeds 0.004. So the bounds hold to within 1e-9;
-    against a 40-digit reference (mpmath) they measured within 6e-12.
+    Float error. ln x_k is rounded to within a few ulp of its largest part,
+    so x_k is within a relative 1e-12 (4e-12 dB) of m 10^((T - slow_k)/10);
+    the bounds are those of the x taken. The exponent of h, and that of
+    each refinement term g t_n, (m + n) ln x - x - lgamma(m + n + 1), is
+    rounded to within a few ulp of its largest part. Where the exponential
+    exceeds 1e-304 that part is below 2e5 for m <= 1e4, so it carries a
+    relative error under 3e-10, and g = h x / m two roundings more. Smaller
+    terms, and a smaller h, whose g is then below 1e-289, are taken as 0.
+    As the terms sum to at most 1, the series bounds move by under 1e-9 in
+    all. 1 - rho loses precision only within 2e-6 of rho = 1, near the
+    series' peak, where the tail term already exceeds 1. The Q bounds hold
+    as closely: x - m + 1 is small only near the mode, where h exceeds
+    0.004. So the bounds hold to within 1e-9; against a 40-digit reference
+    (mpmath) they measured within 6e-12.
 
     The band. Three things separate the comparison from the exact chain:
     - rounding p to LOG_DECIMALS (9) places moves it by at most 5e-10 dB;
     - p - noise >= threshold and p >= noise + threshold differ by float
       rounding near 100 dB, about 1e-14 dB, as do the float products and
-      logarithms that form p and x_k;
+      logarithms that form p; x_k is within 4e-12 dB, as above;
     - unit_gamma_draws' P^-1 in the exact chain is inexact, by at most
       |P(P^-1(u)) - u| <= 5e-14 for m in [0.5, 1e4] and u over (0, 1), tails
       included: its tested bound against scipy's P (1.7e-14 measured).
@@ -509,28 +525,39 @@ def nakagami_delivered(slow_dbm, m, uniforms, radio: RadioParams, snr_table=None
     packet takes the exact chain, and so raises the errors it raises.
     """
     slow = np.asarray(slow_dbm, dtype=float)
-    omega = _check_omega(to_linear(slow))
+    # Inside +-3000 dBm, 10^(slow/10) mW is finite and positive.
+    if not -3000.0 < slow.min(initial=np.inf) <= slow.max(initial=-np.inf) < 3000.0:
+        _check_omega(to_linear(slow))
     u = np.asarray(uniforms, dtype=float)
-    delivered = np.zeros(u.shape, dtype=bool)
     if 0.5 <= m <= NAKAGAMI_BAND_MAX_M:
         # np.maximum keeps a nan threshold nan, which delivers nothing, as there.
         threshold = np.maximum(radio.rx_sensitivity_dbm, radio.noise_floor_dbm
                                + snr_threshold_db(radio.data_rate_mbps, snr_table))
-        x = m * to_linear(threshold) / omega
-        pending, exact = np.arange(u.size), []
-        for terms in SERIES_TERMS:
+        # The first bounds, from ln x, clamped; each array is worked in place.
+        log_x = threshold - slow
+        log_x *= math.log(10.0) / 10.0
+        log_x += math.log(m)
+        x = np.exp(np.clip(log_x, -700.0, 709.0, out=log_x))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            exponent = log_x * (m - 1.0)
+            exponent -= x
+            exponent -= math.lgamma(m)
+            h = _exp_above_floor(exponent)
+            g = h * x
+            g /= m
+            hi = g * (m + 1.0) / np.maximum(m + 1.0 - x, 0.0)  # g / (1 - rho), else inf or nan
+            delivered, narrow, wide = _band_split(u, *_tail_bounds(m, x, h, g, hi))
+        exact, pending = [np.flatnonzero(narrow)], np.flatnonzero(wide)
+        for terms in SERIES_TERMS[1:]:
             if not pending.size:
                 break
-            lo, hi = gamma_cdf_bounds(m, x[pending], terms)
-            up = u[pending]
-            delivered[pending[up > hi + NAKAGAMI_BAND]] = True
-            inside = (up >= lo - NAKAGAMI_BAND) & (up <= hi + NAKAGAMI_BAND)
-            narrow = hi - lo < NAKAGAMI_BAND
-            exact.append(pending[inside & narrow])
-            pending = pending[inside & ~narrow]
+            above, narrow, wide = _band_split(u[pending], *gamma_cdf_bounds(m, x[pending], terms))
+            delivered[pending[above]] = True
+            exact.append(pending[narrow])
+            pending = pending[wide]
         exact = np.concatenate([*exact, pending])
     else:
-        exact = np.arange(u.size)
+        delivered, exact = np.zeros(u.shape, dtype=bool), np.arange(u.size)
     if exact.size:
         power = nakagami_rx_power(slow[exact], m, u[exact])
         delivered[exact] = reception_codes(np.round(power, LOG_DECIMALS), radio,

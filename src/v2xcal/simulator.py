@@ -18,8 +18,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .propagation import (DELIVERED, LOG_DECIMALS, SUPPORTED_DATA_RATES_MBPS, FadingParams,
-                          FastFadingModel, RadioParams, nakagami_delivered, nakagami_rx_power,
-                          reception_codes, slow_rx_power)
+                          FastFadingModel, RadioParams, log_decades, nakagami_delivered,
+                          nakagami_rx_power, reception_codes, slow_rx_power)
 # Not called here: bench/tracing.py times these two under the v2xcal.simulator names.
 from .propagation import log_distance_rx_power, nakagami_power_sample  # noqa: F401
 
@@ -371,40 +371,45 @@ def delivered_per_bin(drive: PreparedDrive, delivered: np.ndarray) -> np.ndarray
     return np.bincount(drive.bin_index[delivered], minlength=drive.sent.size)
 
 
-def _link_m(drive: PreparedDrive) -> np.ndarray:
-    return np.maximum(drive.distance_m, 1e-12)
+def link_decades(drive: PreparedDrive, fading: FadingParams) -> np.ndarray:
+    """log_decades of each prepared packet's link, at least 1e-12 m; a pass's decades."""
+    return log_decades(np.maximum(drive.distance_m, 1e-12), fading.reference_distance_m)
 
 
-def channel_pass(drive: PreparedDrive, radio: RadioParams, fading: FadingParams) -> np.ndarray:
+def _slow_pass(drive: PreparedDrive, radio: RadioParams, fading: FadingParams, decades):
+    decades = link_decades(drive, fading) if decades is None else decades
+    return slow_rx_power(radio, fading, None, drive.normals, decades)
+
+
+def channel_pass(drive: PreparedDrive, radio: RadioParams, fading: FadingParams,
+                 decades=None) -> np.ndarray:
     """Logged received power (dBm) of every prepared packet under one channel:
-    the slow stage, then the Nakagami fast stage when it is enabled."""
-    power = slow_rx_power(radio, fading, _link_m(drive), drive.normals)
+    the slow stage, then the Nakagami fast stage when it is enabled. decades,
+    when given, is link_decades(drive, fading), which no gene changes."""
+    power = _slow_pass(drive, radio, fading, decades)
     if fading.fast_model is FastFadingModel.NAKAGAMI:
         power = nakagami_rx_power(power, fading.nakagami_m, drive.uniforms)
     return _round_log(power)
 
 
 def delivery_pass(drive: PreparedDrive, radio: RadioParams, fading: FadingParams,
-                  snr_table=None):
+                  snr_table=None, decades=None):
     """Which prepared packets one channel delivers, and how many took the exact chain.
 
     The delivered array is reception_codes(channel_pass(...)) == DELIVERED.
     Under Nakagami it comes from nakagami_delivered, which draws the power of
     only the few packets near their thresholds; their count is the second
-    value, 0 without fast fading.
+    value, 0 without fast fading. decades is as for channel_pass.
     """
     if fading.fast_model is FastFadingModel.NAKAGAMI:
-        slow = slow_rx_power(radio, fading, _link_m(drive), drive.normals)
-        return nakagami_delivered(slow, fading.nakagami_m, drive.uniforms, radio, snr_table)
-    return reception_codes(channel_pass(drive, radio, fading), radio, snr_table) == DELIVERED, 0
+        return nakagami_delivered(_slow_pass(drive, radio, fading, decades), fading.nakagami_m,
+                                  drive.uniforms, radio, snr_table)
+    return reception_codes(channel_pass(drive, radio, fading, decades), radio,
+                           snr_table) == DELIVERED, 0
 
 
-def run_scenario(
-    trace: EnuTrace,
-    scenario: ScenarioConfig,
-    radio: RadioParams,
-    fading: FadingParams,
-) -> DeliveryLog:
+def run_scenario(trace: EnuTrace, scenario: ScenarioConfig, radio: RadioParams,
+                 fading: FadingParams) -> DeliveryLog:
     """Simulate every scheduled packet over the trace and log each outcome.
 
     Deterministic for a given (trace, scenario, radio, fading): the drive's
@@ -471,7 +476,8 @@ def check_bin_width(observed_m: float, simulated_m: float) -> None:
 
 def pdr_rmse(observed_pdr: np.ndarray, simulated_pdr: np.ndarray) -> float:
     """RMSE in percent between two PDR arrays over the same bins."""
-    return float(np.sqrt(np.mean((observed_pdr - simulated_pdr) ** 2)))
+    diff = observed_pdr - simulated_pdr  # np.mean's own sum and divide, bit for bit
+    return math.sqrt(np.add.reduce(diff * diff) / diff.size)
 
 
 def rmse(observed: PdrCurve, simulated: PdrCurve) -> float:

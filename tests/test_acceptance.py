@@ -133,14 +133,20 @@ def recovery_as_stated(dataset, tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
-def recovery_frozen(dataset, tmp_path_factory):
-    """Same budget and seed, with the two equipment-known genes pinned."""
+def recovery_frozen_run(dataset, tmp_path_factory):
+    """Same budget and seed, with the two equipment-known genes pinned: the
+    README's quick-start search. Returns its output directory."""
     out = tmp_path_factory.mktemp("acc-recovery-frozen")
     assert main(["calibrate", dataset["observed_path"], dataset["trace_path"],
                  "--population", "24", "--generations", "40", "--seed", "42",
                  "--freeze", "noise_floor_dbm=-90.0", "--freeze", "data_rate_mbps=18",
                  "--out", str(out)]) == 0
-    return parse_summary(read(out / "calibration_result.txt"))
+    return out
+
+
+@pytest.fixture(scope="module")
+def recovery_frozen(recovery_frozen_run):
+    return parse_summary(read(recovery_frozen_run / "calibration_result.txt"))
 
 
 # ---------------------------------------------------------------------------
@@ -479,6 +485,26 @@ def test_criterion_8_golden_calibrate_bytes(dataset, tmp_path):
     ok = checked == 6 and not mismatched
     print(f"ACCEPTANCE #8: {'PASS' if ok else 'FAIL'} - {checked} calibrate outputs hashed "
           f"against bench/golden.json; mismatched: {', '.join(mismatched) or 'none'}")
+    assert ok
+
+
+#: sha256 of the README quick-start search's outputs on this drive.
+QUICK_START_DIGESTS = {
+    "history.csv": "b52ceae9b62211d988e3cee2be8922db60ac5ce7b97865f3f8932d231fd4eb01",
+    "calibration_result.txt": "c2d6f1d53ca8f08a697cfddfa19ce90dc65602edbddcc5c5d2701b020bf1cc40",
+}
+
+
+def test_criterion_8_quick_start_search_bytes(recovery_frozen_run):
+    """The README's 960-evaluation search (population 24, 40 generations,
+    seed 42, noise floor and data rate frozen) writes the recorded bytes.
+    Forty generations of elites, mutation and score-memo hits reach what the
+    benchmark's 2-generation goldens do not."""
+    mismatched = [name for name, digest in QUICK_START_DIGESTS.items()
+                  if hashlib.sha256((recovery_frozen_run / name).read_bytes()).hexdigest() != digest]
+    ok = not mismatched
+    print(f"ACCEPTANCE #8: {'PASS' if ok else 'FAIL'} - {len(QUICK_START_DIGESTS)} quick-start "
+          f"search outputs hashed; mismatched: {', '.join(mismatched) or 'none'}")
     assert ok
 
 

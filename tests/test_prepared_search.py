@@ -27,12 +27,15 @@ from v2xcal.calibration import (
 from v2xcal.dataio import GeodeticPosition, SynthSection, generate_synthetic, project_enu
 from v2xcal.propagation import (
     DELIVERED,
+    LOG_DECIMALS,
     NAKAGAMI_BAND,
     FadingParams,
     FastFadingModel,
     RadioParams,
     SlowFadingModel,
     deterministic_gain_db,
+    nakagami_delivered,
+    nakagami_rx_power,
     reception_codes,
     slow_rx_power,
     snr_threshold_db,
@@ -246,6 +249,37 @@ def test_nakagami_decisions_keep_the_chain_errors(change, message):
     for decide in (delivery_pass, _decided_by_power):
         with pytest.raises(ValueError, match=message):
             decide(DRIVE, radio, fading)
+
+
+@pytest.mark.parametrize("bad_dbm", [3100.0, -3300.0, math.nan])
+def test_nakagami_decisions_refuse_a_slow_power_with_no_linear_form(bad_dbm):
+    # 10^(slow/10) mW overflows to inf at +3,100 dBm and underflows to 0 at
+    # -3,300 dBm. One such packet among ordinary ones is refused, as the
+    # drawn power refuses it; numpy's overflow warning is beside the point.
+    slow = np.full(40, -80.0)
+    slow[13] = bad_dbm
+    u = np.linspace(0.01, 0.99, slow.size)
+    with np.errstate(over="ignore"):
+        with pytest.raises(ValueError, match="omega_mw must be finite and positive"):
+            nakagami_delivered(slow, 2.0, u, RadioParams())
+        with pytest.raises(ValueError, match="omega_mw must be finite and positive"):
+            nakagami_rx_power(slow, 2.0, u)
+
+
+@pytest.mark.parametrize("m", [0.5, 1.0, 1.02, 2.0, 1e4])
+@pytest.mark.parametrize("floor_dbm", [-110.0, -2500.0])
+def test_nakagami_decisions_at_the_ends_of_the_power_range(m, floor_dbm):
+    # Slow powers at both ends of the range where 10^(slow/10) is finite and
+    # positive, and thresholds far below every power, where x_k is tiny: for
+    # m near 1 the bounds' g falls below 1e-304 there while h stays near 1.
+    # The smallest uniforms lie under the band, so the bounds decide them.
+    radio = RadioParams(noise_floor_dbm=floor_dbm, rx_sensitivity_dbm=floor_dbm)
+    slow, u = (grid.ravel() for grid in np.meshgrid(
+        [3050.0, -40.0, -80.0, -3200.0], [1e-100, 1e-12, 5e-7, 2e-6, 0.3, 0.9, 1.0 - 2.0**-53]))
+    with np.errstate(divide="ignore", over="ignore", under="ignore"):  # extreme floats warn
+        delivered, _ = nakagami_delivered(slow, m, u, radio)
+        power = np.round(nakagami_rx_power(slow, m, u), LOG_DECIMALS)
+    assert np.array_equal(delivered, reception_codes(power, radio) == DELIVERED)
 
 
 def test_one_progress_line_per_generation(caplog):

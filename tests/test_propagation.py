@@ -25,16 +25,19 @@ from v2xcal.propagation import (
     deterministic_gain_db,
     free_space_rx_power,
     gamma_cdf_bounds,
+    log_decades,
     log_distance_rx_power,
     lognormal_rx_power,
     nakagami_power_sample,
     reception_codes,
+    slow_rx_power,
     snr_threshold_db,
     to_db,
     to_linear,
     unit_gamma_draws,
 )
-from v2xcal.simulator import EnuTrace, PreparedDrive, ScenarioConfig, channel_pass, prepare_drive
+from v2xcal.simulator import (EnuTrace, PreparedDrive, ScenarioConfig, channel_pass, link_decades,
+                              prepare_drive)
 
 import oracles
 
@@ -144,6 +147,43 @@ def test_log_distance_strictly_decreasing(alpha, d1, factor):
     nearer = log_distance_rx_power(DEFAULT_RADIO, fading, d1)
     farther = log_distance_rx_power(DEFAULT_RADIO, fading, d1 * factor)
     assert farther < nearer
+
+
+def hexes(values):
+    return [v.hex() for v in np.asarray(values, dtype=float).ravel().tolist()]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(d0=st.floats(0.1, 100.0), alpha=st.floats(1.0, 3.0), sigma=st.floats(0.0, 12.0),
+       slow_model=st.sampled_from(list(SlowFadingModel)),
+       distances=st.lists(st.one_of(st.sampled_from([1e-12, 1e7]), st.floats(1e-12, 1e7)),
+                          max_size=20),
+       data=st.data())
+def test_slow_stage_from_decades_is_the_log_distance_law_bit_for_bit(d0, alpha, sigma, slow_model,
+                                                                     distances, data):
+    # Distances below, at and above d0; `law` is the log-distance law written out.
+    d = np.array(distances + [d0, data.draw(st.floats(1e-12, d0)), data.draw(st.floats(d0, 1e7))])
+    fading = FadingParams(slow_model=slow_model, alpha=alpha, sigma_db=sigma,
+                          reference_distance_m=d0)
+    law = free_space_rx_power(DEFAULT_RADIO, fading) - 10.0 * alpha * np.log10(
+        np.maximum(d, d0) / d0)
+    normals = np.random.default_rng(d.size).standard_normal(d.size)
+    slow = law + sigma * normals if slow_model is SlowFadingModel.LOGNORMAL else law
+    decades = log_decades(d, d0)
+    assert hexes(decades) == hexes(np.log10(np.maximum(d, d0) / d0))
+    assert hexes(log_distance_rx_power(DEFAULT_RADIO, fading, d)) == hexes(law)
+    assert hexes(slow_rx_power(DEFAULT_RADIO, fading, d, normals)) == hexes(slow)
+    assert hexes(slow_rx_power(DEFAULT_RADIO, fading, None, normals, decades)) == hexes(slow)
+    # A prepared drive's pass with its decades computed once, or per pass.
+    n = d.size
+    drive = PreparedDrive(timestamp_s=np.arange(n, dtype=float), direction_code=np.zeros(n, int),
+                          tx_position_m=np.zeros((n, 3)), rx_position_m=np.zeros((n, 3)),
+                          distance_m=d, bin_index=np.zeros(n, int), normals=normals,
+                          uniforms=np.full(n, 0.5), sent=np.array([n]))
+    assert hexes(link_decades(drive, fading)) == hexes(decades)
+    assert (hexes(channel_pass(drive, DEFAULT_RADIO, fading, link_decades(drive, fading)))
+            == hexes(channel_pass(drive, DEFAULT_RADIO, fading))
+            == hexes(np.round(slow, LOG_DECIMALS)))
 
 
 # ---------------------------------------------------------------------------
