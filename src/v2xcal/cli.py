@@ -19,6 +19,7 @@ unreadable files, bad configuration keys, incompatible bin geometry, an
 from __future__ import annotations
 
 import argparse
+import functools
 import logging
 import os
 import sys
@@ -247,7 +248,9 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
                      help="log progress to stderr (repeat for more detail)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: set_defaults binds each cmd_* function then."""
     parser = argparse.ArgumentParser(
         prog="v2xcal",
         description="V2X channel simulation and calibration toolkit",
@@ -317,9 +320,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
 

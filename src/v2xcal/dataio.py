@@ -8,12 +8,14 @@ a synthetic route, which generate_synthetic drives for all samples at once.
 Every export has a parse counterpart that restores the original values
 exactly; the four share one column writer and one column reader.
 
-The writer's floats match "{:.9f}" on every platform: for |x| < 2**22,
-y = x * 1e9 lies within half a spacing of the true product (1e9 is exact in
-binary), so where the fraction of y is over a spacing from 0.5, rint(y) is the
-correctly rounded 9-decimal value; its digits come from integer division and
-its sign from signbit (-1e-12 is -0.000000000). Near-ties, |x| >= 2**22, nan
-and infinities are formatted one at a time.
+The writer lays out each block of rows as one uint8 matrix of NUL-padded
+cells, renders its floats in one pass and drops the NULs. For |x| < 2**22,
+y = x * 1e9 is within half a spacing of the true product (1e9 is exact), so
+where y's fraction is over a spacing from 0.5, rint(y) gives "{:.9f}" on every
+platform, signed by signbit (-1e-12 is -0.000000000). Its digits are exact in
+8-digit little-endian words: v // 10**4 splits 4 + 4, then (v * 10486) >> 20 =
+v // 100 (v < 10**4) and (v * 103) >> 10 = v // 10 (v < 100) halve each lane,
+none carrying into the next. Near-ties, |x| >= 2**22, nan and inf go singly.
 
 The reader takes each record as one line and skips blank lines (nothing but
 commas and ASCII whitespace), which still count in row numbers. One loadtxt
@@ -61,30 +63,41 @@ MPH_TO_MPS = 0.44704
 #: the small-angle plane approximation is no longer trustworthy there.
 MAX_PROJECTION_RANGE_M = 50_000.0
 
-_FLOAT_FMT = "{:.9f}"
-_BLOCK_ROWS = 2048  # rows the CSV writer renders at once, which bounds its scratch arrays
+_BLOCK_ROWS = 1024  # rows the CSV writer renders at once, which bounds its scratch arrays
 
 #: Slack on parsed PDR bin edges: far above the 9-decimal rounding of an
 #: exported edge, far below any bin width in use.
 _BIN_EDGE_TOL_M = 1e-6
 
+_CELL = np.dtype([("sign", "u1"), ("int", "<u8"), ("dot", "u1"), ("tenth", "u1"), ("frac", "<u8")])
+_TENS = 10 ** np.arange(1, 8, dtype=np.uint64)  # a d-digit number is >= d - 1 of them
+_KEEP = np.array([2**64 - 2 ** (64 - 8 * d) for d in range(1, 9)], np.uint64)  # last d bytes
+
+
+def _digit_words(v: np.ndarray) -> np.ndarray:
+    """The 8 ASCII digits of each uint64 v < 10**8 as a word, the first digit in its low byte."""
+    q = v // 10**4
+    w = (v << 32) - q * ((10**4 << 32) - 1)  # q | (v - q * 10**4) << 32: 4 digits a lane
+    q = (w * 10486) >> 20 & 0x00000FFF00000FFF  # each 32-bit lane // 100
+    w = (w << 16) - q * ((100 << 16) - 1)
+    q = (w * 103) >> 10 & 0x003F003F003F003F  # each 16-bit lane // 10
+    return (w << 8) - q * ((10 << 8) - 1) + 0x3030303030303030
+
 
 def _float_text(x: np.ndarray) -> np.ndarray:
-    """The "{:.9f}" text of each float as an S array, NUL-padded (see the module docstring)."""
+    """The "{:.9f}" text of each float as NUL-padded S cells, 19-byte _CELLs where it can."""
     fast = np.abs(x) < 2.0**22
     y = np.where(fast, x, 0.0) * 1e9
     fast &= np.abs(y - np.floor(y) - 0.5) > np.spacing(np.abs(y))
-    n = np.stack(np.divmod(np.abs(np.rint(y)).astype(np.int64), 10**9), 1).astype(np.int32)
-    whole = n[:, 0]
-    cells = np.empty((x.shape[0], 2, 10), np.uint8)  # sign, 9 integer digits; point, 9 decimals
-    for j in range(9, 0, -1):  # both parts are below 2**31, and int32 divides faster than int64
-        rest = n // 10
-        cells[:, :, j] = n - rest * 10 + 48
-        n = rest
-    cells[:, 0, 1:9][whole[:, None] < 10 ** np.arange(8, 0, -1)] = 0  # no leading zeros
-    cells[:, 0, 0], cells[:, 1, 0] = np.where(np.signbit(x), ord("-"), 0), ord(".")
-    exact = np.array([_FLOAT_FMT.format(v) for v in x[~fast].tolist()], dtype="S")
-    text = cells.reshape(-1, 20).view("S20")[:, 0].astype(np.result_type("S20", exact))
+    n = np.abs(np.rint(y)).astype(np.uint64)
+    top = n // 10**8  # the integer part, then the first decimal
+    whole = top // 10
+    cells = np.empty(x.shape, _CELL)
+    cells["sign"], cells["dot"] = np.signbit(x) * np.uint8(ord("-")), ord(".")
+    cells["int"] = _digit_words(whole) & _KEEP[np.searchsorted(_TENS, whole, "right")]
+    cells["tenth"], cells["frac"] = top - whole * 10 + ord("0"), _digit_words(n - top * 10**8)
+    exact = np.array([f"{v:.9f}" for v in x[~fast].tolist()], dtype="S")
+    text = cells.view("S19").astype(np.result_type("S19", exact), copy=False)
     text[~fast] = exact
     return text
 
@@ -94,18 +107,20 @@ def _write_columns(headers: tuple, columns: list) -> str:
 
     A column holds floats or S-dtype cells, NUL-padded anywhere; no cell needs quoting.
     """
-    parts, n = [",".join(headers) + "\n"], len(columns[0])
-    for start in range(0, n, _BLOCK_ROWS):
-        rows, pieces = min(_BLOCK_ROWS, n - start), []
-        comma, newline = (np.full((rows, 1), ord(c), np.uint8) for c in ",\n")
-        for column in columns:
-            cells = column[start:start + rows]
-            cells = cells if cells.dtype.kind == "S" else _float_text(cells)
-            pieces += [cells.view(np.uint8).reshape(rows, -1), comma]
-        pieces[-1] = newline
-        body = np.hstack(pieces).ravel()
-        parts.append(body[body != 0].tobytes().decode("ascii"))
-    return "".join(parts)
+    text = [",".join(headers) + "\n"]
+    for start in range(0, len(columns[0]), _BLOCK_ROWS):
+        block = [column[start:start + _BLOCK_ROWS] for column in columns]
+        cells = _float_text(np.stack([c for c in block if c.dtype.kind != "S"], axis=1))
+        rendered = iter(np.moveaxis(cells.view(np.uint8).reshape(*cells.shape, -1), 1, 0))
+        pieces = [c.view(np.uint8).reshape(len(c), -1) if c.dtype.kind == "S" else next(rendered)
+                  for c in block]
+        starts = np.cumsum([0, *(piece.shape[1] + 1 for piece in pieces)])
+        matrix = np.zeros((len(cells), starts[-1]), np.uint8)
+        matrix[:, starts[1:] - 1] = list(b"," * (len(pieces) - 1) + b"\n")
+        for piece, at in zip(pieces, starts.tolist()):
+            matrix[:, at:at + piece.shape[1]] = piece
+        text.append(matrix.tobytes().translate(None, b"\0").decode("ascii"))
+    return "".join(text)
 
 
 #: What a blank line may hold: commas and ASCII whitespace.

@@ -355,9 +355,11 @@ def slow_rx_power(radio, fading, distance, normals, decades=None):
 
 
 def nakagami_rx_power(slow_dbm, m, uniforms):
-    """Fast stage: received power (dBm) after Nakagami-m fading of slow-stage
-    power slow_dbm, with one uniform per packet."""
-    return to_db(nakagami_power(to_linear(slow_dbm), m, unit_gamma_draws(m, uniforms)))
+    """Fast stage: power (dBm) after Nakagami-m fading of slow-stage power slow_dbm, one
+    uniform per packet; slow_dbm + to_db(y / m) where omega/m * y underflows to 0 mW."""
+    y = unit_gamma_draws(m, uniforms)
+    power = nakagami_power(to_linear(slow_dbm), m, y)
+    return to_db(np.where(power > 0.0, power, y / m)) + np.where(power > 0.0, 0.0, slow_dbm)
 
 
 def deterministic_gain_db(radio: RadioParams, fading: FadingParams, distance):

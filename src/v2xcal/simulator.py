@@ -345,20 +345,21 @@ def prepare_drive(trace: EnuTrace, scenario: ScenarioConfig) -> PreparedDrive:
     streams seeded by (master_seed, direction), consumed in packet order.
     """
     rsu = _round_log(np.array([scenario.rsu_x_m, scenario.rsu_y_m, scenario.rsu_z_m], dtype=float))
-    parts = []
+    parts, schedules = [], {}  # send times, positions and distances of each distinct rate
     for direction, rate in (
         (Direction.VEHICLE_TO_RSU, scenario.bsm_rate_hz),
         (Direction.RSU_TO_VEHICLE, scenario.spat_rate_hz),
     ):
-        n = _send_count(trace.duration_s, rate)
-        times = _round_log(np.arange(n, dtype=float) / rate)
-        vehicle = _round_log(np.column_stack(trace.position_at(times)))
-        site = np.broadcast_to(rsu, vehicle.shape)
+        if rate not in schedules:
+            times = _round_log(np.arange(_send_count(trace.duration_s, rate), dtype=float) / rate)
+            vehicle = _round_log(np.column_stack(trace.position_at(times)))
+            schedules[rate] = times, vehicle, link_distance_m(vehicle, rsu[None, :])
+        times, vehicle, distance = schedules[rate]
+        n, site = len(times), np.broadcast_to(rsu, vehicle.shape)
         slow_seed, fast_seed = np.random.SeedSequence(
             (scenario.master_seed, direction.stream_code)).spawn(2)
         tx, rx = (vehicle, site) if direction is Direction.VEHICLE_TO_RSU else (site, vehicle)
-        parts.append((times, np.full(n, direction.stream_code), tx, rx,
-                      link_distance_m(vehicle, site),
+        parts.append((times, np.full(n, direction.stream_code), tx, rx, distance,
                       np.random.default_rng(slow_seed).standard_normal(n),
                       np.random.default_rng(fast_seed).random(n)))
     times, codes, tx, rx, dist, normals, uniforms = (np.concatenate(c) for c in zip(*parts))

@@ -14,7 +14,7 @@ import pytest
 
 import v2xcal
 from v2xcal.calibration import parse_history_csv
-from v2xcal.cli import main
+from v2xcal.cli import build_parser, main
 from v2xcal.config import RunConfig, apply_preset, parse_config, planted_params_text, render_config
 from v2xcal.dataio import export_pdr_csv, parse_log_csv, parse_pdr_csv
 from v2xcal.simulator import PdrCurve
@@ -474,6 +474,30 @@ def test_no_command_loads_costly_modules(dataset, sim_out, tmp_path):
     assert (tmp_path / "pdr.csv").exists() and (tmp_path / "heatmap.csv").exists()
     assert "nakagami" in read(str(cal / "history.csv"))
     assert (tmp_path / "sim" / "log.csv").exists()
+
+
+def test_one_parser_serves_every_call_of_a_process(dataset, sim_out, tmp_path):
+    # Flags of one call must not leak into the next through the shared parser:
+    # each command writes the bytes it writes with a parser of its own.
+    commands = [
+        ["simulate", dataset["trace"], "--seed", "7", "--bin-width", "40", "--direction", "bsm"],
+        ["heatmap", str(sim_out / "log.csv"), "--cell", "30"],
+        ["simulate", dataset["trace"]],
+        ["pdr", str(sim_out / "log.csv")],
+    ]
+    for k, argv in enumerate(commands):
+        build_parser.cache_clear()
+        assert main(argv + ["--out", str(tmp_path / "fresh" / str(k))]) == 0
+    build_parser.cache_clear()
+    for k, argv in enumerate(commands):
+        assert main(argv + ["--out", str(tmp_path / "shared" / str(k))]) == 0
+    assert build_parser.cache_info().misses == 1
+    for k in range(len(commands)):
+        names = sorted(os.listdir(tmp_path / "fresh" / str(k)))
+        assert names == sorted(os.listdir(tmp_path / "shared" / str(k)))
+        for name in names:
+            assert (read(str(tmp_path / "shared" / str(k) / name))
+                    == read(str(tmp_path / "fresh" / str(k) / name)))
 
 
 def test_pdr_command_direction_filter(sim_out, tmp_path):

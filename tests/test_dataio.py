@@ -10,6 +10,8 @@ from hypothesis import Phase, given, settings, strategies as st
 
 from v2xcal.dataio import (
     _BLOCK_ROWS,
+    _digit_words,
+    _write_columns,
     EARTH_RADIUS_M,
     EPOCH,
     FT_TO_M,
@@ -871,3 +873,44 @@ def _random_grid(rng, n, extra):
 def test_exports_match_the_per_row_oracle(build, export, oracle, seed, n, extra):
     table = build(np.random.default_rng(seed), n, extra)
     assert export(table) == oracle(table)
+
+
+# ---------------------------------------------------------------------------
+# the float kernel of the column writer
+# ---------------------------------------------------------------------------
+
+
+def _spelled(numbers):
+    return np.array([b"%08d" % x for x in numbers]).view("<u8")
+
+
+def test_halving_steps_split_every_lane_value_without_carries():
+    # Every 4-digit value in both halves of the word at once, so every 2-digit
+    # value in each quarter: each lane must come out as its own digits,
+    # whatever the lanes beside it hold, 9999 and 99 included.
+    v = np.arange(10**4, dtype=np.uint64)
+    for high in (v[::-1], v, np.full_like(v, 9999)):
+        numbers = high * 10**4 + v
+        assert np.array_equal(_digit_words(numbers), _spelled(numbers.tolist()))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.lists(st.integers(min_value=0, max_value=10**8 - 1), min_size=1, max_size=50))
+def test_digit_words_spell_every_8_digit_number(numbers):
+    assert np.array_equal(_digit_words(np.array(numbers, dtype=np.uint64)), _spelled(numbers))
+
+
+def test_writer_renders_any_byte_order_and_layout_alike():
+    rng = np.random.default_rng(22)
+    log = _random_log(rng, 2 * _BLOCK_ROWS + 7, [])
+    swapped = DeliveryLog(
+        log.timestamp_s.astype(">f8"), log.direction_code,
+        np.asfortranarray(log.tx_position_m), log.rx_position_m.astype(">f8"),
+        np.repeat(log.distance_m, 2)[::2], np.repeat(log.rx_power_dbm, 3)[1::3].astype(">f8"),
+        log.reason_code)
+    assert export_log_csv(swapped) == export_log_csv(log)
+    columns = [log.tx_position_m.T[0], log.rx_position_m.T[1].astype(">f8"),
+               np.array([b"a", b"bc"])[log.direction_code]]
+    native = [np.ascontiguousarray(column, dtype=column.dtype.newbyteorder("="))
+              for column in columns]
+    assert _write_columns(("x", "y", "w"), columns) == _write_columns(("x", "y", "w"), native)

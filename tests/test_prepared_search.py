@@ -267,12 +267,14 @@ def test_nakagami_decisions_refuse_a_slow_power_with_no_linear_form(bad_dbm):
 
 
 @pytest.mark.parametrize("m", [0.5, 1.0, 1.02, 2.0, 1e4])
-@pytest.mark.parametrize("floor_dbm", [-110.0, -2500.0])
+@pytest.mark.parametrize("floor_dbm", [-110.0, -2500.0, -5000.0])
 def test_nakagami_decisions_at_the_ends_of_the_power_range(m, floor_dbm):
     # Slow powers at both ends of the range where 10^(slow/10) is finite and
     # positive, and thresholds far below every power, where x_k is tiny: for
     # m near 1 the bounds' g falls below 1e-304 there while h stays near 1.
     # The smallest uniforms lie under the band, so the bounds decide them.
+    # At a -5,000 dBm floor, a packet whose omega/m * y underflows to 0 mW
+    # may still clear the threshold: its power is taken in decibels.
     radio = RadioParams(noise_floor_dbm=floor_dbm, rx_sensitivity_dbm=floor_dbm)
     slow, u = (grid.ravel() for grid in np.meshgrid(
         [3050.0, -40.0, -80.0, -3200.0], [1e-100, 1e-12, 5e-7, 2e-6, 0.3, 0.9, 1.0 - 2.0**-53]))

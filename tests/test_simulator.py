@@ -16,6 +16,7 @@ from v2xcal.propagation import (
     RadioParams,
     SlowFadingModel,
 )
+from v2xcal import simulator
 from v2xcal.simulator import (
     DeliveryLog,
     Direction,
@@ -26,6 +27,7 @@ from v2xcal.simulator import (
     heatmap,
     link_distance_m,
     pdr_curve,
+    prepare_drive,
     rmse,
     run_scenario,
 )
@@ -140,6 +142,30 @@ def test_asymmetric_rates():
     log = run_scenario(trace, scenario, CALIBRATED_RADIO, CALIBRATED_FADING)
     assert np.count_nonzero(log.sent_in(Direction.VEHICLE_TO_RSU)) == 100
     assert np.count_nonzero(log.sent_in(Direction.RSU_TO_VEHICLE)) == 10
+
+
+def test_equal_rates_share_one_schedule(monkeypatch):
+    # Equal rates: one distance pass serves both directions, and each
+    # direction still sees the positions and distances it would alone.
+    trace = drive_by_trace(duration_s=10.0)
+    calls = []
+    monkeypatch.setattr(simulator, "link_distance_m",
+                        lambda tx, rx: calls.append(len(tx)) or link_distance_m(tx, rx))
+    for rates, expected_calls in (((10.0, 10.0), [100]), ((10.0, 4.0), [100, 40])):
+        calls.clear()
+        drive = prepare_drive(trace, ScenarioConfig(bsm_rate_hz=rates[0], spat_rate_hz=rates[1],
+                                                    master_seed=1))
+        assert calls == expected_calls
+        v2r = drive.direction_code == Direction.VEHICLE_TO_RSU.stream_code
+        assert np.array_equal(drive.distance_m,
+                              link_distance_m(drive.tx_position_m, drive.rx_position_m))
+        for direction, rate in zip(Direction, rates):
+            sent = drive.direction_code == direction.stream_code
+            assert np.array_equal(drive.timestamp_s[sent],
+                                  np.round(np.arange(np.count_nonzero(sent)) / rate, 9))
+        if rates[0] == rates[1]:
+            assert np.array_equal(drive.distance_m[v2r], drive.distance_m[~v2r])
+            assert np.array_equal(drive.tx_position_m[v2r], drive.rx_position_m[~v2r])
 
 
 def test_packet_positions_follow_trace():
