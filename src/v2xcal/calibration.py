@@ -227,11 +227,11 @@ class PreparedSearch:
     Under common random numbers only the channel depends on the genome, so
     the drive, its draws and the compared bins are fixed here once. A score
     needs one bit per packet, delivered or not, so under Nakagami it draws
-    no power: propagation.nakagami_delivered compares each packet's uniform
-    with bounds on the gamma CDF at its threshold and inverts the CDF only
-    for the few packets within NAKAGAMI_BAND of it. nakagami_packets counts
-    the packets of the Nakagami genomes scored, exact_packets those that
-    were inverted.
+    no power: propagation.nakagami_delivered bounds the gamma CDF at each
+    packet's threshold, sums its series where the bounds leave the uniform
+    open, and inverts it only where the uniform is within NAKAGAMI_BAND.
+    nakagami_packets counts the packets of the Nakagami genomes scored,
+    exact_packets those that were inverted.
     """
 
     def __init__(self, observed: PdrCurve, trace: EnuTrace, scenario: ScenarioConfig,

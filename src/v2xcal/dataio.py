@@ -33,7 +33,7 @@ import enum
 import math
 from dataclasses import dataclass, replace
 from datetime import datetime, timedelta, timezone
-from functools import partial
+from functools import partial, reduce
 
 import numpy as np
 
@@ -476,8 +476,10 @@ def _exported_time_us(cells: np.ndarray) -> tuple:
     points = np.ascontiguousarray(cells).view(np.uint32).reshape(len(cells), cells.itemsize // 4)
     digits = points[:, :len(_EXPORTED_TIME)] - _EXPORTED_TIME  # below its span wraps far above
     ok = np.all(digits <= _TIME_SPAN, axis=1)
+    # Horner's rule down each number's digit columns: no BLAS product, whose buffers cost memory.
     year, month, day, hour, minute, second, micro = (
-        digits[:, a:b] @ 10 ** np.arange(b - a - 1, -1, -1) for a, b in _TIME_FIELDS)
+        reduce(lambda n, k: n * 10 + digits[:, k], range(a + 1, b), digits[:, a].astype(np.int64))
+        for a, b in _TIME_FIELDS)
     leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
     ok &= ((year >= 1) & (day >= 1) & (hour < 24) & (minute < 60) & (second < 60)
            & (day <= _MONTH_DAYS[np.where(month <= 12, month, 0)] + (leap & (month == 2))))

@@ -394,118 +394,110 @@ def reception_codes(rx_power_dbm, radio: RadioParams, snr_table=None) -> np.ndar
     return np.where(power >= radio.rx_sensitivity_dbm, above_snr, BELOW_SENSITIVITY)
 
 
-#: Series terms of nakagami_delivered's bounds on the gamma CDF: none (the
-#: closed-form bounds), then sixteen times more at each refinement.
-SERIES_TERMS = (0, 16, 256, 4096)
-
-#: Largest term matrix gamma_cdf_bounds builds at once (8 MB of floats).
-_MAX_TERM_CELLS = 2**20
-
-
-def _exp_above_floor(exponent):
-    """exp(exponent), but 0 at or below -700 (1e-304), where libm's exp slows
-    tenfold or more; nan stays nan."""
-    return np.exp(np.maximum(exponent, -700.0)) * (exponent > -700.0)
+def is_delivered(rx_power_dbm, radio: RadioParams, snr_table=None) -> np.ndarray:
+    """reception_codes(...) == DELIVERED in one pass, for every float, nan and +-inf included."""
+    power = np.asarray(rx_power_dbm, dtype=float)
+    threshold = snr_threshold_db(radio.data_rate_mbps, snr_table)
+    return (power >= radio.rx_sensitivity_dbm) & (power - radio.noise_floor_dbm >= threshold)
 
 
-def gamma_cdf_bounds(m, x, terms):
-    """(lo, hi) with lo <= P(m, x) <= hi, to within 1e-9, for shape m >= 0.5.
+#: Most series terms gamma_cdf sums, and the largest block of running products it builds.
+GAMMA_SUM_TERMS, _SUM_CELLS = 4096, 2**16
 
-    P is the regularized lower incomplete gamma function (scipy's gammainc),
-    bounded by its series to `terms` terms and by the tail bounds of Q = 1 - P,
-    as nakagami_delivered states. x = 0 gives (0, 0), x = inf (1, 1) and a
-    nan x nan bounds. A bound that does not apply is inf or nan until fmax
-    and fmin skip it.
+
+def gamma_cdf(m, x):
+    """P(m, x), m in [0.5, NAKAGAMI_BAND_MAX_M], as g (t_0 + t_1 + ...) with
+    g = x^m e^-x / Gamma(m + 1), t_0 = 1 and t_n = t_(n-1) x / (m + n).
+
+    The terms are running products, in blocks each twice as wide as the last,
+    until the remainder bound t_N rho / (1 - rho), rho = x / (m + N + 1) < 1,
+    is within 2^-53 of the sum at the largest x, and so at every x, as both
+    t_N / (t_0 + ... + t_N) and rho grow with x. nan where x is nan or inf,
+    or where the series passes GAMMA_SUM_TERMS terms or overflows, only
+    above x = m + 1: g is not floored, so where it leaves the normal range
+    there the sum, about P / g, overflows.
     """
-    x = np.minimum(x, np.finfo(float).max)  # inf -> max, nan stays
-    block = max(1, _MAX_TERM_CELLS // (terms + 1))
-    if x.size > block:
-        parts = [gamma_cdf_bounds(m, x[i:i + block], terms) for i in range(0, x.size, block)]
-        return tuple(np.concatenate(bound) for bound in zip(*parts))
-    shape = m + np.arange(terms + 1.0)
-    log_gamma = np.array([math.lgamma(a + 1.0) for a in shape.tolist()])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_x = np.log(x)
-        # Row n: g t_n = x^(m+n) e^-x / Gamma(m+n+1), each from its own exponent.
-        g_t = _exp_above_floor(shape[:, None] * log_x - x - log_gamma[:, None])
-        lo, rho = g_t.sum(axis=0), x / (m + terms + 1.0)
-        hi = np.where(rho < 1.0, lo + g_t[-1] * rho / (1.0 - rho), np.nan)
-        return _tail_bounds(m, x, _exp_above_floor((m - 1.0) * log_x - x - math.lgamma(m)), lo, hi)
+    with np.errstate(divide="ignore", over="ignore", under="ignore", invalid="ignore"):
+        g = np.exp(m * np.log(x) - x - math.lgamma(m + 1.0))
+        if not x.size:
+            return g
+        top = x.argmax()  # the first nan, if any, which no sum verifies
+        # The first block holds about the terms the largest x needs (8.6 fits a grid of m and x).
+        width = 8 + int(np.fmin(max(x[top] - m, 0.0) + 8.6 * math.sqrt(x[top] + 1.0), GAMMA_SUM_TERMS))
+        total, term, done = 1.0, 1.0, 0
+        while done < GAMMA_SUM_TERMS:
+            width = max(1, min(width, GAMMA_SUM_TERMS - done, _SUM_CELLS // x.size))
+            terms = np.multiply.outer(x, 1.0 / (m + np.arange(done + 1.0, done + width + 1.0)))
+            terms[:, 0] *= term
+            np.multiply.accumulate(terms, axis=1, out=terms)
+            total = total + terms.sum(axis=1)
+            term, done, width = terms[:, -1], done + width, 2 * width
+            bound = 2.0**-53 * total[top] * (m + done + 1.0 - x[top])
+            if term[top] * x[top] <= bound < math.inf:
+                return g * total
+        stopped = term * x <= 2.0**-53 * total * (m + done + 1.0 - x)
+        return np.where(stopped & np.isfinite(total), g * total, np.nan)
 
 
-def _tail_bounds(m, x, h, lo, hi):
-    """lo and hi narrowed by the bounds on Q = 1 - P that h = x^(m-1) e^-x / Gamma(m) gives."""
-    if m >= 1.0:  # at x <= m - 1 the upper bound does not apply: inf or nan, which fmax skips
-        q_lo, q_hi = h, h * x / np.maximum(x - (m - 1.0), 0.0)
-    else:
-        q_lo, q_hi = h * x / (x - (m - 1.0)), h
-    return np.fmax(lo, 1.0 - q_hi), np.fmin(hi, 1.0 - q_lo)
+def uniform_margins(uniforms):
+    """max(u - b, 0), u + b, max(1 - u - b, 0) and 1 - u + b of each uniform u,
+    b = NAKAGAMI_BAND: what nakagami_delivered tests its bounds against."""
+    u = np.asarray(uniforms, dtype=float)
+    low, q_low = (np.maximum(v - NAKAGAMI_BAND, 0.0) for v in (u, 1.0 - u))
+    return low, u + NAKAGAMI_BAND, q_low, 1.0 - u + NAKAGAMI_BAND
 
 
-def _band_split(u, lo, hi):
-    """Masks of the uniforms above their bounds by more than NAKAGAMI_BAND, of those
-    within the band of bounds narrower than it, and of those within wider bounds."""
-    top = hi + NAKAGAMI_BAND
-    inside = (u >= lo - NAKAGAMI_BAND) & (u <= top)
-    narrow = hi - lo < NAKAGAMI_BAND
-    return u > top, inside & narrow, inside & ~narrow
-
-
-def nakagami_delivered(slow_dbm, m, uniforms, radio: RadioParams, snr_table=None):
+def nakagami_delivered(slow_dbm, m, uniforms, radio: RadioParams, snr_table=None, margins=None):
     """Delivery of Nakagami packets, decided mostly without drawing a power.
 
     Packet k has slow-stage power slow_dbm[k] and fast-fading uniform
-    uniforms[k]. The result equals reception_codes(p) == DELIVERED, where p
-    is nakagami_rx_power(slow_dbm, m, uniforms) rounded to LOG_DECIMALS.
+    uniforms[k]. The result equals is_delivered(p), where p is
+    nakagami_rx_power(slow_dbm, m, uniforms) rounded to LOG_DECIMALS.
     Returns the boolean delivered array and how many packets took the exact
-    chain.
+    chain. margins, when given, is uniform_margins(uniforms).
 
     The rule. Power omega/m * y grows with the unit gamma draw y, and
     y = P^-1(u) grows with u, where P is the regularized lower incomplete
     gamma function of shape m. With the threshold
     T = max(sensitivity, noise floor + SNR threshold) in dBm, packet k is
     delivered iff y >= x_k = m * 10^((T - slow_k)/10), that is iff
-    u_k >= c_k = P(m, x_k). Bounds bracket c_k, with
+    u_k >= c_k = P(m, x_k). Four closed forms bound c_k, with
     g = x^m e^-x / Gamma(m + 1) and h = g m / x:
-    - P = g (t_0 + t_1 + ...), where t_0 = 1 and t_n = t_(n-1) x / (m + n).
-      After N terms, with partial sum S_N and last term t_N,
-      g S_N <= P <= g (S_N + t_N rho / (1 - rho)) when
-      rho = x / (m + N + 1) < 1, as each later ratio is at most rho;
+    - P = g (t_0 + t_1 + ...), where t_0 = 1 and t_n = t_(n-1) x / (m + n),
+      so P >= g, and P <= g (m + 1) / (m + 1 - x) when x < m + 1, as every
+      ratio t_n / t_(n-1) is then below x / (m + 1);
     - Q = 1 - P = integral of t^(m-1) e^-t dt / Gamma(m) over [x, inf).
       Bounding t^(m-1) by x^(m-1) on one side and by
       x^(m-1) e^((m-1)(t-x)/x) on the other puts Q in
       [h, h x / (x - m + 1)] for m >= 1 and x > m - 1, and in
       [h x / (x + 1 - m), h] for m < 1.
-    The first bounds (N = 0) take two exponentials per packet, of
-    ln x = (T - slow) ln(10)/10 + ln m and of (m - 1) ln x - x - lgamma(m)
-    for h; then g = h x / m, as at a tiny x g falls below 1e-304 where h,
-    for m near 1, does not. ln x is clamped to [-700, 709], which moves c_k
-    by under 1e-150 for m in [0.5, 1e4]. A packet is decided once u_k lies
-    more than NAKAGAMI_BAND outside its bounds, delivered if above. It
-    takes the exact chain once its bounds are narrower than the band.
-    Otherwise gamma_cdf_bounds refines them with the next count of
-    SERIES_TERMS, so there are at most three refinements.
-    For m up to NAKAGAMI_BAND_MAX_M the bounds are narrower than the band
-    for every x by the last of them: on a dense grid of m and x, the widest
-    bounds measure 0.09 after 256 terms and 6e-8 after 1024, both at
-    m = 1e4. A packet still wide after the last refinement would take the
-    exact chain. A nan threshold gives nan bounds, so its packets are
-    delivered nowhere and take no exact chain.
+    They take two exponentials per packet, of
+    ln x = (T - slow) ln(10)/10 + ln m, clamped to [-700, 600], and of
+    (m - 1) ln x - x - lgamma(m) for h, raised to -700 at least, below which
+    libm's exp slows tenfold or more; g = h x / m, as at a tiny x g falls
+    below 1e-304 where h, for m near 1, does not. The clamp moves c_k by
+    under 1e-150 for m in [0.5, 1e4], and the raise, where x <= e^600, h x
+    and g by under e^-100. A packet is decided once u_k lies more than
+    NAKAGAMI_BAND beyond a bound, delivered if above: each test multiplies
+    through by the bound's denominator, against the margins of
+    uniform_margins, whose clamp at 0 keeps a bound with a denominator that
+    is not positive from deciding. A packet left open gets
+    c_k = gamma_cdf(m, x_k) and takes the exact chain iff
+    |u_k - c_k| <= NAKAGAMI_BAND or c_k is nan; otherwise it is delivered
+    iff u_k > c_k. A nan threshold delivers nothing and takes no exact chain.
 
     Float error. ln x_k is rounded to within a few ulp of its largest part,
     so x_k is within a relative 1e-12 (4e-12 dB) of m 10^((T - slow_k)/10);
-    the bounds are those of the x taken. The exponent of h, and that of
-    each refinement term g t_n, (m + n) ln x - x - lgamma(m + n + 1), is
-    rounded to within a few ulp of its largest part. Where the exponential
-    exceeds 1e-304 that part is below 2e5 for m <= 1e4, so it carries a
-    relative error under 3e-10, and g = h x / m two roundings more. Smaller
-    terms, and a smaller h, whose g is then below 1e-289, are taken as 0.
-    As the terms sum to at most 1, the series bounds move by under 1e-9 in
-    all. 1 - rho loses precision only within 2e-6 of rho = 1, near the
-    series' peak, where the tail term already exceeds 1. The Q bounds hold
-    as closely: x - m + 1 is small only near the mode, where h exceeds
-    0.004. So the bounds hold to within 1e-9; against a 40-digit reference
-    (mpmath) they measured within 6e-12.
+    the bounds and c_k are those of the x taken. The exponents of h and of
+    gamma_cdf's g are rounded to within a few ulp of their largest part,
+    below 2e5 for m <= 1e4 where the exponential exceeds 1e-304, so h and g
+    carry a relative error under 3e-10 (g = h x / m two roundings more).
+    gamma_cdf adds at most GAMMA_SUM_TERMS + 4 roundings (5e-13 relative)
+    and stops within 2^-53 of the whole series. As c_k <= 1, c_k is within
+    1e-9 of P(m, x_k); against scipy's gammainc it measured within 4e-11.
+    m + 1 - x and x - m + 1 lose precision only near the mode, where the
+    bounds dividing by them exceed 1 and decide nothing, so the bounds, too,
+    hold to within 1e-9.
 
     The band. Three things separate the comparison from the exact chain:
     - rounding p to LOG_DECIMALS (9) places moves it by at most 5e-10 dB;
@@ -521,47 +513,47 @@ def nakagami_delivered(slow_dbm, m, uniforms, radio: RadioParams, snr_table=None
     spans P(x(1 + r)) - P(x) = integral of y P'(y) dy/y over [x, x(1 + r)]
     <= ln(1 + r) max_y y P'(y) <= r m^m e^-m / Gamma(m) <= r sqrt(m / 2 pi),
     the maximum taken at y = m and the last step by Stirling's lower bound
-    on Gamma(m). At m = 1e4 that is 9.2e-9; adding the bounds' 1e-9 slack
-    and the inverse's 5e-14 leaves the 1e-6 band about a hundred times wider
-    than needed. For m beyond NAKAGAMI_BAND_MAX_M, or not finite, every
-    packet takes the exact chain, and so raises the errors it raises.
+    on Gamma(m). At m = 1e4 that is 9.2e-9; adding the 1e-9 slack of c_k and
+    its bounds and the inverse's 5e-14 leaves the 1e-6 band about a hundred
+    times wider than needed. For m beyond NAKAGAMI_BAND_MAX_M, or not finite,
+    every packet takes the exact chain, and so raises the errors it raises.
     """
     slow = np.asarray(slow_dbm, dtype=float)
     # Inside +-3000 dBm, 10^(slow/10) mW is finite and positive.
     if not -3000.0 < slow.min(initial=np.inf) <= slow.max(initial=-np.inf) < 3000.0:
         _check_omega(to_linear(slow))
     u = np.asarray(uniforms, dtype=float)
-    if 0.5 <= m <= NAKAGAMI_BAND_MAX_M:
-        # np.maximum keeps a nan threshold nan, which delivers nothing, as there.
-        threshold = np.maximum(radio.rx_sensitivity_dbm, radio.noise_floor_dbm
-                               + snr_threshold_db(radio.data_rate_mbps, snr_table))
-        # The first bounds, from ln x, clamped; each array is worked in place.
-        log_x = threshold - slow
-        log_x *= math.log(10.0) / 10.0
-        log_x += math.log(m)
-        x = np.exp(np.clip(log_x, -700.0, 709.0, out=log_x))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            exponent = log_x * (m - 1.0)
-            exponent -= x
-            exponent -= math.lgamma(m)
-            h = _exp_above_floor(exponent)
-            g = h * x
-            g /= m
-            hi = g * (m + 1.0) / np.maximum(m + 1.0 - x, 0.0)  # g / (1 - rho), else inf or nan
-            delivered, narrow, wide = _band_split(u, *_tail_bounds(m, x, h, g, hi))
-        exact, pending = [np.flatnonzero(narrow)], np.flatnonzero(wide)
-        for terms in SERIES_TERMS[1:]:
-            if not pending.size:
-                break
-            above, narrow, wide = _band_split(u[pending], *gamma_cdf_bounds(m, x[pending], terms))
-            delivered[pending[above]] = True
-            exact.append(pending[narrow])
-            pending = pending[wide]
-        exact = np.concatenate([*exact, pending])
-    else:
+    threshold = np.maximum(radio.rx_sensitivity_dbm, radio.noise_floor_dbm
+                           + snr_threshold_db(radio.data_rate_mbps, snr_table))
+    if not 0.5 <= m <= NAKAGAMI_BAND_MAX_M:
         delivered, exact = np.zeros(u.shape, dtype=bool), np.arange(u.size)
+    elif math.isnan(threshold):
+        delivered, exact = np.zeros(u.shape, dtype=bool), np.arange(0)
+    else:
+        # The first bounds, from ln x, clamped.
+        log_x = slow * (-math.log(10.0) / 10.0)
+        log_x += threshold * (math.log(10.0) / 10.0) + math.log(m)
+        x = np.exp(np.minimum(np.maximum(log_x, -700.0, out=log_x), 600.0, out=log_x))
+        low, high, q_low, q_high = uniform_margins(u) if margins is None else margins
+        h = log_x * (m - 1.0)
+        h -= x
+        h -= math.lgamma(m)
+        np.exp(np.maximum(h, -700.0, out=h), out=h)
+        hx = h * x
+        g = hx * (1.0 / m)
+        delivered = g * (m + 1.0) < low * (m + 1.0 - x)  # g (m + 1) / (m + 1 - x) < u - band
+        below = g > high
+        if m >= 1.0:
+            delivered |= h > q_high  # 1 - h < u - band
+            below |= hx < q_low * (x - (m - 1.0))  # 1 - h x / (x - m + 1) > u + band
+        else:
+            delivered |= hx > q_high * (x - (m - 1.0))
+            below |= h < q_low
+        pending = np.flatnonzero(delivered == below)  # neither decides (both, by rounding)
+        above = u[pending] - gamma_cdf(m, x[pending])
+        delivered[pending] = above > NAKAGAMI_BAND
+        exact = pending[~(np.abs(above) > NAKAGAMI_BAND)]  # nan: the series passed its cap
     if exact.size:
         power = nakagami_rx_power(slow[exact], m, u[exact])
-        delivered[exact] = reception_codes(np.round(power, LOG_DECIMALS), radio,
-                                           snr_table) == DELIVERED
+        delivered[exact] = is_delivered(np.round(power, LOG_DECIMALS), radio, snr_table)
     return delivered, exact.size

@@ -14,12 +14,14 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
 from .propagation import (DELIVERED, LOG_DECIMALS, SUPPORTED_DATA_RATES_MBPS, FadingParams,
-                          FastFadingModel, RadioParams, log_decades, nakagami_delivered,
-                          nakagami_rx_power, reception_codes, slow_rx_power)
+                          FastFadingModel, RadioParams, is_delivered, log_decades,
+                          nakagami_delivered, nakagami_rx_power, reception_codes, slow_rx_power,
+                          uniform_margins)
 # Not called here: bench/tracing.py times these two under the v2xcal.simulator names.
 from .propagation import log_distance_rx_power, nakagami_power_sample  # noqa: F401
 
@@ -337,6 +339,10 @@ class PreparedDrive:
     uniforms: np.ndarray
     sent: np.ndarray
 
+    @cached_property
+    def margins(self) -> tuple:
+        return uniform_margins(self.uniforms)  # for every Nakagami pass over the drive
+
 
 def prepare_drive(trace: EnuTrace, scenario: ScenarioConfig) -> PreparedDrive:
     """Schedule every packet of the trace and draw its random numbers.
@@ -397,16 +403,15 @@ def delivery_pass(drive: PreparedDrive, radio: RadioParams, fading: FadingParams
                   snr_table=None, decades=None):
     """Which prepared packets one channel delivers, and how many took the exact chain.
 
-    The delivered array is reception_codes(channel_pass(...)) == DELIVERED.
-    Under Nakagami it comes from nakagami_delivered, which draws the power of
-    only the few packets near their thresholds; their count is the second
-    value, 0 without fast fading. decades is as for channel_pass.
+    The delivered array is is_delivered(channel_pass(...)). Under Nakagami it
+    comes from nakagami_delivered, which draws the power of only the few
+    packets near their thresholds; their count is the second value, 0
+    without fast fading. decades is as for channel_pass.
     """
     if fading.fast_model is FastFadingModel.NAKAGAMI:
         return nakagami_delivered(_slow_pass(drive, radio, fading, decades), fading.nakagami_m,
-                                  drive.uniforms, radio, snr_table)
-    return reception_codes(channel_pass(drive, radio, fading, decades), radio,
-                           snr_table) == DELIVERED, 0
+                                  drive.uniforms, radio, snr_table, drive.margins)
+    return is_delivered(channel_pass(drive, radio, fading, decades), radio, snr_table), 0
 
 
 def run_scenario(trace: EnuTrace, scenario: ScenarioConfig, radio: RadioParams,

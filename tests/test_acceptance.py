@@ -22,6 +22,10 @@ import pytest
 from scipy import stats
 
 from v2xcal.calibration import (
+    CONTINUOUS_GENES,
+    SEARCH_SPACE,
+    Genome,
+    PreparedSearch,
     _tournament,
     calibrated_genome,
     default_genome,
@@ -46,6 +50,7 @@ from v2xcal.dataio import (
 )
 from v2xcal.propagation import (
     FadingParams,
+    FastFadingModel,
     RadioParams,
     SlowFadingModel,
     free_space_rx_power,
@@ -505,6 +510,35 @@ def test_criterion_8_quick_start_search_bytes(recovery_frozen_run):
     ok = not mismatched
     print(f"ACCEPTANCE #8: {'PASS' if ok else 'FAIL'} - {len(QUICK_START_DIGESTS)} quick-start "
           f"search outputs hashed; mismatched: {', '.join(mismatched) or 'none'}")
+    assert ok
+
+
+def pinned_genomes(count=200, seed=23):
+    """Seeded genomes from SEARCH_SPACE, with nakagami_m log-uniform in [0.5, 1e4]
+    and the four pairs of slow and fast models taken in turn."""
+    rng = np.random.default_rng(seed)
+    genomes = []
+    for i in range(count):
+        genes = {name: rng.uniform(*span) if name in CONTINUOUS_GENES else span[rng.integers(len(span))]
+                 for name, span in SEARCH_SPACE.items()}
+        genes["slow_model"] = tuple(SlowFadingModel)[i % 2]
+        genes["fast_model"] = tuple(FastFadingModel)[i // 2 % 2]
+        genes["nakagami_m"] = math.exp(rng.uniform(math.log(0.5), math.log(1e4)))
+        genomes.append(Genome(**genes))
+    return genomes
+
+
+def test_criterion_8_quick_start_scores(dataset):
+    """Each pinned genome scores on this drive exactly as recorded
+    (tests/quick_start_scores.json, score.hex()), so a change to the delivery
+    decisions that moves any score fails even where the search bytes hold."""
+    search = PreparedSearch(dataset["observed"], dataset["enu"], dataset["scenario"])
+    recorded = json.loads(read(Path(__file__).resolve().parent / "quick_start_scores.json"))
+    scores = [search.score(genome).hex() for genome in pinned_genomes()]
+    moved = [i for i, (got, want) in enumerate(zip(scores, recorded)) if got != want]
+    ok = len(recorded) == len(scores) == 200 and not moved
+    print(f"ACCEPTANCE #8: {'PASS' if ok else 'FAIL'} - {len(scores)} pinned genome scores "
+          f"compared; moved: {moved or 'none'}")
     assert ok
 
 

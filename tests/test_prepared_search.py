@@ -274,14 +274,46 @@ def test_nakagami_decisions_at_the_ends_of_the_power_range(m, floor_dbm):
     # m near 1 the bounds' g falls below 1e-304 there while h stays near 1.
     # The smallest uniforms lie under the band, so the bounds decide them.
     # At a -5,000 dBm floor, a packet whose omega/m * y underflows to 0 mW
-    # may still clear the threshold: its power is taken in decibels.
+    # may still clear the threshold: its power is taken in decibels. Within
+    # the band of 0 or 1 a bound whose denominator is negative (x above m + 1
+    # at -3,200 dBm) must decide nothing, as a negative margin times a
+    # negative m + 1 - x would pass the series bound's test.
     radio = RadioParams(noise_floor_dbm=floor_dbm, rx_sensitivity_dbm=floor_dbm)
     slow, u = (grid.ravel() for grid in np.meshgrid(
-        [3050.0, -40.0, -80.0, -3200.0], [1e-100, 1e-12, 5e-7, 2e-6, 0.3, 0.9, 1.0 - 2.0**-53]))
+        [3050.0, -40.0, -80.0, -106.0, -3200.0],
+        [1e-100, 1e-12, 5e-7, 1e-6, 2e-6, 0.3, 0.9, 1.0 - 1e-6, 1.0 - 5e-7, 1.0 - 2.0**-53]))
     with np.errstate(divide="ignore", over="ignore", under="ignore"):  # extreme floats warn
         delivered, _ = nakagami_delivered(slow, m, u, radio)
         power = np.round(nakagami_rx_power(slow, m, u), LOG_DECIMALS)
     assert np.array_equal(delivered, reception_codes(power, radio) == DELIVERED)
+
+
+@pytest.mark.parametrize("m, slow_dbm", [
+    (1e4, -106.3669),  # x about 13,700: the series would need about 4,700 terms
+    (2.0, -3200.0),    # x = e^600: the series overflows
+])
+def test_a_series_past_its_cap_takes_the_exact_chain(m, slow_dbm, monkeypatch):
+    # u = 1 - 1e-7 is within the band of 1, so no closed-form bound decides the
+    # packet, and its series cannot be summed: only the drawn power decides it.
+    slow, u = np.array([slow_dbm, -60.0]), np.array([1.0 - 1e-7, 0.5])
+    inverse = propagation.unit_gamma_draws
+    chained = []
+    monkeypatch.setattr(propagation, "unit_gamma_draws",
+                        lambda m, uniforms: chained.append(np.asarray(uniforms).tolist())
+                        or inverse(m, uniforms))
+    with np.errstate(under="ignore"):
+        delivered, exact = nakagami_delivered(slow, m, u, RadioParams())
+    assert exact == 1 and chained == [[1.0 - 1e-7]]
+    monkeypatch.undo()
+    power = np.round(nakagami_rx_power(slow, m, u), LOG_DECIMALS)
+    assert np.array_equal(delivered, reception_codes(power, RadioParams()) == DELIVERED)
+
+
+def test_a_nan_threshold_delivers_nothing_and_takes_no_exact_chain(monkeypatch):
+    radio, fading = calibrated_genome().to_params()
+    monkeypatch.setattr(propagation, "unit_gamma_draws", None)  # calling it would raise
+    delivered, exact = delivery_pass(DRIVE, radio, fading, {radio.data_rate_mbps: math.nan})
+    assert exact == 0 and not delivered.any()
 
 
 def test_one_progress_line_per_generation(caplog):

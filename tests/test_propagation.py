@@ -1,6 +1,7 @@
 """Propagation-stage checks against closed forms and the numeric oracle."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from v2xcal.propagation import (
     NAKAGAMI_BAND,
     NAKAGAMI_BAND_MAX_M,
     REASONS,
-    SERIES_TERMS,
     SNR_THRESHOLDS_DB,
     SPEED_OF_LIGHT_M_S,
     DeliveryReason,
@@ -23,8 +23,10 @@ from v2xcal.propagation import (
     RadioParams,
     SlowFadingModel,
     deterministic_gain_db,
+    DELIVERED,
     free_space_rx_power,
-    gamma_cdf_bounds,
+    gamma_cdf,
+    is_delivered,
     log_decades,
     log_distance_rx_power,
     lognormal_rx_power,
@@ -434,8 +436,8 @@ def test_deterministic_gain_default_radio():
     assert got < 0.0
 
 
-#: The float slack within which nakagami_delivered states gamma_cdf_bounds hold.
-BOUND_SLACK = 1e-9
+#: The float slack within which nakagami_delivered states gamma_cdf's sum holds.
+SUM_SLACK = 1e-9
 
 
 @st.composite
@@ -452,33 +454,33 @@ def shapes_and_points(draw):
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(case=shapes_and_points())
-def test_gamma_cdf_bounds_contain_the_cdf(case):
+def test_gamma_cdf_sums_the_cdf(case):
     m, x = case
-    p, known = special.gammainc(m, x), ~np.isnan(x)
-    for terms in SERIES_TERMS:
-        lo, hi = gamma_cdf_bounds(m, x, terms)
-        # Only a nan x has nan bounds, which decide nothing.
-        assert np.array_equal(np.isnan(lo), ~known) and np.array_equal(np.isnan(hi), ~known)
-        assert np.all(lo[known] - BOUND_SLACK <= p[known])
-        assert np.all(p[known] <= hi[known] + BOUND_SLACK)
-    # The last refinement leaves no packet wide: none takes the exact chain for want of terms.
-    assert np.all(hi[known] - lo[known] < NAKAGAMI_BAND)
+    c, p = gamma_cdf(m, x), special.gammainc(m, x)
+    summed = ~np.isnan(c)
+    assert np.all(np.abs(c[summed] - p[summed]) <= SUM_SLACK)
+    # Only an x past the series' largest term goes unsummed: nan, inf, or one
+    # whose series passes its term cap or overflows. Every x up to m + 1, where
+    # the closed-form bounds leave packets open, is summed.
+    assert np.all(np.isnan(x[~summed]) | (x[~summed] > m + 1.0))
+    assert np.all(summed[x <= m + 1.0])
 
 
 @pytest.mark.parametrize("m", [0.5, 0.9, 1.0, 2.0, 1e4])
-def test_gamma_cdf_bounds_at_the_ends(m):
-    for terms in SERIES_TERMS:
-        lo, hi = gamma_cdf_bounds(m, np.array([0.0, math.inf]), terms)
-        assert lo.tolist() == hi.tolist() == [0.0, 1.0]
+def test_gamma_cdf_at_the_ends(m):
+    c = gamma_cdf(m, np.array([0.0, math.inf, math.nan]))
+    assert c[0] == 0.0 and np.isnan(c[1:]).all()
+    assert gamma_cdf(m, np.array([])).shape == (0,)
 
 
-def test_gamma_cdf_bounds_do_not_depend_on_the_batch():
-    # A batch too big for one term matrix is split; each x keeps its bounds.
-    x = 2.0 * 10.0 ** np.linspace(-3.0, 3.0, 600)
-    whole = gamma_cdf_bounds(2.0, x, SERIES_TERMS[-1])
-    halves = [gamma_cdf_bounds(2.0, part, SERIES_TERMS[-1]) for part in (x[:300], x[300:])]
-    for bound, parts in zip(whole, zip(*halves)):
-        assert np.array_equal(bound, np.concatenate(parts))
+def test_gamma_cdf_is_nan_past_its_term_cap():
+    # At m = 1e4 the series of x = 13,700 needs about 4,700 terms, more than
+    # GAMMA_SUM_TERMS; it would not overflow, as g is about e^-566. Its
+    # batch-mates are summed.
+    m, x = 1e4, np.array([9e3, 1e4, 13_700.0, 1.01e4])
+    c = gamma_cdf(m, x)
+    assert np.isnan(c[2]) and special.gammainc(m, x[2]) == 1.0
+    assert np.abs(np.delete(c, 2) - special.gammainc(m, np.delete(x, 2))).max() <= SUM_SLACK
 
 
 def test_deterministic_gain_positive_when_antennas_amplify():
@@ -562,6 +564,18 @@ def test_is_received_monotone_in_power(rx, boost):
     radio = RadioParams(rx_sensitivity_dbm=-94.0, noise_floor_dbm=-104.0, data_rate_mbps=12)
     if reason(rx, radio) is DeliveryReason.DELIVERED:
         assert reason(rx + boost, radio) is DeliveryReason.DELIVERED
+
+
+@pytest.mark.parametrize("snr_db", [5.0, math.nan, math.inf, -math.inf])
+def test_one_pass_delivery_test_equals_the_reason_code(snr_db):
+    # Signed zeros, nan, infinities and powers exactly at both thresholds.
+    radio = RadioParams(rx_sensitivity_dbm=-95.0, noise_floor_dbm=-110.0, data_rate_mbps=6)
+    power = np.array([0.0, -0.0, math.nan, math.inf, -math.inf, -95.0, -105.0,
+                      np.nextafter(-95.0, -math.inf), np.nextafter(-105.0, -math.inf), -50.0])
+    for radio in (radio, replace(radio, noise_floor_dbm=-90.0)):
+        table = {6: snr_db}
+        assert np.array_equal(is_delivered(power, radio, table),
+                              reception_codes(power, radio, table) == DELIVERED)
 
 
 def test_effective_threshold_splits_regimes():
