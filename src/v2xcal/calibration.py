@@ -228,8 +228,9 @@ class PreparedSearch:
     the drive, its draws and the compared bins are fixed here once. A score
     needs one bit per packet, delivered or not, so under Nakagami it draws
     no power: propagation.nakagami_delivered bounds the gamma CDF at each
-    packet's threshold, sums its series where the bounds leave the uniform
-    open, and inverts it only where the uniform is within NAKAGAMI_BAND.
+    packet's threshold, sums the gamma inverse's own series where the bounds
+    leave the uniform open, and inverts it only where the uniform is within
+    NAKAGAMI_BAND.
     nakagami_packets counts the packets of the Nakagami genomes scored,
     exact_packets those that were inverted.
     """

@@ -186,14 +186,6 @@ def log_distance_rx_power(radio: RadioParams, fading: FadingParams, distance) ->
     return float(p) if np.isscalar(distance) or np.ndim(distance) == 0 else p
 
 
-def lognormal_rx_power(radio, fading, distance, rng, size=None):
-    """Slow-stage received power with Gaussian shadowing, dBm: the log-distance
-    mean plus N(0, sigma_db^2). With size=None a single float is returned;
-    otherwise an array of independent draws at the same distance(s)."""
-    power = log_distance_rx_power(radio, fading, distance) + fading.sigma_db * rng.standard_normal(size)
-    return float(power) if size is None else power
-
-
 #: Most Halley steps unit_gamma_draws takes. From its starts three sufficed
 #: for every m in [0.5, 1e6] and u tried, tails included; m = 2 takes two.
 GAMMA_INVERSE_STEPS = 8
@@ -231,17 +223,23 @@ def _gamma_term(m, x):
 
 def _gamma_series(m, x):
     """P(m, x) / _gamma_term(m, x) = sum over n of x^n / ((m + 1) ... (m + n)),
-    for x < m + 1, by Horner's rule in x / s; s = m + 1 from m = 100, where
-    the coefficients of x^n would underflow."""
-    s, top = (1.0 if m < 100.0 else m + 1.0), float(x.max(initial=0.0))
+    by Horner's rule in x / s; s = m + 1 from m = 100, where the coefficients
+    of x^n would underflow. nan where x is not finite or above
+    m + 1 + 4 sqrt(m + 1), where the coefficients the sum needs underflow
+    (for m just under 100) and, for x >> m, their bound overflows; the sum
+    there may overflow, so callers hold it in np.errstate. Inside, it is far
+    from overflow: under 1e6 for m <= 1e4."""
+    inside = x <= m + 1.0 + 4.0 * math.sqrt(m + 1.0)
+    s, top = (1.0 if m < 100.0 else m + 1.0), float(x[inside].max(initial=0.0))
     coef, bound = [1.0], 1.0  # bound: the largest x's last term
     while bound > 2.0**-55 * (1.0 - top / (m + len(coef))):
         coef.append(coef[-1] * s / (m + len(coef)))
         bound *= top / (m + len(coef) - 1)
     y, total = x / s, coef[-1] + x / s * 0  # polyval's loop, as numpy.polynomial loads slowly
     for c in coef[-2::-1]:
-        total = c + total * y
-    return total
+        total *= y
+        total += c
+    return np.where(inside, total, np.nan)
 
 
 def _gamma_fraction(m, x):
@@ -275,6 +273,8 @@ def unit_gamma_draws(m, uniforms):
     Cost. Near the root the series and the continued fraction each take
     about 9 sqrt(m) terms: 10,000 draws take about 3 ms at m = 3.5, the top
     of the search box, and 0.14 s at m = 1e6, where scipy takes 5 ms.
+    nakagami_delivered sums the same series for the packets its bounds
+    leave open, about 310 of 6,000 per genome in the quick-start search.
 
     Accuracy. At m = 2, within 4 ulp of 40-digit roots (mpmath; scipy's
     gammaincinv within 11). Tested against scipy for normal u up to
@@ -401,44 +401,6 @@ def is_delivered(rx_power_dbm, radio: RadioParams, snr_table=None) -> np.ndarray
     return (power >= radio.rx_sensitivity_dbm) & (power - radio.noise_floor_dbm >= threshold)
 
 
-#: Most series terms gamma_cdf sums, and the largest block of running products it builds.
-GAMMA_SUM_TERMS, _SUM_CELLS = 4096, 2**16
-
-
-def gamma_cdf(m, x):
-    """P(m, x), m in [0.5, NAKAGAMI_BAND_MAX_M], as g (t_0 + t_1 + ...) with
-    g = x^m e^-x / Gamma(m + 1), t_0 = 1 and t_n = t_(n-1) x / (m + n).
-
-    The terms are running products, in blocks each twice as wide as the last,
-    until the remainder bound t_N rho / (1 - rho), rho = x / (m + N + 1) < 1,
-    is within 2^-53 of the sum at the largest x, and so at every x, as both
-    t_N / (t_0 + ... + t_N) and rho grow with x. nan where x is nan or inf,
-    or where the series passes GAMMA_SUM_TERMS terms or overflows, only
-    above x = m + 1: g is not floored, so where it leaves the normal range
-    there the sum, about P / g, overflows.
-    """
-    with np.errstate(divide="ignore", over="ignore", under="ignore", invalid="ignore"):
-        g = np.exp(m * np.log(x) - x - math.lgamma(m + 1.0))
-        if not x.size:
-            return g
-        top = x.argmax()  # the first nan, if any, which no sum verifies
-        # The first block holds about the terms the largest x needs (8.6 fits a grid of m and x).
-        width = 8 + int(np.fmin(max(x[top] - m, 0.0) + 8.6 * math.sqrt(x[top] + 1.0), GAMMA_SUM_TERMS))
-        total, term, done = 1.0, 1.0, 0
-        while done < GAMMA_SUM_TERMS:
-            width = max(1, min(width, GAMMA_SUM_TERMS - done, _SUM_CELLS // x.size))
-            terms = np.multiply.outer(x, 1.0 / (m + np.arange(done + 1.0, done + width + 1.0)))
-            terms[:, 0] *= term
-            np.multiply.accumulate(terms, axis=1, out=terms)
-            total = total + terms.sum(axis=1)
-            term, done, width = terms[:, -1], done + width, 2 * width
-            bound = 2.0**-53 * total[top] * (m + done + 1.0 - x[top])
-            if term[top] * x[top] <= bound < math.inf:
-                return g * total
-        stopped = term * x <= 2.0**-53 * total * (m + done + 1.0 - x)
-        return np.where(stopped & np.isfinite(total), g * total, np.nan)
-
-
 def uniform_margins(uniforms):
     """max(u - b, 0), u + b, max(1 - u - b, 0) and 1 - u + b of each uniform u,
     b = NAKAGAMI_BAND: what nakagami_delivered tests its bounds against."""
@@ -482,19 +444,26 @@ def nakagami_delivered(slow_dbm, m, uniforms, radio: RadioParams, snr_table=None
     through by the bound's denominator, against the margins of
     uniform_margins, whose clamp at 0 keeps a bound with a denominator that
     is not positive from deciding. A packet left open gets
-    c_k = gamma_cdf(m, x_k) and takes the exact chain iff
-    |u_k - c_k| <= NAKAGAMI_BAND or c_k is nan; otherwise it is delivered
-    iff u_k > c_k. A nan threshold delivers nothing and takes no exact chain.
+    c_k = _gamma_term(m, x_k) _gamma_series(m, x_k), the P that the Halley
+    steps of unit_gamma_draws evaluate, and takes the exact chain iff
+    |u_k - c_k| <= NAKAGAMI_BAND or c_k is nan, as it is for x_k above
+    m + 1 + 4 sqrt(m + 1), where the series is not summed; otherwise it is
+    delivered iff u_k > c_k. A nan threshold delivers nothing and takes no
+    exact chain.
 
     Float error. ln x_k is rounded to within a few ulp of its largest part,
     so x_k is within a relative 1e-12 (4e-12 dB) of m 10^((T - slow_k)/10);
-    the bounds and c_k are those of the x taken. The exponents of h and of
-    gamma_cdf's g are rounded to within a few ulp of their largest part,
-    below 2e5 for m <= 1e4 where the exponential exceeds 1e-304, so h and g
-    carry a relative error under 3e-10 (g = h x / m two roundings more).
-    gamma_cdf adds at most GAMMA_SUM_TERMS + 4 roundings (5e-13 relative)
-    and stops within 2^-53 of the whole series. As c_k <= 1, c_k is within
-    1e-9 of P(m, x_k); against scipy's gammainc it measured within 4e-11.
+    the bounds and c_k are those of the x taken. The exponent of h is
+    rounded to within a few ulp of its largest part, below 2e5 for
+    m <= 1e4 where the exponential exceeds 1e-304, so h and g carry a
+    relative error under 3e-10 (g = h x / m two roundings more), and
+    _gamma_term, from its exponent or below m = 100 its three factors, no
+    more. _gamma_series' N coefficients are running products and Horner's
+    rule sums positive terms, so its sum is within 5N roundings of the
+    series (N <= 1,421 for m <= 1e4 in its domain: 8e-13 relative) and
+    stops within 2^-55 of it; the coefficients that underflow, just below
+    m = 100, hold under 5e-14 of it. As c_k <= 1, c_k is within 1e-9 of
+    P(m, x_k); against scipy's gammainc it measured within 7e-14.
     m + 1 - x and x - m + 1 lose precision only near the mode, where the
     bounds dividing by them exceed 1 and decide nothing, so the bounds, too,
     hold to within 1e-9.
@@ -550,9 +519,10 @@ def nakagami_delivered(slow_dbm, m, uniforms, radio: RadioParams, snr_table=None
             delivered |= hx > q_high * (x - (m - 1.0))
             below |= h < q_low
         pending = np.flatnonzero(delivered == below)  # neither decides (both, by rounding)
-        above = u[pending] - gamma_cdf(m, x[pending])
+        with np.errstate(divide="ignore", over="ignore", under="ignore", invalid="ignore"):
+            above = u[pending] - _gamma_term(m, x[pending]) * _gamma_series(m, x[pending])
         delivered[pending] = above > NAKAGAMI_BAND
-        exact = pending[~(np.abs(above) > NAKAGAMI_BAND)]  # nan: the series passed its cap
+        exact = pending[~(np.abs(above) > NAKAGAMI_BAND)]  # nan: x outside the series' domain
     if exact.size:
         power = nakagami_rx_power(slow[exact], m, u[exact])
         delivered[exact] = is_delivered(np.round(power, LOG_DECIMALS), radio, snr_table)

@@ -54,9 +54,9 @@ from v2xcal.propagation import (
     RadioParams,
     SlowFadingModel,
     free_space_rx_power,
-    lognormal_rx_power,
     log_distance_rx_power,
     nakagami_power_sample,
+    slow_rx_power,
 )
 from v2xcal.simulator import EnuTrace, ScenarioConfig, pdr_curve, run_scenario
 
@@ -201,8 +201,8 @@ def test_criterion_3_lognormal_residuals():
     radio, fading = RadioParams(), FadingParams(
         slow_model=SlowFadingModel.LOGNORMAL, sigma_db=6.03, alpha=1.51
     )
-    draws = lognormal_rx_power(radio, fading, 250.0, np.random.default_rng(5),
-                               size=1_000_000)
+    draws = slow_rx_power(radio, fading, 250.0,
+                          np.random.default_rng(5).standard_normal(1_000_000))
     residuals = draws - log_distance_rx_power(radio, fading, 250.0)
     mean, std = float(residuals.mean()), float(residuals.std())
     ok = abs(mean) < 0.02 and abs(std - 6.03) <= 6.03 * 0.02

@@ -1,5 +1,6 @@
 """Propagation-stage checks against closed forms and the numeric oracle."""
 
+import hashlib
 import math
 from dataclasses import replace
 
@@ -25,11 +26,9 @@ from v2xcal.propagation import (
     deterministic_gain_db,
     DELIVERED,
     free_space_rx_power,
-    gamma_cdf,
     is_delivered,
     log_decades,
     log_distance_rx_power,
-    lognormal_rx_power,
     nakagami_power_sample,
     reception_codes,
     slow_rx_power,
@@ -196,7 +195,7 @@ def test_slow_stage_from_decades_is_the_log_distance_law_bit_for_bit(d0, alpha, 
 def test_lognormal_zero_sigma_is_deterministic():
     fading = FadingParams(slow_model=SlowFadingModel.LOGNORMAL, sigma_db=0.0, alpha=1.7)
     rng = np.random.default_rng(5)
-    got = lognormal_rx_power(DEFAULT_RADIO, fading, 120.0, rng)
+    got = slow_rx_power(DEFAULT_RADIO, fading, 120.0, rng.standard_normal())
     assert got == pytest.approx(log_distance_rx_power(DEFAULT_RADIO, fading, 120.0), abs=1e-12)
 
 
@@ -205,7 +204,7 @@ def test_lognormal_residual_moments():
     # must look like N(0, 6.03^2) at one-million-sample resolution.
     fading = FadingParams(slow_model=SlowFadingModel.LOGNORMAL, sigma_db=6.03, alpha=1.51)
     rng = np.random.default_rng(20240314)
-    draws = lognormal_rx_power(DEFAULT_RADIO, fading, 200.0, rng, size=1_000_000)
+    draws = slow_rx_power(DEFAULT_RADIO, fading, 200.0, rng.standard_normal(1_000_000))
     residuals = draws - log_distance_rx_power(DEFAULT_RADIO, fading, 200.0)
     assert abs(residuals.mean()) < 0.02
     assert residuals.std() == pytest.approx(6.03, rel=0.02)
@@ -214,7 +213,7 @@ def test_lognormal_residual_moments():
 def test_lognormal_residuals_look_gaussian():
     fading = FadingParams(slow_model=SlowFadingModel.LOGNORMAL, sigma_db=6.03)
     rng = np.random.default_rng(99)
-    draws = lognormal_rx_power(DEFAULT_RADIO, fading, 80.0, rng, size=200_000)
+    draws = slow_rx_power(DEFAULT_RADIO, fading, 80.0, rng.standard_normal(200_000))
     residuals = draws - log_distance_rx_power(DEFAULT_RADIO, fading, 80.0)
     assert abs(stats.skew(residuals)) < 0.02
     assert abs(stats.kurtosis(residuals)) < 0.05
@@ -322,6 +321,24 @@ def test_gamma_inverse_edges_follow_scipy():
     assert unit_gamma_draws(2.0, np.array([0.0, math.nan]))[0] == 0.0
     with pytest.raises(ValueError, match="nakagami m must be >= 0.5"):
         unit_gamma_draws(math.inf, u)
+
+
+#: sha256 of unit_gamma_draws(m, u) for 10,000 uniforms u of seed 24, recorded
+#: before nakagami_delivered shared the inverse's series: sharing it moves no draw.
+UNIT_GAMMA_DIGESTS = {
+    0.5: "d47a5a796fb85ae08756140c4c833c59821c7a8e6ce20af30ddfaae982f294ff",
+    2.0: "6c8c2d66b8d4714e5409349b52920dae9121dd18bbd340dab403ea28527db141",
+    3.5: "9d8f1502f063805722ad52fcefc64d820d8ef2cd4c3e61c7bf92c05e1e99267d",
+    99.5: "c50bb5bad4b7f4e0da4c266054d422d273f18175379be6fdbaa7598f12c8b6df",
+    100.0: "cce2aac453d111a835817d1c39929d31793a4af24c6841d3df5200ffd84ca876",
+    1e4: "a7904fa63e1b35aee19c95e7434f1dc0abfb410e4f124aa193d75ee375b53df2",
+}
+
+
+@pytest.mark.parametrize("m", sorted(UNIT_GAMMA_DIGESTS))
+def test_gamma_inverse_keeps_its_bytes(m):
+    x = unit_gamma_draws(m, np.random.default_rng(24).random(10_000))
+    assert hashlib.sha256(x.tobytes()).hexdigest() == UNIT_GAMMA_DIGESTS[m]
 
 
 def test_gamma_inverse_converges_inside_its_step_cap(monkeypatch):
@@ -436,19 +453,30 @@ def test_deterministic_gain_default_radio():
     assert got < 0.0
 
 
-#: The float slack within which nakagami_delivered states gamma_cdf's sum holds.
+#: The float slack within which nakagami_delivered states its P(m, x) holds.
 SUM_SLACK = 1e-9
+
+
+def series_cdf(m, x):
+    """P(m, x) as nakagami_delivered evaluates it for a packet its bounds
+    leave open: the gamma inverse's _gamma_term times its _gamma_series."""
+    with np.errstate(divide="ignore", over="ignore", under="ignore", invalid="ignore"):
+        return propagation._gamma_term(m, x) * propagation._gamma_series(m, x)
 
 
 @st.composite
 def shapes_and_points(draw):
-    """m log-uniform in [0.5, 1e4] and x across decades, at the edges of the
-    float range, and about m - 1, m and m + 1, where the bounds change form."""
-    m = math.exp(draw(st.floats(math.log(0.5), math.log(1e4))))
+    """m log-uniform in [0.5, 1e4] or just under 100, where the series'
+    coefficients change scale, and x across decades, at the edges of the
+    float range, about m - 1, m and m + 1, where the bounds change form, and
+    over [m + 1, m + 1 + 5 sqrt(m + 1)], across the end of the series' domain."""
+    m = draw(st.one_of(st.floats(math.log(0.5), math.log(1e4)).map(math.exp),
+                       st.floats(99.0, 100.0, exclude_max=True)))
     near = st.tuples(st.sampled_from([m - 1.0, m, m + 1.0]), st.floats(-1e-6, 1e-6)).map(
         lambda p: max(0.0, p[0] * (1.0 + p[1]) + p[1]))
     points = st.one_of(st.floats(-12.0, 6.0).map(lambda k: m * 10.0**k),
-                       st.sampled_from([0.0, 5e-324, 1e-310, math.inf, math.nan]), near)
+                       st.sampled_from([0.0, 5e-324, 1e-310, math.inf, math.nan]), near,
+                       st.floats(0.0, 5.0).map(lambda k: m + 1.0 + k * math.sqrt(m + 1.0)))
     return m, np.array(draw(st.lists(points, min_size=1, max_size=12)))
 
 
@@ -456,29 +484,28 @@ def shapes_and_points(draw):
 @given(case=shapes_and_points())
 def test_gamma_cdf_sums_the_cdf(case):
     m, x = case
-    c, p = gamma_cdf(m, x), special.gammainc(m, x)
+    c, p = series_cdf(m, x), special.gammainc(m, x)
     summed = ~np.isnan(c)
     assert np.all(np.abs(c[summed] - p[summed]) <= SUM_SLACK)
-    # Only an x past the series' largest term goes unsummed: nan, inf, or one
-    # whose series passes its term cap or overflows. Every x up to m + 1, where
-    # the closed-form bounds leave packets open, is summed.
+    # Only an x outside the series' domain goes unsummed: nan, inf, or one
+    # above m + 1 + 4 sqrt(m + 1). Every x up to m + 1, where the closed-form
+    # bounds leave packets open, is summed.
     assert np.all(np.isnan(x[~summed]) | (x[~summed] > m + 1.0))
     assert np.all(summed[x <= m + 1.0])
 
 
 @pytest.mark.parametrize("m", [0.5, 0.9, 1.0, 2.0, 1e4])
 def test_gamma_cdf_at_the_ends(m):
-    c = gamma_cdf(m, np.array([0.0, math.inf, math.nan]))
+    c = series_cdf(m, np.array([0.0, math.inf, math.nan]))
     assert c[0] == 0.0 and np.isnan(c[1:]).all()
-    assert gamma_cdf(m, np.array([])).shape == (0,)
+    assert series_cdf(m, np.array([])).shape == (0,)
 
 
-def test_gamma_cdf_is_nan_past_its_term_cap():
-    # At m = 1e4 the series of x = 13,700 needs about 4,700 terms, more than
-    # GAMMA_SUM_TERMS; it would not overflow, as g is about e^-566. Its
-    # batch-mates are summed.
+def test_gamma_cdf_is_nan_past_the_series_domain():
+    # At m = 1e4 the series' domain ends near x = 10,401, so x = 13,700, where
+    # P rounds to 1, is not summed. Its batch-mates are.
     m, x = 1e4, np.array([9e3, 1e4, 13_700.0, 1.01e4])
-    c = gamma_cdf(m, x)
+    c = series_cdf(m, x)
     assert np.isnan(c[2]) and special.gammainc(m, x[2]) == 1.0
     assert np.abs(np.delete(c, 2) - special.gammainc(m, np.delete(x, 2))).max() <= SUM_SLACK
 
