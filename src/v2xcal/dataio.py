@@ -20,10 +20,13 @@ none carrying into the next. Near-ties, |x| >= 2**22, nan and inf go singly.
 The reader takes each record as one line and skips blank lines (nothing but
 commas and ASCII whitespace), which still count in row numbers. One loadtxt
 pass turns the data lines into float, int64 and fixed-width word columns,
-cells unquoted as csv does. Exported words take codes by one comparison per
-word, other trace spellings by one lookup per distinct cell, exported times
-are read by integer arithmetic, and the format's rules run on whole columns.
-Only a line that fails to load meets a per-row check, which names it.
+cells unquoted as csv does: bytes for a log and an ASCII trace, UCS-4 for any
+other trace, widths counted in characters either way. Exported words take
+codes by one comparison per word, other trace spellings by one lookup per
+distinct cell, exported times are read by integer arithmetic, and the
+format's rules run on whole columns. Only a line that fails to load meets a
+per-row check, which names it; so does every line of a document holding a
+NUL, which a fixed-width cell drops from its end.
 """
 
 from __future__ import annotations
@@ -157,14 +160,16 @@ def line_cells(line: str) -> list:
     return cells
 
 
-def _read(lines: list, fields: list, convert, check_row, usecols=None) -> tuple:
-    """(columns, indexes of the lines they hold, failures) of data lines, read a column at a time.
+def _read(text: str, lines: list, fields: list, convert, check_row, usecols=None) -> tuple:
+    """(columns, indexes of the lines they hold, failures) of a document's data lines, read a
+    column at a time.
 
     One loadtxt pass turns the lines into a record array of (name, dtype)
     fields, and convert turns that into columns, or None if it refuses a
-    row. Only if either fails does check_row, which raises for a row (a
-    list of cells) that does not read, name each bad line as (index,
-    reason), one at a time; the other lines are then loaded again.
+    row. Only if either fails, or the text holds a NUL, which a fixed-width
+    word field drops from a cell's end, does check_row, which raises for a
+    row (a list of cells) that does not read, name each bad line as
+    (index, reason), one at a time; the other lines are then loaded again.
     """
     def load(part):
         try:
@@ -174,7 +179,7 @@ def _read(lines: list, fields: list, convert, check_row, usecols=None) -> tuple:
             return None
         return convert(table) if len(table) == len(part) else None  # an open quote joins lines
 
-    columns = load(lines)
+    columns = None if "\0" in text else load(lines)
     if columns is not None:
         return columns, range(len(lines)), []
     failures = []
@@ -185,17 +190,17 @@ def _read(lines: list, fields: list, convert, check_row, usecols=None) -> tuple:
             failures.append((i, str(exc)))
     read = sorted(set(range(len(lines))) - {i for i, _ in failures})
     columns = load([lines[i] for i in read])
-    if columns is None or not failures:
+    if columns is None or not (failures or "\0" in text):
         raise ValueError("a row fails to load, yet no check names it")
     return columns, read, failures
 
 
 def _codes(cells: np.ndarray, words: dict, code_of=None) -> np.ndarray:
-    """The code of each cell, -1 if refused: words[cell] by one whole-column comparison per
-    word, else code_of(cell), if given, called once per distinct cell."""
+    """The code of each S or U cell, -1 if refused: words[cell] by one whole-column comparison
+    per word, a key of either kind, else code_of(cell), if given, called once per distinct cell."""
     codes = np.full(len(cells), -1)
     for word, code in words.items():
-        codes[cells == word] = code
+        codes[cells == np.array(word, cells.dtype.kind)] = code
     if code_of:
         rest = np.flatnonzero(codes < 0)
         distinct, index = np.unique(cells[rest], return_inverse=True)
@@ -461,10 +466,10 @@ def _parse_time_us(value: str, epoch_ms: bool) -> int:
 
 #: The widest time and word cells the trace reader takes, padding included.
 _TIME_WIDTH, _WORD_WIDTH = 40, 16
-#: export_trace_csv's time as code points ("0" for any digit), then the NUL that pads a
-#: cell; the span of code points each place takes; where the seven numbers sit.
-_EXPORTED_TIME = np.array([ord(c) for c in "0000-00-00T00:00:00.000000Z\0"], np.uint32)
-_TIME_SPAN = np.where(_EXPORTED_TIME == ord("0"), 9, 0).astype(np.uint32)
+#: export_trace_csv's time as code units ("0" for any digit), then the NUL that pads a
+#: cell; the span of code units each place takes; where the seven numbers sit.
+_EXPORTED_TIME = np.frombuffer(b"0000-00-00T00:00:00.000000Z\0", np.uint8)
+_TIME_SPAN = np.where(_EXPORTED_TIME == ord("0"), 9, 0).astype(np.uint8)
 _TIME_FIELDS = ((0, 4), (5, 7), (8, 10), (11, 13), (14, 16), (17, 19), (20, 26))
 _MONTH_DAYS = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
 
@@ -472,8 +477,12 @@ _MONTH_DAYS = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
 def _exported_time_us(cells: np.ndarray) -> tuple:
     """(microseconds, mask) of the time cells spelled as export_trace_csv writes them, the day
     counted by the Gregorian days-from-civil rule. A cell outside the mask has another spelling
-    or names no existing time, year 0 included; its microseconds are 0."""
-    points = np.ascontiguousarray(cells).view(np.uint32).reshape(len(cells), cells.itemsize // 4)
+    or names no existing time, year 0 included; its microseconds are 0.
+
+    The pattern is checked on the cells' own code units: bytes of S cells, code points of U.
+    """
+    unit = np.dtype(np.uint8 if cells.dtype.kind == "S" else np.uint32)
+    points = np.ascontiguousarray(cells).view((unit, cells.itemsize // unit.itemsize))
     digits = points[:, :len(_EXPORTED_TIME)] - _EXPORTED_TIME  # below its span wraps far above
     ok = np.all(digits <= _TIME_SPAN, axis=1)
     # Horner's rule down each number's digit columns: no BLAS product, whose buffers cost memory.
@@ -489,7 +498,8 @@ def _exported_time_us(cells: np.ndarray) -> tuple:
     return np.where(ok, (((days * 24 + hour) * 60 + minute) * 60 + second) * 10**6 + micro, 0), ok
 
 
-def _word_code(cell: str, kinds: tuple, aliases: dict) -> int:
+def _word_code(cell, kinds: tuple, aliases: dict) -> int:
+    cell = cell.decode() if isinstance(cell, bytes) else cell
     kind = aliases.get(cell.strip().lower())
     return -1 if kind is None or len(cell) > _WORD_WIDTH else kinds.index(kind)
 
@@ -506,12 +516,13 @@ def _trace_columns(table: np.ndarray, epoch_ms: bool):
         time_us = np.where(ok, cells, 0) * 1000
     else:
         time_us, ok = _exported_time_us(cells)
-        for i in np.flatnonzero(~ok).tolist():
+        rest = np.flatnonzero(~ok)
+        for i, cell in zip(rest.tolist(), cells[rest].astype(str).tolist()):
             try:
-                time_us[i] = _parse_time_us(cells[i], False)
+                time_us[i] = _parse_time_us(cell, False)
             except (ValueError, OverflowError):
                 return None
-            ok[i] = len(cells[i]) <= _TIME_WIDTH
+            ok[i] = len(cell) <= _TIME_WIDTH
     columns = {"time_us": time_us, **{name: np.ascontiguousarray(table[name])
                                       for name in _FLOAT_COLUMNS}}
     for name, _, kinds, aliases in _CODE_COLUMNS:
@@ -563,12 +574,13 @@ def parse_trace_csv(text: str, epoch_ms: bool = False) -> Trace:
         raise TraceParseError("document has a header but no data rows")
 
     positions = [columns[name] for name in TRACE_HEADERS]
-    fields = [("time_us", np.int64 if epoch_ms else f"U{_TIME_WIDTH + 1}"),
+    kind = "S" if text.isascii() else "U"  # bytes hold an ASCII cell in a quarter of the space
+    fields = [("time_us", np.int64 if epoch_ms else f"{kind}{_TIME_WIDTH + 1}"),
               *((name, float) for name in _FLOAT_COLUMNS),
-              *((name, f"U{_WORD_WIDTH + 1}") for name, *_ in _CODE_COLUMNS),
-              ("last", "U1")]  # the header's last column: a shorter row fails to load
+              *((name, f"{kind}{_WORD_WIDTH + 1}") for name, *_ in _CODE_COLUMNS),
+              ("last", f"{kind}1")]  # the header's last column: a shorter row fails to load
     trace, read, failures = _read(
-        lines[1:], fields, partial(_trace_columns, epoch_ms=epoch_ms),
+        text, lines[1:], fields, partial(_trace_columns, epoch_ms=epoch_ms),
         partial(_check_trace_row, width=len(header), positions=positions, epoch_ms=epoch_ms),
         usecols=positions + [len(header) - 1])
     errors = _errors(text, read, failures, _record_rules(trace))
@@ -747,7 +759,7 @@ def _log_columns(table: np.ndarray):
     """The columns of a loaded log table, or None if a word is unknown or contradicts another."""
     columns = {name: np.ascontiguousarray(table[name]) for name in _LOG_NUMBERS}
     for name, words in _LOG_WORDS.items():
-        columns[name] = _codes(table[name], {word.encode(): code for word, code in words.items()})
+        columns[name] = _codes(table[name], words)
     known = np.all([columns[name] >= 0 for name in _LOG_WORDS], axis=0)
     agree = (columns["delivered"] == 1) == (columns["reason"] == DELIVERED)
     return columns if np.all(known & agree) else None
@@ -777,7 +789,7 @@ def parse_log_csv(text: str) -> DeliveryLog:
     non-finite number, is refused, so the reason column alone carries the
     outcome. The first bad row, in row order, is named in the ValueError.
     """
-    columns, read, failures = _read(_data_lines(text, LOG_HEADERS, "log"), _LOG_FIELDS,
+    columns, read, failures = _read(text, _data_lines(text, LOG_HEADERS, "log"), _LOG_FIELDS,
                                     _log_columns, _check_log_row)
     tx, rx = (np.column_stack([columns[name] for name in names])
               for names in (LOG_HEADERS[2:5], LOG_HEADERS[5:8]))
@@ -837,7 +849,8 @@ def _read_numbers(text: str, headers: tuple, kind: str, rows: str, kinds: tuple)
         raise ValueError(f"{kind} document has no {rows}")
     fields = [(f"c{k}", np.int64 if number is int else float) for k, number in enumerate(kinds)]
     columns, read, failures = _read(
-        lines, fields, lambda table: [np.ascontiguousarray(table[name]) for name, _ in fields],
+        text, lines, fields,
+        lambda table: [np.ascontiguousarray(table[name]) for name, _ in fields],
         partial(_check_number_row, kinds=kinds), usecols=list(range(len(kinds))))
     if not read:
         _refuse_first_row(text, read, failures, [])
