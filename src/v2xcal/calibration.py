@@ -27,7 +27,7 @@ import numpy as np
 from .propagation import (LOG_DECIMALS, SUPPORTED_DATA_RATES_MBPS, FadingParams, FastFadingModel,
                           RadioParams, SlowFadingModel, free_space_rx_power, to_db)
 from .dataio import line_cells, numbered_lines
-from .simulator import (EnuTrace, PdrCurve, ScenarioConfig, check_bin_width, delivered_per_bin,
+from .simulator import (EnuTrace, PdrCurve, ScenarioConfig, bin_indices, check_bin_width,
                         delivery_pass, link_decades, pdr_rmse, prepare_drive)
 # Not called here: bench/tracing.py times these under the v2xcal.calibration names.
 from .propagation import deterministic_gain_db  # noqa: F401
@@ -225,12 +225,12 @@ class PreparedSearch:
     """An observed curve and a drive made ready for many genome scores.
 
     Under common random numbers only the channel depends on the genome, so
-    the drive, its draws and the compared bins are fixed here once. A score
-    needs one bit per packet, delivered or not, so under Nakagami it draws
-    no power: propagation.nakagami_delivered bounds the gamma CDF at each
-    packet's threshold, sums the gamma inverse's own series where the bounds
-    leave the uniform open, and inverts it only where the uniform is within
-    NAKAGAMI_BAND.
+    the drive, its draws, each packet's bin (pdr_curve's bin_indices) and the
+    compared bins are fixed here once. A score needs one bit per packet,
+    delivered or not, so under Nakagami it draws no power:
+    propagation.nakagami_delivered bounds the gamma CDF at each packet's
+    threshold, sums the gamma inverse's own series where the bounds leave the
+    uniform open, and inverts it only where the uniform is within NAKAGAMI_BAND.
     nakagami_packets counts the packets of the Nakagami genomes scored,
     exact_packets those that were inverted.
     """
@@ -241,8 +241,10 @@ class PreparedSearch:
         self.drive = drive = prepare_drive(trace, scenario)
         self.base_radio, self.base_fading = base_radio, base_fading
         self.snr_table = scenario.snr_table()
+        self.bin_index = bin_indices(drive.distance_m, scenario.bin_width_m)
+        sent = np.bincount(self.bin_index)
         index = np.flatnonzero(observed.sent)
-        shared = np.isin(index, np.flatnonzero(drive.sent))
+        shared = np.isin(index, np.flatnonzero(sent))
         if not shared.any():
             span = (f"{drive.distance_m.min():.1f}-{drive.distance_m.max():.1f} m"
                     if drive.distance_m.size else "no packets")
@@ -253,7 +255,7 @@ class PreparedSearch:
                         "not compared", np.count_nonzero(~shared), shared.size)
         self.compared_bins = index[shared]
         self.observed_pdr = observed.pdr_pct[self.compared_bins]
-        self.compared_sent = drive.sent[self.compared_bins]
+        self.compared_sent = sent[self.compared_bins]
         self.decades = link_decades(drive, base_fading or FadingParams())
         self.nakagami_packets = self.exact_packets = 0
 
@@ -267,7 +269,7 @@ class PreparedSearch:
         if fading.fast_model is FastFadingModel.NAKAGAMI:
             self.nakagami_packets += delivered.size
             self.exact_packets += exact
-        counts = delivered_per_bin(self.drive, delivered)[self.compared_bins]
+        counts = np.bincount(self.bin_index, delivered)[self.compared_bins]
         return pdr_rmse(self.observed_pdr, 100.0 * counts / self.compared_sent)
 
 

@@ -216,7 +216,10 @@ def cmd_pdr(args) -> int:
 def cmd_heatmap(args) -> int:
     config = _config(args)
     delivery_log, direction = _read_log(args)
-    grid = heatmap(delivery_log, config.scenario.heatmap_cell_m, direction)
+    try:
+        grid = heatmap(delivery_log, config.scenario.heatmap_cell_m, direction)
+    except ValueError as exc:
+        raise ValueError(f"{args.log}: {exc}") from None
 
     return _write_outputs(args, config, {"heatmap.csv": export_heatmap_csv(grid)},
                           f"{len(grid)} cells of {config.scenario.heatmap_cell_m} m "

@@ -50,12 +50,11 @@ from .simulator import (
     ScenarioConfig,
     contiguity_rule,
     count_rules,
-    delivered_per_bin,
-    delivery_pass,
     isclose_array,
     link_distance_m,
-    prepare_drive,
+    pdr_curve,
     rule_errors,
+    run_scenario,
 )
 
 EARTH_RADIUS_M = 6_371_000.0
@@ -454,6 +453,8 @@ def _parse_time_us(value: str, epoch_ms: bool) -> int:
             raise ValueError(f"time {value.strip()} ms lies outside years 1-9999") from None
     else:
         text = value.strip()
+        if "\0" in text:  # fromisoformat reads "...Z\0x" as the time before the NUL
+            raise ValueError(f"time {text!r} holds a NUL")
         if text.endswith("Z") or text.endswith("z"):
             text = text[:-1] + "+00:00"
         t = datetime.fromisoformat(text)
@@ -657,13 +658,11 @@ def generate_synthetic(synth: SynthSection, radio: RadioParams, fading: FadingPa
 
     The trace is anchored at rsu and drives synth's route; radio and
     fading decide every delivery. The curve is pdr_curve(run_scenario(...))
-    of that trace, bit for bit, but comes from delivery_pass on the prepared
-    drive, so no power is drawn and Nakagami fading mostly needs no gamma
-    inverse. Deterministic in its arguments; the simulation seed is
-    synth.seed, so the dataset is self-contained, and calibrating against
-    the returned curve with scenario.master_seed equal to synth.seed can
-    reach zero error. Raises ValueError unless synth has one leg speed per
-    waypoint pair.
+    of that trace at seed synth.seed, so simulate at that seed rewrites it.
+    Deterministic in its arguments; the dataset is self-contained, and
+    calibrating against the returned curve with scenario.master_seed equal
+    to synth.seed can reach zero error. Raises ValueError unless synth has
+    one leg speed per waypoint pair and its drive sends a packet.
     """
     if len(synth.leg_speeds_mps) != len(synth.waypoints_enu_m) - 1:
         raise ValueError("need one leg speed per waypoint pair")
@@ -707,11 +706,11 @@ def generate_synthetic(synth: SynthSection, radio: RadioParams, fading: FadingPa
         message_code=np.full(n_samples, MESSAGE_TYPES.index(MessageType.BSM)),
         direction_code=np.full(n_samples, TRACE_DIRECTIONS.index(TraceDirection.SENT)),
     )
-    drive = prepare_drive(project_enu(trace, rsu), replace(scenario, master_seed=synth.seed))
-    delivered, _ = delivery_pass(drive, radio, fading, scenario.snr_table())
-    edges = np.arange(drive.sent.size + 1) * scenario.bin_width_m
-    return trace, PdrCurve(scenario.bin_width_m, edges[:-1], edges[1:], drive.sent,
-                           delivered_per_bin(drive, delivered))
+    log = run_scenario(project_enu(trace, rsu), replace(scenario, master_seed=synth.seed),
+                       radio, fading)
+    if len(log) == 0:
+        raise ValueError(f"the {synth.duration_s} s drive sends no packet at its message rates")
+    return trace, pdr_curve(log, scenario.bin_width_m)
 
 
 # ---------------------------------------------------------------------------

@@ -101,7 +101,7 @@ def check_width(name: str, width: float) -> None:
                          f"got {width}")
 
 
-#: Most distance bins one PDR curve or prepared drive may span: np.bincount
+#: Most distance bins one PDR curve or prepared search may span: np.bincount
 #: allocates a count for every bin, so a tiny width over a long drive would
 #: ask for terabytes.
 MAX_BINS = 10**6
@@ -111,7 +111,7 @@ class BinCountError(ValueError):
     """A bin width would split the packets' distances into more than MAX_BINS bins."""
 
 
-def _bin_indices(distance_m: np.ndarray, bin_width_m: float) -> np.ndarray:
+def bin_indices(distance_m: np.ndarray, bin_width_m: float) -> np.ndarray:
     """floor(distance / bin_width) of each packet, refused above MAX_BINS bins."""
     bins = np.floor(distance_m / bin_width_m)
     if bins.size and bins.max() >= MAX_BINS:
@@ -325,8 +325,8 @@ class PreparedDrive:
     """The part of a scenario run that no channel parameter changes.
 
     Per packet, vehicle-to-RSU first and each direction in send order: the
-    logged columns up to distance_m, the distance bin, and the normal and
-    uniform drawn for its shadowing and fast fading. sent counts per bin.
+    logged columns up to distance_m, and the normal and uniform drawn for its
+    shadowing and fast fading. No bins: pdr_curve and PreparedSearch bin packets.
     """
 
     timestamp_s: np.ndarray
@@ -334,10 +334,8 @@ class PreparedDrive:
     tx_position_m: np.ndarray
     rx_position_m: np.ndarray
     distance_m: np.ndarray
-    bin_index: np.ndarray
     normals: np.ndarray
     uniforms: np.ndarray
-    sent: np.ndarray
 
     @cached_property
     def margins(self) -> tuple:
@@ -345,7 +343,7 @@ class PreparedDrive:
 
 
 def prepare_drive(trace: EnuTrace, scenario: ScenarioConfig) -> PreparedDrive:
-    """Schedule every packet of the trace and draw its random numbers.
+    """Schedule every packet of the trace and draw its random numbers; bin none.
 
     Per direction, the shadowing and fast-fading draws come from two child
     streams seeded by (master_seed, direction), consumed in packet order.
@@ -368,14 +366,7 @@ def prepare_drive(trace: EnuTrace, scenario: ScenarioConfig) -> PreparedDrive:
         parts.append((times, np.full(n, direction.stream_code), tx, rx, distance,
                       np.random.default_rng(slow_seed).standard_normal(n),
                       np.random.default_rng(fast_seed).random(n)))
-    times, codes, tx, rx, dist, normals, uniforms = (np.concatenate(c) for c in zip(*parts))
-    bins = _bin_indices(dist, scenario.bin_width_m)
-    return PreparedDrive(times, codes, tx, rx, dist, bins, normals, uniforms, np.bincount(bins))
-
-
-def delivered_per_bin(drive: PreparedDrive, delivered: np.ndarray) -> np.ndarray:
-    """How many of each distance bin's packets were delivered, bin by bin."""
-    return np.bincount(drive.bin_index[delivered], minlength=drive.sent.size)
+    return PreparedDrive(*(np.concatenate(c) for c in zip(*parts)))
 
 
 def link_decades(drive: PreparedDrive, fading: FadingParams) -> np.ndarray:
@@ -442,7 +433,7 @@ def pdr_curve(log: DeliveryLog, bin_width_m: float, direction: Direction | None 
     """
     check_width("bin_width_m", bin_width_m)
     keep = log.sent_in(direction)
-    idx = _bin_indices(log.distance_m[keep], bin_width_m)
+    idx = bin_indices(log.distance_m[keep], bin_width_m)
     sent = np.bincount(idx)
     delivered = np.bincount(idx[log.delivered[keep]], minlength=sent.size)
     edges = np.arange(sent.size + 1) * bin_width_m
@@ -450,12 +441,16 @@ def pdr_curve(log: DeliveryLog, bin_width_m: float, direction: Direction | None 
 
 
 def heatmap(log: DeliveryLog, cell_m: float, direction: Direction | None = None) -> HeatmapGrid:
-    """Aggregate PDR over vehicle positions on a square grid of side cell_m."""
+    """Aggregate PDR over vehicle positions on a square grid of side cell_m. A vehicle 2**62 or
+    more cells from the origin is refused: below that, its cell index cannot overflow int64."""
     check_width("cell_m", cell_m)
     keep = log.sent_in(direction)
     # The vehicle is the transmitter of a vehicle-to-RSU packet, else the receiver.
     v2r = log.direction_code == Direction.VEHICLE_TO_RSU.stream_code
     vehicle = np.where(v2r[:, None], log.tx_position_m[:, :2], log.rx_position_m[:, :2])[keep]
+    far = vehicle[~np.all(np.abs(vehicle) < 2.0**62 * cell_m, axis=1)]
+    if far.size:
+        raise ValueError(f"vehicle position {far[0].tolist()} m lies 2**62 or more cells out")
     kx, ky = np.floor(vehicle / cell_m).astype(np.int64).T
     # Cells in (kx, ky) order: each run of equal keys in the sorted order is one cell.
     order = np.lexsort((ky, kx))

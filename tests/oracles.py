@@ -288,6 +288,8 @@ def _parse_time_us(value: str, epoch_ms: bool) -> int:
             raise ValueError(f"time {value.strip()} ms lies outside years 1-9999") from None
     else:
         text = value.strip()
+        if "\0" in text:  # fromisoformat reads "...Z\0x" as the time before the NUL
+            raise ValueError(f"time {text!r} holds a NUL")
         if text.endswith("Z") or text.endswith("z"):
             text = text[:-1] + "+00:00"
         t = datetime.fromisoformat(text)

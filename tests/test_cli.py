@@ -16,8 +16,8 @@ import v2xcal
 from v2xcal.calibration import parse_history_csv
 from v2xcal.cli import build_parser, main
 from v2xcal.config import RunConfig, apply_preset, parse_config, planted_params_text, render_config
-from v2xcal.dataio import export_pdr_csv, parse_log_csv, parse_pdr_csv
-from v2xcal.simulator import PdrCurve
+from v2xcal.dataio import export_log_csv, export_pdr_csv, parse_log_csv, parse_pdr_csv
+from v2xcal.simulator import DeliveryLog, PdrCurve, link_distance_m
 
 SHORT_ROUTE = (
     "synth.waypoints_enu_m = -400.0,8.0,0.0; 400.0,8.0,0.0\n"
@@ -88,6 +88,19 @@ def test_synth_rejects_bad_route(tmp_path):
     spec = tmp_path / "bad.txt"
     spec.write_text("synth.waypoints_enu_m = 0.0,0.0,0.0\n", encoding="utf-8")
     assert main(["synth", str(spec), "--out", str(tmp_path / "o")]) == 2
+
+
+def test_synth_refuses_a_route_that_sends_no_packet(tmp_path, capsys):
+    # A 0.5 s drive at 1 Hz sends nothing. synth wrote a header-only
+    # observed_pdr.csv, which calibrate then refused, and exited 0.
+    spec = tmp_path / "short.txt"
+    spec.write_text("synth.duration_s = 0.5\nscenario.bsm_rate_hz = 1.0\n"
+                    "scenario.spat_rate_hz = 1.0\n", encoding="utf-8")
+    out = tmp_path / "o"
+    assert main(["synth", str(spec), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == ("error: synthetic route: the 0.5 s drive sends no packet "
+                                       "at its message rates\n")
+    assert not out.exists()
 
 
 def test_synth_rejects_unknown_spec_key(tmp_path, capsys):
@@ -456,8 +469,8 @@ def _loaded_modules(names, *commands):
 
 def test_no_command_loads_costly_modules(dataset, sim_out, tmp_path):
     # Each of these would be a large part of a fresh process's start-up:
-    # scipy.special, which pdr and heatmap never needed, synth and calibrate
-    # replace with bounds on the gamma CDF and simulate with the package's
+    # scipy.special, which pdr and heatmap never needed, calibrate replaces
+    # with bounds on the gamma CDF and synth and simulate with the package's
     # own gamma inverse; numpy.ma, which np.median loads; and
     # numpy.polynomial, whose polyval the gamma series spells out.
     log, synth, cal = str(sim_out / "log.csv"), tmp_path / "synth", tmp_path / "cal"
@@ -527,6 +540,20 @@ def test_aggregation_refuses_a_log_with_non_finite_positions(sim_out, tmp_path, 
     corrupt.write_text("\n".join([lines[0], ",".join(parts)]) + "\n", encoding="utf-8")
     assert main([command, str(corrupt), "--out", str(tmp_path / "o")]) == 1
     assert "row 2: tx_x_m nan must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_heatmap_refuses_a_position_beyond_every_cell_index(tmp_path, capsys):
+    # At 1 m cells, x = 1e19 m lies past 2**63 cells: heatmap exited 0 with a
+    # RuntimeWarning and wrote a cell centred at -9223372036854775808 m.
+    tx, rx = np.array([[1e19, 8.0, 0.0]]), np.zeros((1, 3))
+    huge = tmp_path / "huge.csv"
+    huge.write_text(export_log_csv(DeliveryLog(
+        np.zeros(1), np.zeros(1, int), tx, rx, link_distance_m(tx, rx), np.full(1, -70.0),
+        np.zeros(1, int))), encoding="utf-8")
+    assert main(["heatmap", str(huge), "--cell", "1", "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == (f"error: {huge}: vehicle position [1e+19, 8.0] m lies "
+                                       "2**62 or more cells out\n")
     assert not (tmp_path / "o").exists()
 
 

@@ -4,11 +4,11 @@ Each parser reads a document in one vectorized pass; tests/oracles.py keeps
 the same four parsers one record at a time. Fed the same documents, the two
 must return bit-equal columns or raise the same message for the same row.
 The documents start from valid exports and are then damaged: blank lines,
-quoted cells, short and long rows, unknown and overlong words, words ending
-in NULs, non-finite numbers, bad times, and for traces header aliases,
-shuffled and extra columns, and non-ASCII cells, which keep a trace's cells
-in UCS-4 where an ASCII trace's are bytes. The reader's few deliberate
-refusals are pinned separately below.
+quoted cells, short and long rows, unknown and overlong words, words and
+trace times followed by NULs, non-finite numbers, bad times, and for traces
+header aliases, shuffled and extra columns, and non-ASCII cells, which keep
+a trace's cells in UCS-4 where an ASCII trace's are bytes. The reader's few
+deliberate refusals are pinned separately below.
 """
 
 import tracemalloc
@@ -209,6 +209,9 @@ def trace_documents(draw):
     if epoch_ms:
         for row, us in zip(rows[1:], trace.time_us.tolist()):
             row[0] = str(us // 1000)
+    if draw(st.integers(0, 3)) == 0:  # a good time or word with NULs after it
+        row, j = draw(st.sampled_from(rows[1:])), draw(st.sampled_from([0, 6, 7, 8]))
+        row[j] += draw(st.sampled_from(["\0", "\0\0", "\0x"]))
     kinds = ["epoch" if epoch_ms else "iso", *["trace number"] * 5,
              *("trace " + name for name in _TRACE_WORDS)]
     rows[0] = [draw(st.sampled_from([name, *aliases, name.upper(), name.title()]))
@@ -372,6 +375,21 @@ def test_trace_words_ending_in_nul_are_refused_by_row(row, refusal):
         with pytest.raises(TraceParseError) as error:
             parse(text)
         assert str(error.value) == "malformed rows: row 2: " + refusal
+
+
+@pytest.mark.parametrize("suffix", ["\0", "\0\0", "\0x"], ids=["nul", "nuls", "nul_x"])
+@pytest.mark.parametrize("time", ["2024-03-14T15:00:01.000000Z", "2024-03-14T15:00:01+00:00",
+                                  "2024-03-14T15:00:01"])
+def test_trace_times_holding_a_nul_are_refused_by_row(time, suffix):
+    # datetime.fromisoformat read "...Z\0x" as the time before the NUL, and the
+    # column pass matched the export's pattern, whose last unit is the NUL pad.
+    cell = time + suffix
+    text = (",".join(TRACE_HEADERS) + "\n" + _TRACE_ROW + "\n"
+            + _TRACE_ROW.replace("2024-03-14T15:00:00.000000Z", cell) + "\n")
+    for parse in (parse_trace_csv, oracles.parse_trace_csv):
+        with pytest.raises(TraceParseError) as error:
+            parse(text)
+        assert str(error.value) == f"malformed rows: row 3: time {cell!r} holds a NUL"
 
 
 def test_an_ascii_trace_reads_in_little_more_memory_than_its_text():

@@ -52,8 +52,7 @@ def drive_at(distance_m, normals, uniforms):
     n = len(normals)
     return PreparedDrive(timestamp_s=np.arange(n, dtype=float), direction_code=np.zeros(n, int),
                          tx_position_m=np.zeros((n, 3)), rx_position_m=np.zeros((n, 3)),
-                         distance_m=np.full(n, distance_m), bin_index=np.zeros(n, int),
-                         normals=normals, uniforms=uniforms, sent=np.array([n]))
+                         distance_m=np.full(n, distance_m), normals=normals, uniforms=uniforms)
 
 
 def reason(rx_power_dbm, radio, snr_table=None):
@@ -179,8 +178,7 @@ def test_slow_stage_from_decades_is_the_log_distance_law_bit_for_bit(d0, alpha, 
     n = d.size
     drive = PreparedDrive(timestamp_s=np.arange(n, dtype=float), direction_code=np.zeros(n, int),
                           tx_position_m=np.zeros((n, 3)), rx_position_m=np.zeros((n, 3)),
-                          distance_m=d, bin_index=np.zeros(n, int), normals=normals,
-                          uniforms=np.full(n, 0.5), sent=np.array([n]))
+                          distance_m=d, normals=normals, uniforms=np.full(n, 0.5))
     assert hexes(link_decades(drive, fading)) == hexes(decades)
     assert (hexes(channel_pass(drive, DEFAULT_RADIO, fading, link_decades(drive, fading)))
             == hexes(channel_pass(drive, DEFAULT_RADIO, fading))

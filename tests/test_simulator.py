@@ -1,6 +1,7 @@
 """Replay, binning, heatmap, and curve-distance checks for the simulator."""
 
 import math
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -419,6 +420,18 @@ def test_heatmap_cells_match_the_unique_rows_oracle(case):
     got, expected = heatmap(log, cell_m, direction), oracles.heatmap(log, cell_m, direction)
     for field in fields(HeatmapGrid):
         assert np.array_equal(getattr(got, field.name), getattr(expected, field.name)), field.name
+
+
+@pytest.mark.parametrize("x_m, cell_m", [(1e19, 1.0), (-1e19, 1.0), (1e300, 1e-9)])
+def test_heatmap_refuses_a_position_beyond_every_cell_index(x_m, cell_m):
+    # floor(x / cell) of 2**63 or more overflowed its int64 cast: 1e19 m at 1 m
+    # cells made a cell centred at -2**63 m, and 1e300 / 1e-9 overflowed to inf.
+    log = _log([_record(5.0, True), _record(x_m, True, Direction.RSU_TO_VEHICLE)])
+    message = f"vehicle position [{x_m!r}, 0.0] m lies 2**62 or more cells out"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        heatmap(log, cell_m)
+    assert heatmap(log, cell_m, Direction.VEHICLE_TO_RSU).sent.tolist() == [1]
+    assert heatmap(_log([_record(4e18, True)]), 1.0).center_x_m.tolist() == [4e18]
 
 
 def test_heatmap_pdr_declines_with_distance():
