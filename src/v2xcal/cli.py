@@ -65,13 +65,14 @@ class UsageError(Exception):
     """
 
 
-def _parse_file(path: str, parse, error=ValueError):
-    """parse(the text of path); undecodable or malformed content raises error naming path."""
+def _parse_file(path: str, parse, error=ValueError, binary=False):
+    """parse(the text of path, or with binary the file opened in binary mode); undecodable or
+    malformed content raises error naming path."""
     if not os.path.isfile(path):
         raise UsageError(f"no such file: {path}")
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return parse(fh.read())
+        with open(path, "rb") if binary else open(path, "r", encoding="utf-8") as fh:
+            return parse(fh if binary else fh.read())
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}") from None
     except ValueError as exc:
@@ -199,7 +200,7 @@ def _direction(delivery_log, args, path: str):
 
 def _read_log(args):
     """The log args.log names and its --direction filter."""
-    delivery_log = _parse_file(args.log, parse_log_csv)
+    delivery_log = _parse_file(args.log, parse_log_csv, binary=True)
     return delivery_log, _direction(delivery_log, args, args.log)
 
 

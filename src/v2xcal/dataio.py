@@ -27,16 +27,24 @@ distinct cell, exported times are read by integer arithmetic, and the
 format's rules run on whole columns. Only a line that fails to load meets a
 per-row check, which names it; so does every line of a document holding a
 NUL, which a fixed-width cell drops from its end.
+
+A log may also be given as a file opened in binary mode. One in the exported
+form (ASCII, no \\r or NUL, the header line first, a data line) is loaded by
+one loadtxt pass over the file, once 64 KiB chunks have been scanned for that
+form and its newlines counted; any other file, or one whose rows do not all
+read, is decoded as a text-mode open decodes it and read as that text.
 """
 
 from __future__ import annotations
 
 import csv
 import enum
+import io
 import math
 from dataclasses import dataclass, replace
 from datetime import datetime, timedelta, timezone
 from functools import partial, reduce
+from typing import BinaryIO
 
 import numpy as np
 
@@ -781,28 +789,91 @@ def _check_log_row(row: list) -> None:
             _parse_number(cell)
 
 
-def parse_log_csv(text: str) -> DeliveryLog:
-    """Parse a delivery-log CSV; the distance column is rederived from positions.
-
-    A row whose delivered flag disagrees with its reason, or that holds a
-    non-finite number, is refused, so the reason column alone carries the
-    outcome. The first bad row, in row order, is named in the ValueError.
-    """
-    columns, read, failures = _read(text, _data_lines(text, LOG_HEADERS, "log"), _LOG_FIELDS,
-                                    _log_columns, _check_log_row)
+def _delivery_log(columns: dict) -> tuple:
+    """(the DeliveryLog of a log's columns, the rules each of its rows must keep)."""
     tx, rx = (np.column_stack([columns[name] for name in names])
               for names in (LOG_HEADERS[2:5], LOG_HEADERS[5:8]))
     distance = link_distance_m(tx, rx)
     with np.errstate(invalid="ignore"):  # inf - inf, in a row the finite rule refuses first
         mismatch = np.abs(columns["distance_m"] - distance) > 1e-6
-    _refuse_first_row(text, read, failures, [
+    return DeliveryLog(columns["timestamp_s"], columns["direction"], tx, rx, distance,
+                       columns["rx_power_dbm"], columns["reason"]), [
         *((~np.isfinite(columns[name]), name + " {} must be finite", columns[name])
           for name in _LOG_NUMBERS),
         (mismatch, "distance column {} disagrees with positions ({:.9f})", columns["distance_m"],
          distance),
-    ])
-    return DeliveryLog(columns["timestamp_s"], columns["direction"], tx, rx, distance,
-                       columns["rx_power_dbm"], columns["reason"])
+    ]
+
+
+#: What an exported log starts with, and the size of the pieces its form is checked in.
+_LOG_HEADER_LINE = (",".join(LOG_HEADERS) + "\n").encode()
+_CHUNK_BYTES = 1 << 16
+
+
+def _exported_data_lines(fh: BinaryIO) -> int:
+    """The data lines of a log file in export_log_csv's form, else 0: ASCII with no \\r or NUL,
+    the header line first, byte for byte. fh is left at the first data line."""
+    fh.seek(0)
+    if fh.read(len(_LOG_HEADER_LINE)) != _LOG_HEADER_LINE:
+        return 0
+    newlines, last = 0, b"\n"
+    while chunk := fh.read(_CHUNK_BYTES):
+        if not chunk.isascii() or b"\r" in chunk or b"\0" in chunk:
+            return 0
+        newlines, last = newlines + chunk.count(b"\n"), chunk[-1:]
+    fh.seek(len(_LOG_HEADER_LINE))
+    return newlines + (last != b"\n")
+
+
+def _load_exported_log(fh: BinaryIO):
+    """The DeliveryLog of a log file in export_log_csv's form whose every row reads and keeps
+    every rule, loaded straight from the file; else None."""
+    lines = _exported_data_lines(fh)
+    if not lines:
+        return None
+    try:
+        table = np.loadtxt(fh, _LOG_FIELDS, delimiter=",", quotechar='"', comments=None,
+                           ndmin=1)
+    except ValueError:
+        return None
+    # Fewer rows than lines: a blank line was skipped or a quoted cell joined two lines.
+    columns = _log_columns(table) if len(table) == lines else None
+    del table  # the columns are copies, so the table need not outlive them
+    if columns is None:
+        return None
+    log, rules = _delivery_log(columns)
+    return None if rule_errors(rules) else log
+
+
+def parse_log_csv(source: str | BinaryIO) -> DeliveryLog:
+    """Parse a delivery-log CSV, given as its text or as a seekable file opened in binary mode;
+    the distance column is rederived from positions.
+
+    A row whose delivered flag disagrees with its reason, or that holds a
+    non-finite number, is refused, so the reason column alone carries the
+    outcome. The first bad row, in row order, is named in the ValueError.
+
+    A file in export_log_csv's form, whose rows all read, is loaded
+    straight from it. Any other file is decoded as a text-mode open does
+    (strict UTF-8, \\r\\n and \\r read as \\n) and parsed as that text.
+    """
+    if isinstance(source, str):
+        text = source
+    else:
+        log = _load_exported_log(source)
+        if log is not None:
+            return log
+        source.seek(0)
+        reader = io.TextIOWrapper(source, encoding="utf-8")
+        try:
+            text = reader.read()
+        finally:
+            reader.detach()  # the file stays open for its owner
+    columns, read, failures = _read(text, _data_lines(text, LOG_HEADERS, "log"), _LOG_FIELDS,
+                                    _log_columns, _check_log_row)
+    log, rules = _delivery_log(columns)
+    _refuse_first_row(text, read, failures, rules)
+    return log
 
 
 # ---------------------------------------------------------------------------

@@ -308,6 +308,10 @@ def _round_log(arr):
     return np.round(arr, LOG_DECIMALS)
 
 
+#: Rows link_distance_m turns into Python floats at once, which bounds its scratch lists.
+_DISTANCE_ROWS = 1024
+
+
 def link_distance_m(tx_m: np.ndarray, rx_m: np.ndarray) -> np.ndarray:
     """Distance between paired rows of two (n, 3) position arrays, in meters.
 
@@ -315,9 +319,15 @@ def link_distance_m(tx_m: np.ndarray, rx_m: np.ndarray) -> np.ndarray:
     a vectorized sqrt: the log parser rederives the distance column with this
     function, and the two must agree bit for bit.
     """
-    with np.errstate(over="ignore", invalid="ignore"):  # inf and nan pass silently, as there
-        differences = (tx_m - rx_m).T.tolist()
-    return np.fromiter(map(math.hypot, *differences), dtype=float, count=len(tx_m))
+    distance = np.empty(len(tx_m))
+    rx_m = np.broadcast_to(rx_m, tx_m.shape)  # one RSU position may stand for every row
+    for start in range(0, len(tx_m), _DISTANCE_ROWS):
+        rows = slice(start, start + _DISTANCE_ROWS)
+        with np.errstate(over="ignore", invalid="ignore"):  # inf and nan pass silently, as there
+            differences = (tx_m[rows] - rx_m[rows]).T.tolist()
+        distance[rows] = np.fromiter(map(math.hypot, *differences), dtype=float,
+                                     count=len(differences[0]))
+    return distance
 
 
 @dataclass(frozen=True, eq=False)
@@ -461,8 +471,11 @@ def heatmap(log: DeliveryLog, cell_m: float, direction: Direction | None = None)
     inverse[order] = np.cumsum(starts) - 1
     sent = np.bincount(inverse)
     delivered = np.bincount(inverse[log.delivered[keep]], minlength=sent.size)
-    return HeatmapGrid(cell_m, (kx[starts] + 0.5) * cell_m, (ky[starts] + 0.5) * cell_m,
-                       sent, delivered)
+    with np.errstate(over="ignore"):  # a centre past the float maximum is refused below
+        x, y = (kx[starts] + 0.5) * cell_m, (ky[starts] + 0.5) * cell_m
+    if not np.all(np.isfinite(x) & np.isfinite(y)):
+        raise ValueError(f"cell_m {cell_m} m puts a cell centre past the float maximum")
+    return HeatmapGrid(cell_m, x, y, sent, delivered)
 
 
 class BinWidthError(ValueError):

@@ -530,6 +530,29 @@ def test_pdr_command_rejects_corrupt_log(sim_out, tmp_path, capsys):
     assert "distance column" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, output", [("pdr", "pdr.csv"), ("heatmap", "heatmap.csv")])
+@pytest.mark.parametrize("newline", [b"\r\n", b"\r"], ids=["crlf", "cr"])
+def test_aggregation_reads_a_log_with_other_line_ends_as_its_export(sim_out, tmp_path, command,
+                                                                     output, newline):
+    # Such a log is not in the exported form, so it is decoded as a text-mode open does.
+    log = tmp_path / "log.csv"
+    log.write_bytes((sim_out / "log.csv").read_bytes().replace(b"\n", newline))
+    assert main([command, str(log), "--out", str(tmp_path / "o")]) == 0
+    assert (tmp_path / "o" / output).read_bytes() == (sim_out / output).read_bytes()
+
+
+@pytest.mark.parametrize("command", ["pdr", "heatmap"])
+def test_aggregation_names_the_undecodable_byte_of_a_log(sim_out, tmp_path, capsys, command):
+    data = (sim_out / "log.csv").read_bytes()
+    at = len(data) // 2  # past the first 64 KiB, so the position counts from the file's start
+    log = tmp_path / "log.csv"
+    log.write_bytes(data[:at] + b"\xff" + data[at:])
+    assert main([command, str(log), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == (f"error: {log}: 'utf-8' codec can't decode byte 0xff in "
+                                       f"position {at}: invalid start byte\n")
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("command", ["pdr", "heatmap"])
 def test_aggregation_refuses_a_log_with_non_finite_positions(sim_out, tmp_path, capsys, command):
     # pdr used to die naming no row, and heatmap wrote a cell at x = -1.8e20 m.

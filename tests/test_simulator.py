@@ -434,6 +434,16 @@ def test_heatmap_refuses_a_position_beyond_every_cell_index(x_m, cell_m):
     assert heatmap(_log([_record(4e18, True)]), 1.0).center_x_m.tolist() == [4e18]
 
 
+def test_heatmap_refuses_a_cell_whose_centre_passes_the_float_maximum():
+    # (1 + 0.5) * 1.7e308 overflowed with a RuntimeWarning, and HeatmapGrid then
+    # refused "center (inf, 0.0)", naming no cell size.
+    log = _log([_record(1.79e308, True)])
+    with pytest.raises(ValueError, match=re.escape(
+            "cell_m 1.7e+308 m puts a cell centre past the float maximum")):
+        heatmap(log, 1.7e308)
+    assert heatmap(log, 1e308).center_x_m.tolist() == [1.5e308]
+
+
 def test_heatmap_pdr_declines_with_distance():
     trace = drive_by_trace(half_m=1500.0, duration_s=300.0)
     log = run_scenario(trace, ScenarioConfig(master_seed=23), CALIBRATED_RADIO, CALIBRATED_FADING)
