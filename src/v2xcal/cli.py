@@ -137,11 +137,11 @@ def _delivery_summary(sent: int, delivered: int) -> str:
 
 def _parse_enu_trace(args, config: RunConfig):
     """The trace args.trace names, projected about the configured RSU."""
-    def parse(text):
-        trace = parse_trace_csv(text, epoch_ms=args.epoch_ms)
+    def parse(fh):
+        trace = parse_trace_csv(fh, epoch_ms=args.epoch_ms)
         log.info("parsed %d trace records from %s", len(trace), args.trace)
         return project_enu(trace, config.rsu)
-    return _parse_file(args.trace, parse)
+    return _parse_file(args.trace, parse, binary=True)
 
 
 def cmd_simulate(args) -> int:

@@ -28,11 +28,11 @@ format's rules run on whole columns. Only a line that fails to load meets a
 per-row check, which names it; so does every line of a document holding a
 NUL, which a fixed-width cell drops from its end.
 
-A log may also be given as a file opened in binary mode. One in the exported
-form (ASCII, no \\r or NUL, the header line first, a data line) is loaded by
-one loadtxt pass over the file, once 64 KiB chunks have been scanned for that
-form and its newlines counted; any other file, or one whose rows do not all
-read, is decoded as a text-mode open decodes it and read as that text.
+A log or a trace may also be given as a file opened in binary mode. One in
+its exported form (ASCII, no \\r or NUL, the header line first, a data line)
+is loaded by one loadtxt pass over the file once 64 KiB chunks have been
+scanned for that form and its newlines counted. Any other file, one whose
+rows do not all read, or a trace of epoch_ms times, is read as its text.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from __future__ import annotations
 import csv
 import enum
 import io
+import logging
 import math
 from dataclasses import dataclass, replace
 from datetime import datetime, timedelta, timezone
@@ -64,6 +65,8 @@ from .simulator import (
     rule_errors,
     run_scenario,
 )
+
+logger = logging.getLogger(__name__)
 
 EARTH_RADIUS_M = 6_371_000.0
 FT_TO_M = 0.3048
@@ -254,6 +257,54 @@ def _refuse_first_row(text: str, read, failures: list, rules) -> None:
     errors = _errors(text, read, failures, rules)
     if errors:
         raise ValueError("row {}: {}".format(*errors[0]))
+
+
+def _exported_data_lines(fh: BinaryIO, header: bytes) -> int:
+    """The data lines of a file in an export's form, else 0: ASCII with no \\r or NUL, the
+    header line first, byte for byte. fh is left at the first data line."""
+    fh.seek(0)
+    if fh.read(len(header)) != header:
+        return 0
+    newlines, last = 0, b"\n"
+    while chunk := fh.read(1 << 16):
+        if not chunk.isascii() or b"\r" in chunk or b"\0" in chunk:
+            return 0
+        newlines, last = newlines + chunk.count(b"\n"), chunk[-1:]
+    fh.seek(len(header))
+    return newlines + (last != b"\n")
+
+
+def _load_exported(fh: BinaryIO, headers: tuple, fields: list, convert):
+    """convert(the table of a file in the exported form of headers, loaded by one loadtxt pass
+    straight from it), or None if the file is in another form or a line does not load."""
+    lines = _exported_data_lines(fh, (",".join(headers) + "\n").encode())
+    if not lines:
+        return None
+    try:
+        table = np.loadtxt(fh, fields, delimiter=",", quotechar='"', comments=None, ndmin=1)
+    except ValueError:
+        return None
+    # Fewer rows than lines: a blank line was skipped or a quoted cell joined two lines.
+    return convert(table) if len(table) == lines else None
+
+
+def _loaded_or_text(source: str | BinaryIO, load) -> tuple:
+    """(load(source), None) if source is a file that load reads straight, else (None, the text
+    of source): the str itself, or the file decoded as a text-mode open decodes it (strict
+    UTF-8, \\r\\n and \\r read as \\n)."""
+    if isinstance(source, str):
+        return None, source
+    loaded = load(source)
+    logger.debug("%s: %s", getattr(source, "name", "file"),
+                 "read as text" if loaded is None else "loaded straight from its file")
+    if loaded is not None:
+        return loaded, None
+    source.seek(0)
+    reader = io.TextIOWrapper(source, encoding="utf-8")
+    try:
+        return None, reader.read()
+    finally:
+        reader.detach()  # the file stays open for its owner
 
 
 class TraceParseError(ValueError):
@@ -491,7 +542,7 @@ def _exported_time_us(cells: np.ndarray) -> tuple:
     The pattern is checked on the cells' own code units: bytes of S cells, code points of U.
     """
     unit = np.dtype(np.uint8 if cells.dtype.kind == "S" else np.uint32)
-    points = np.ascontiguousarray(cells).view((unit, cells.itemsize // unit.itemsize))
+    points = cells.view((unit, cells.itemsize // unit.itemsize))  # a view, strided or not
     digits = points[:, :len(_EXPORTED_TIME)] - _EXPORTED_TIME  # below its span wraps far above
     ok = np.all(digits <= _TIME_SPAN, axis=1)
     # Horner's rule down each number's digit columns: no BLAS product, whose buffers cost memory.
@@ -559,14 +610,42 @@ def _check_trace_row(row: list, width: int, positions: list, epoch_ms: bool) -> 
         _parse_number(cell)
 
 
-def parse_trace_csv(text: str, epoch_ms: bool = False) -> Trace:
-    """Parse a message-log CSV document into a Trace.
+def _trace_fields(kind: str, epoch_ms: bool) -> list:
+    """The loadtxt fields of a trace's columns in TRACE_HEADERS order, then of its header's last
+    column, which makes a shorter row fail to load. Kind S holds the cells as bytes, U as UCS-4."""
+    return [("time_us", np.int64 if epoch_ms else f"{kind}{_TIME_WIDTH + 1}"),
+            *((name, float) for name in _FLOAT_COLUMNS),
+            *((name, f"{kind}{_WORD_WIDTH + 1}") for name, *_ in _CODE_COLUMNS),
+            ("last", f"{kind}1")]
+
+
+def _load_exported_trace(fh: BinaryIO):
+    """The Trace of a trace file in export_trace_csv's form whose every row reads and keeps
+    every rule, loaded straight from the file; else None."""
+    # No last field: a row of more or fewer cells fails to load.
+    columns = _load_exported(fh, TRACE_HEADERS, _trace_fields("S", False)[:-1],
+                             partial(_trace_columns, epoch_ms=False))
+    try:
+        return None if columns is None else Trace(**columns)
+    except ValueError:  # a record breaks a rule, or the times run backwards
+        return None
+
+
+def parse_trace_csv(source: str | BinaryIO, epoch_ms: bool = False) -> Trace:
+    """Parse a message-log CSV document, given as its text or as a seekable file opened in
+    binary mode, into a Trace.
 
     Raises TraceParseError with row numbers (lines counted from 1, blank
     ones included) and reasons for malformed rows, or with a
     document-level message for missing columns, an empty document, or
     out-of-order timestamps.
+
+    A file in export_trace_csv's form whose rows all read is loaded straight
+    from it unless epoch_ms is set; any other is parsed as its text-mode read.
     """
+    trace, text = _loaded_or_text(source, lambda fh: None if epoch_ms else _load_exported_trace(fh))
+    if trace is not None:
+        return trace
     lines = _lines(text)
     if not lines:
         raise TraceParseError("document has no header row")
@@ -584,12 +663,8 @@ def parse_trace_csv(text: str, epoch_ms: bool = False) -> Trace:
 
     positions = [columns[name] for name in TRACE_HEADERS]
     kind = "S" if text.isascii() else "U"  # bytes hold an ASCII cell in a quarter of the space
-    fields = [("time_us", np.int64 if epoch_ms else f"{kind}{_TIME_WIDTH + 1}"),
-              *((name, float) for name in _FLOAT_COLUMNS),
-              *((name, f"{kind}{_WORD_WIDTH + 1}") for name, *_ in _CODE_COLUMNS),
-              ("last", f"{kind}1")]  # the header's last column: a shorter row fails to load
     trace, read, failures = _read(
-        text, lines[1:], fields, partial(_trace_columns, epoch_ms=epoch_ms),
+        text, lines[1:], _trace_fields(kind, epoch_ms), partial(_trace_columns, epoch_ms=epoch_ms),
         partial(_check_trace_row, width=len(header), positions=positions, epoch_ms=epoch_ms),
         usecols=positions + [len(header) - 1])
     errors = _errors(text, read, failures, _record_rules(trace))
@@ -605,9 +680,12 @@ def parse_trace_csv(text: str, epoch_ms: bool = False) -> Trace:
 
 def export_trace_csv(trace: Trace) -> str:
     """Render a Trace with canonical headers, 9 decimals and ISO 8601 UTC microsecond times."""
-    stamps = np.datetime_as_string(trace.time_us.astype("datetime64[us]"), unit="us")
+    # Years 1-9999 spell every time in 26 ASCII characters: their code points, then a "Z".
+    points = np.datetime_as_string(trace.time_us.astype("M8[us]"), unit="us").view(np.uint32)
+    stamps = np.full((len(trace), 27), ord("Z"), np.uint8)
+    stamps[:, :26] = points.reshape(len(trace), -1)[:, :26]
     return _write_columns(TRACE_HEADERS, [
-        np.char.add(stamps.astype("S"), b"Z"),
+        stamps.view("S27")[:, 0],
         *(getattr(trace, name) for name in _FLOAT_COLUMNS),
         *(np.array([kind.value for kind in kinds], dtype="S")[getattr(trace, name)]
           for name, _, kinds, _ in _CODE_COLUMNS),
@@ -805,40 +883,10 @@ def _delivery_log(columns: dict) -> tuple:
     ]
 
 
-#: What an exported log starts with, and the size of the pieces its form is checked in.
-_LOG_HEADER_LINE = (",".join(LOG_HEADERS) + "\n").encode()
-_CHUNK_BYTES = 1 << 16
-
-
-def _exported_data_lines(fh: BinaryIO) -> int:
-    """The data lines of a log file in export_log_csv's form, else 0: ASCII with no \\r or NUL,
-    the header line first, byte for byte. fh is left at the first data line."""
-    fh.seek(0)
-    if fh.read(len(_LOG_HEADER_LINE)) != _LOG_HEADER_LINE:
-        return 0
-    newlines, last = 0, b"\n"
-    while chunk := fh.read(_CHUNK_BYTES):
-        if not chunk.isascii() or b"\r" in chunk or b"\0" in chunk:
-            return 0
-        newlines, last = newlines + chunk.count(b"\n"), chunk[-1:]
-    fh.seek(len(_LOG_HEADER_LINE))
-    return newlines + (last != b"\n")
-
-
 def _load_exported_log(fh: BinaryIO):
     """The DeliveryLog of a log file in export_log_csv's form whose every row reads and keeps
     every rule, loaded straight from the file; else None."""
-    lines = _exported_data_lines(fh)
-    if not lines:
-        return None
-    try:
-        table = np.loadtxt(fh, _LOG_FIELDS, delimiter=",", quotechar='"', comments=None,
-                           ndmin=1)
-    except ValueError:
-        return None
-    # Fewer rows than lines: a blank line was skipped or a quoted cell joined two lines.
-    columns = _log_columns(table) if len(table) == lines else None
-    del table  # the columns are copies, so the table need not outlive them
+    columns = _load_exported(fh, LOG_HEADERS, _LOG_FIELDS, _log_columns)
     if columns is None:
         return None
     log, rules = _delivery_log(columns)
@@ -857,18 +905,9 @@ def parse_log_csv(source: str | BinaryIO) -> DeliveryLog:
     straight from it. Any other file is decoded as a text-mode open does
     (strict UTF-8, \\r\\n and \\r read as \\n) and parsed as that text.
     """
-    if isinstance(source, str):
-        text = source
-    else:
-        log = _load_exported_log(source)
-        if log is not None:
-            return log
-        source.seek(0)
-        reader = io.TextIOWrapper(source, encoding="utf-8")
-        try:
-            text = reader.read()
-        finally:
-            reader.detach()  # the file stays open for its owner
+    log, text = _loaded_or_text(source, _load_exported_log)
+    if log is not None:
+        return log
     columns, read, failures = _read(text, _data_lines(text, LOG_HEADERS, "log"), _LOG_FIELDS,
                                     _log_columns, _check_log_row)
     log, rules = _delivery_log(columns)

@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -551,6 +552,26 @@ def test_aggregation_names_the_undecodable_byte_of_a_log(sim_out, tmp_path, caps
     assert capsys.readouterr().err == (f"error: {log}: 'utf-8' codec can't decode byte 0xff in "
                                        f"position {at}: invalid start byte\n")
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("newline", [b"\n", b"\r\n"], ids=["exported", "crlf"])
+def test_very_verbose_logs_how_each_trace_and_log_was_read(dataset, sim_out, tmp_path, capsys,
+                                                            newline):
+    trace, log = tmp_path / "trace.csv", tmp_path / "log.csv"
+    trace.write_bytes(Path(dataset["trace"]).read_bytes().replace(b"\n", newline))
+    log.write_bytes((sim_out / "log.csv").read_bytes().replace(b"\n", newline))
+    runs = []
+    for flags in ([], ["-vv"]):
+        assert main(["simulate", str(trace), "--preset", "calibrated",
+                     "--out", str(tmp_path / "sim"), *flags]) == 0
+        assert main(["pdr", str(log), "--out", str(tmp_path / "pdr"), *flags]) == 0
+        runs.append((capsys.readouterr(),
+                     [path.read_bytes() for path in sorted(tmp_path.glob("*/*"))]))
+    (quiet, quiet_files), (loud, loud_files) = runs
+    assert loud.out == quiet.out and loud_files == quiet_files and quiet.err == ""
+    route = "loaded straight from its file" if newline == b"\n" else "read as text"
+    assert [line for line in loud.err.splitlines() if " v2xcal.dataio: " in line] == [
+        f"DEBUG v2xcal.dataio: {trace}: {route}", f"DEBUG v2xcal.dataio: {log}: {route}"]
 
 
 @pytest.mark.parametrize("command", ["pdr", "heatmap"])
