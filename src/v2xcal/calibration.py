@@ -28,7 +28,7 @@ from .propagation import (LOG_DECIMALS, SUPPORTED_DATA_RATES_MBPS, FadingParams,
                           RadioParams, SlowFadingModel, free_space_rx_power, to_db)
 from .dataio import line_cells, numbered_lines
 from .simulator import (EnuTrace, PdrCurve, ScenarioConfig, bin_indices, check_bin_width,
-                        delivery_pass, link_decades, pdr_rmse, prepare_drive)
+                        delivery_pass, pdr_rmse, prepare_drive)
 # Not called here: bench/tracing.py times these under the v2xcal.calibration names.
 from .propagation import deterministic_gain_db  # noqa: F401
 from .simulator import pdr_curve, rmse, run_scenario  # noqa: F401
@@ -56,13 +56,12 @@ class Genome:
     sigma_db: float
     nakagami_m: float
 
-    def to_params(self, base_radio: RadioParams | None = None,
-                  base_fading: FadingParams | None = None):
+    def to_params(self, base_radio: RadioParams = RadioParams(),
+                  base_fading: FadingParams = FadingParams()):
         """Expand into (RadioParams, FadingParams); non-gene fields come from the bases."""
         genes = self.as_dict()
         radio_genes = {name: genes.pop(name) for name in _RADIO_GENES}
-        return (replace(base_radio if base_radio is not None else RadioParams(), **radio_genes),
-                replace(base_fading if base_fading is not None else FadingParams(), **genes))
+        return replace(base_radio, **radio_genes), replace(base_fading, **genes)
 
     @classmethod
     def from_params(cls, radio: RadioParams, fading: FadingParams) -> "Genome":
@@ -226,7 +225,8 @@ class PreparedSearch:
 
     Under common random numbers only the channel depends on the genome, so
     the drive, its draws, each packet's bin (pdr_curve's bin_indices) and the
-    compared bins are fixed here once. A score needs one bit per packet,
+    compared bins are fixed here once; the drive is prepared for base_fading's
+    reference distance, which no gene sets. A score needs one bit per packet,
     delivered or not, so under Nakagami it draws no power:
     propagation.nakagami_delivered bounds the gamma CDF at each packet's
     threshold, sums the gamma inverse's own series where the bounds leave the
@@ -236,11 +236,11 @@ class PreparedSearch:
     """
 
     def __init__(self, observed: PdrCurve, trace: EnuTrace, scenario: ScenarioConfig,
-                 base_radio: RadioParams | None = None, base_fading: FadingParams | None = None):
+                 base_radio: RadioParams = RadioParams(),
+                 base_fading: FadingParams = FadingParams()):
         check_bin_width(observed.bin_width_m, scenario.bin_width_m)
-        self.drive = drive = prepare_drive(trace, scenario)
+        self.drive = drive = prepare_drive(trace, scenario, base_fading.reference_distance_m)
         self.base_radio, self.base_fading = base_radio, base_fading
-        self.snr_table = scenario.snr_table()
         self.bin_index = bin_indices(drive.distance_m, scenario.bin_width_m)
         sent = np.bincount(self.bin_index)
         index = np.flatnonzero(observed.sent)
@@ -256,7 +256,6 @@ class PreparedSearch:
         self.compared_bins = index[shared]
         self.observed_pdr = observed.pdr_pct[self.compared_bins]
         self.compared_sent = sent[self.compared_bins]
-        self.decades = link_decades(drive, base_fading or FadingParams())
         self.nakagami_packets = self.exact_packets = 0
 
     def score(self, genome: Genome) -> float:
@@ -265,7 +264,7 @@ class PreparedSearch:
         # The deterministic gain at the reference distance, where the log-distance term is 0.
         if free_space_rx_power(radio, fading) - to_db(radio.tx_power_mw) > 0.0:
             return INFEASIBLE_RMSE
-        delivered, exact = delivery_pass(self.drive, radio, fading, self.snr_table, self.decades)
+        delivered, exact = delivery_pass(self.drive, radio, fading)
         if fading.fast_model is FastFadingModel.NAKAGAMI:
             self.nakagami_packets += delivered.size
             self.exact_packets += exact
@@ -274,7 +273,7 @@ class PreparedSearch:
 
 
 def objective(genome: Genome, observed: PdrCurve, trace: EnuTrace, scenario: ScenarioConfig,
-              base_radio: RadioParams | None = None, base_fading: FadingParams | None = None,
+              base_radio: RadioParams = RadioParams(), base_fading: FadingParams = FadingParams(),
               search: PreparedSearch | None = None) -> float:
     """Score a genome against the observed curve; lower is better.
 
@@ -329,8 +328,8 @@ def _make_child(rng, population, scores, config: GaConfig) -> Genome:
 
 
 def evolve(config: GaConfig, observed: PdrCurve, trace: EnuTrace, scenario: ScenarioConfig,
-           base_radio: RadioParams | None = None,
-           base_fading: FadingParams | None = None) -> CalibrationResult:
+           base_radio: RadioParams = RadioParams(),
+           base_fading: FadingParams = FadingParams()) -> CalibrationResult:
     """Run the generational GA and return the best genome found.
 
     Exactly population_size * generations objective evaluations are logged
@@ -433,9 +432,9 @@ def parse_gene_value(name: str, text: str):
     return parse_typed_value(name, text, getattr(_PACKAGE_GENOME, _known_gene(name)))
 
 
-def format_gene_value(name: str, value, float_text=repr) -> str:
-    """Text form of one gene: model values, the integer data rate, float_text of the rest."""
-    return typed_formatter(getattr(_PACKAGE_GENOME, name), float_text)(value)
+def format_gene_value(name: str, value) -> str:
+    """Text form of one gene: model values, the integer data rate, repr of the rest."""
+    return typed_formatter(getattr(_PACKAGE_GENOME, name))(value)
 
 
 def parse_frozen_genes(entries, base: Genome | None = None) -> tuple:

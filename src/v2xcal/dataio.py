@@ -152,10 +152,7 @@ def numbered_lines(text: str) -> list:
 
 def _lines(text: str) -> list:
     """The non-blank lines of a document, header first."""
-    lines = text.removesuffix("\n").split("\n")
-    # "-" sorts above every character a blank line may hold, so no line from "-" up is blank.
-    return lines if "\r" not in text and min(lines) >= "-" else [
-        line for _, line in numbered_lines(text)]
+    return [line for _, line in numbered_lines(text)]
 
 
 def line_cells(line: str) -> list:

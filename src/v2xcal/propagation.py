@@ -341,13 +341,10 @@ def nakagami_power_sample(omega_mw, m, rng, size=None):
     return float(sample) if size is None and np.ndim(omega_mw) == 0 else sample
 
 
-def slow_rx_power(radio, fading, distance, normals, decades=None):
-    """Slow-stage received power, dBm: the log-distance law, plus sigma_db
-    times the standard normals under LOGNORMAL (only then are they read).
-    decades, when given, is log_decades(distance, fading.reference_distance_m),
-    and distance is not read."""
-    if decades is None:
-        decades = log_decades(distance, fading.reference_distance_m)
+def slow_rx_power(radio, fading, decades, normals):
+    """Slow-stage received power, dBm: the log-distance law over decades,
+    log_decades(distance, fading.reference_distance_m), plus sigma_db times
+    the standard normals under LOGNORMAL (only then are they read)."""
     power = free_space_rx_power(radio, fading) - 10.0 * fading.alpha * decades
     if fading.slow_model is SlowFadingModel.LOGNORMAL:
         return power + fading.sigma_db * normals

@@ -335,8 +335,12 @@ class PreparedDrive:
     """The part of a scenario run that no channel parameter changes.
 
     Per packet, vehicle-to-RSU first and each direction in send order: the
-    logged columns up to distance_m, and the normal and uniform drawn for its
-    shadowing and fast fading. No bins: pdr_curve and PreparedSearch bin packets.
+    logged columns up to distance_m, the log_decades of its link (at least
+    1e-12 m) beyond the reference distance the drive was prepared for, and
+    the normal and uniform drawn for its shadowing and fast fading; then the
+    scenario's SNR table. A pass over the drive must use a fading with that
+    reference distance, which no gene sets. No bins: pdr_curve and
+    PreparedSearch bin packets.
     """
 
     timestamp_s: np.ndarray
@@ -344,22 +348,25 @@ class PreparedDrive:
     tx_position_m: np.ndarray
     rx_position_m: np.ndarray
     distance_m: np.ndarray
+    decades: np.ndarray
     normals: np.ndarray
     uniforms: np.ndarray
+    snr_table: dict | None
 
     @cached_property
     def margins(self) -> tuple:
         return uniform_margins(self.uniforms)  # for every Nakagami pass over the drive
 
 
-def prepare_drive(trace: EnuTrace, scenario: ScenarioConfig) -> PreparedDrive:
+def prepare_drive(trace: EnuTrace, scenario: ScenarioConfig,
+                  reference_distance_m: float) -> PreparedDrive:
     """Schedule every packet of the trace and draw its random numbers; bin none.
 
     Per direction, the shadowing and fast-fading draws come from two child
     streams seeded by (master_seed, direction), consumed in packet order.
     """
     rsu = _round_log(np.array([scenario.rsu_x_m, scenario.rsu_y_m, scenario.rsu_z_m], dtype=float))
-    parts, schedules = [], {}  # send times, positions and distances of each distinct rate
+    parts, schedules = [], {}  # send times, positions, distances and decades of each distinct rate
     for direction, rate in (
         (Direction.VEHICLE_TO_RSU, scenario.bsm_rate_hz),
         (Direction.RSU_TO_VEHICLE, scenario.spat_rate_hz),
@@ -367,52 +374,43 @@ def prepare_drive(trace: EnuTrace, scenario: ScenarioConfig) -> PreparedDrive:
         if rate not in schedules:
             times = _round_log(np.arange(_send_count(trace.duration_s, rate), dtype=float) / rate)
             vehicle = _round_log(np.column_stack(trace.position_at(times)))
-            schedules[rate] = times, vehicle, link_distance_m(vehicle, rsu[None, :])
-        times, vehicle, distance = schedules[rate]
+            distance = link_distance_m(vehicle, rsu[None, :])
+            schedules[rate] = times, vehicle, distance, log_decades(
+                np.maximum(distance, 1e-12), reference_distance_m)
+        times, vehicle, distance, decades = schedules[rate]
         n, site = len(times), np.broadcast_to(rsu, vehicle.shape)
         slow_seed, fast_seed = np.random.SeedSequence(
             (scenario.master_seed, direction.stream_code)).spawn(2)
         tx, rx = (vehicle, site) if direction is Direction.VEHICLE_TO_RSU else (site, vehicle)
-        parts.append((times, np.full(n, direction.stream_code), tx, rx, distance,
+        parts.append((times, np.full(n, direction.stream_code), tx, rx, distance, decades,
                       np.random.default_rng(slow_seed).standard_normal(n),
                       np.random.default_rng(fast_seed).random(n)))
-    return PreparedDrive(*(np.concatenate(c) for c in zip(*parts)))
+    return PreparedDrive(*(np.concatenate(c) for c in zip(*parts)), scenario.snr_table())
 
 
-def link_decades(drive: PreparedDrive, fading: FadingParams) -> np.ndarray:
-    """log_decades of each prepared packet's link, at least 1e-12 m; a pass's decades."""
-    return log_decades(np.maximum(drive.distance_m, 1e-12), fading.reference_distance_m)
-
-
-def _slow_pass(drive: PreparedDrive, radio: RadioParams, fading: FadingParams, decades):
-    decades = link_decades(drive, fading) if decades is None else decades
-    return slow_rx_power(radio, fading, None, drive.normals, decades)
-
-
-def channel_pass(drive: PreparedDrive, radio: RadioParams, fading: FadingParams,
-                 decades=None) -> np.ndarray:
+def channel_pass(drive: PreparedDrive, radio: RadioParams, fading: FadingParams) -> np.ndarray:
     """Logged received power (dBm) of every prepared packet under one channel:
-    the slow stage, then the Nakagami fast stage when it is enabled. decades,
-    when given, is link_decades(drive, fading), which no gene changes."""
-    power = _slow_pass(drive, radio, fading, decades)
+    the slow stage, then the Nakagami fast stage when it is enabled. fading
+    must have the reference distance the drive was prepared for."""
+    power = slow_rx_power(radio, fading, drive.decades, drive.normals)
     if fading.fast_model is FastFadingModel.NAKAGAMI:
         power = nakagami_rx_power(power, fading.nakagami_m, drive.uniforms)
     return _round_log(power)
 
 
-def delivery_pass(drive: PreparedDrive, radio: RadioParams, fading: FadingParams,
-                  snr_table=None, decades=None):
+def delivery_pass(drive: PreparedDrive, radio: RadioParams, fading: FadingParams):
     """Which prepared packets one channel delivers, and how many took the exact chain.
 
-    The delivered array is is_delivered(channel_pass(...)). Under Nakagami it
-    comes from nakagami_delivered, which draws the power of only the few
-    packets near their thresholds; their count is the second value, 0
-    without fast fading. decades is as for channel_pass.
+    The delivered array is is_delivered(channel_pass(...)) under the drive's
+    SNR table. Under Nakagami it comes from nakagami_delivered, which draws
+    the power of only the few packets near their thresholds; their count is
+    the second value, 0 without fast fading. fading is as for channel_pass.
     """
     if fading.fast_model is FastFadingModel.NAKAGAMI:
-        return nakagami_delivered(_slow_pass(drive, radio, fading, decades), fading.nakagami_m,
-                                  drive.uniforms, radio, snr_table, drive.margins)
-    return is_delivered(channel_pass(drive, radio, fading, decades), radio, snr_table), 0
+        return nakagami_delivered(slow_rx_power(radio, fading, drive.decades, drive.normals),
+                                  fading.nakagami_m, drive.uniforms, radio, drive.snr_table,
+                                  drive.margins)
+    return is_delivered(channel_pass(drive, radio, fading), radio, drive.snr_table), 0
 
 
 def run_scenario(trace: EnuTrace, scenario: ScenarioConfig, radio: RadioParams,
@@ -424,9 +422,9 @@ def run_scenario(trace: EnuTrace, scenario: ScenarioConfig, radio: RadioParams,
     LOG_DECIMALS before the delivery decision so the log is exactly
     reproducible from its CSV form.
     """
-    drive = prepare_drive(trace, scenario)
+    drive = prepare_drive(trace, scenario, fading.reference_distance_m)
     rx_power = channel_pass(drive, radio, fading)
-    reason = reception_codes(rx_power, radio, scenario.snr_table())
+    reason = reception_codes(rx_power, radio, drive.snr_table)
     # Chronological order; vehicle-to-RSU first on timestamp ties.
     order = np.lexsort((drive.direction_code, drive.timestamp_s))
     columns = (drive.timestamp_s, drive.direction_code, drive.tx_position_m,

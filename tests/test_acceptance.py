@@ -54,6 +54,7 @@ from v2xcal.propagation import (
     RadioParams,
     SlowFadingModel,
     free_space_rx_power,
+    log_decades,
     log_distance_rx_power,
     nakagami_power_sample,
     slow_rx_power,
@@ -201,7 +202,7 @@ def test_criterion_3_lognormal_residuals():
     radio, fading = RadioParams(), FadingParams(
         slow_model=SlowFadingModel.LOGNORMAL, sigma_db=6.03, alpha=1.51
     )
-    draws = slow_rx_power(radio, fading, 250.0,
+    draws = slow_rx_power(radio, fading, log_decades(250.0, fading.reference_distance_m),
                           np.random.default_rng(5).standard_normal(1_000_000))
     residuals = draws - log_distance_rx_power(radio, fading, 250.0)
     mean, std = float(residuals.mean()), float(residuals.std())

@@ -74,7 +74,7 @@ def _drive(half_length_m):
 ENU, _ = _drive(400.0)
 _, OBSERVED = _drive(600.0)
 SEARCHES = {base: PreparedSearch(OBSERVED, ENU, SCENARIO, base_radio=base)
-            for base in (None, BOOSTED)}
+            for base in (RadioParams(), BOOSTED)}
 
 
 def genomes():
@@ -83,7 +83,7 @@ def genomes():
 
 
 @settings(max_examples=150, deadline=None)
-@given(genome=genomes(), base=st.sampled_from([None, BOOSTED]))
+@given(genome=genomes(), base=st.sampled_from([RadioParams(), BOOSTED]))
 def test_prepared_score_equals_the_log_path_bit_for_bit(genome, base):
     score = SEARCHES[base].score(genome)
     radio, fading = genome.to_params(base)
@@ -97,7 +97,7 @@ def test_prepared_score_equals_the_log_path_bit_for_bit(genome, base):
 
 def test_objective_is_one_prepared_score():
     genome = calibrated_genome()
-    assert objective(genome, OBSERVED, ENU, SCENARIO) == SEARCHES[None].score(genome)
+    assert objective(genome, OBSERVED, ENU, SCENARIO) == SEARCHES[RadioParams()].score(genome)
 
 
 def test_search_refuses_other_bin_width():
@@ -123,11 +123,11 @@ def test_search_warns_of_observed_bins_outside_the_drive(caplog):
         "and are not compared"]
 
 
-DRIVE = SEARCHES[None].drive
+DRIVE = SEARCHES[RadioParams()].drive
 
 
-def _decided_by_power(drive, radio, fading, table=None):
-    return reception_codes(channel_pass(drive, radio, fading), radio, table) == DELIVERED
+def _decided_by_power(drive, radio, fading):
+    return reception_codes(channel_pass(drive, radio, fading), radio, drive.snr_table) == DELIVERED
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -151,14 +151,14 @@ def test_threshold_rule_decides_as_the_drawn_power(m, slow_model, sigma, alpha, 
 @pytest.mark.parametrize("snr_db", [math.nan, math.inf, -math.inf, 11.0])
 def test_threshold_rule_follows_any_snr_table(snr_db):
     radio, fading = calibrated_genome().to_params()
-    table = {radio.data_rate_mbps: snr_db}
-    delivered, _ = delivery_pass(DRIVE, radio, fading, table)
-    assert np.array_equal(delivered, _decided_by_power(DRIVE, radio, fading, table))
+    drive = replace(DRIVE, snr_table={radio.data_rate_mbps: snr_db})
+    delivered, _ = delivery_pass(drive, radio, fading)
+    assert np.array_equal(delivered, _decided_by_power(drive, radio, fading))
 
 
 def _threshold_uniforms(drive, radio, fading):
     """c_k: the uniform at which packet k's drawn power reaches its threshold."""
-    slow = slow_rx_power(radio, fading, np.maximum(drive.distance_m, 1e-12), drive.normals)
+    slow = slow_rx_power(radio, fading, drive.decades, drive.normals)
     threshold = max(radio.rx_sensitivity_dbm,
                     radio.noise_floor_dbm + snr_threshold_db(radio.data_rate_mbps))
     m = fading.nakagami_m
@@ -202,8 +202,8 @@ def test_nakagami_search_inverts_only_band_packets(monkeypatch, caplog):
     planted = inside[::max(1, inside.size // 5)][:5]
     prepare = calibration.prepare_drive
 
-    def planting(trace, scenario):
-        drive = prepare(trace, scenario)
+    def planting(trace, scenario, reference_distance_m):
+        drive = prepare(trace, scenario, reference_distance_m)
         u = drive.uniforms.copy()
         u[planted] = c[planted] + np.linspace(-0.05, 0.05, planted.size) * NAKAGAMI_BAND
         return replace(drive, uniforms=u)
@@ -312,7 +312,8 @@ def test_a_series_past_its_cap_takes_the_exact_chain(m, slow_dbm, monkeypatch):
 def test_a_nan_threshold_delivers_nothing_and_takes_no_exact_chain(monkeypatch):
     radio, fading = calibrated_genome().to_params()
     monkeypatch.setattr(propagation, "unit_gamma_draws", None)  # calling it would raise
-    delivered, exact = delivery_pass(DRIVE, radio, fading, {radio.data_rate_mbps: math.nan})
+    drive = replace(DRIVE, snr_table={radio.data_rate_mbps: math.nan})
+    delivered, exact = delivery_pass(drive, radio, fading)
     assert exact == 0 and not delivered.any()
 
 

@@ -37,8 +37,7 @@ from v2xcal.propagation import (
     to_linear,
     unit_gamma_draws,
 )
-from v2xcal.simulator import (EnuTrace, PreparedDrive, ScenarioConfig, channel_pass, link_decades,
-                              prepare_drive)
+from v2xcal.simulator import EnuTrace, PreparedDrive, ScenarioConfig, channel_pass, prepare_drive
 
 import oracles
 
@@ -47,12 +46,15 @@ DEFAULT_RADIO = RadioParams()
 DEFAULT_FADING = FadingParams()
 
 
-def drive_at(distance_m, normals, uniforms):
-    """A PreparedDrive of one packet per draw, every packet at distance_m."""
+def drive_at(distance_m, normals, uniforms, d0=1.0):
+    """A PreparedDrive of one packet per draw for reference distance d0, each packet at
+    distance_m: one distance for every packet, or one per packet."""
     n = len(normals)
+    distance = np.full(n, distance_m, dtype=float)
     return PreparedDrive(timestamp_s=np.arange(n, dtype=float), direction_code=np.zeros(n, int),
                          tx_position_m=np.zeros((n, 3)), rx_position_m=np.zeros((n, 3)),
-                         distance_m=np.full(n, distance_m), normals=normals, uniforms=uniforms)
+                         distance_m=distance, decades=log_decades(np.maximum(distance, 1e-12), d0),
+                         normals=normals, uniforms=uniforms, snr_table=None)
 
 
 def reason(rx_power_dbm, radio, snr_table=None):
@@ -172,17 +174,10 @@ def test_slow_stage_from_decades_is_the_log_distance_law_bit_for_bit(d0, alpha, 
     decades = log_decades(d, d0)
     assert hexes(decades) == hexes(np.log10(np.maximum(d, d0) / d0))
     assert hexes(log_distance_rx_power(DEFAULT_RADIO, fading, d)) == hexes(law)
-    assert hexes(slow_rx_power(DEFAULT_RADIO, fading, d, normals)) == hexes(slow)
-    assert hexes(slow_rx_power(DEFAULT_RADIO, fading, None, normals, decades)) == hexes(slow)
-    # A prepared drive's pass with its decades computed once, or per pass.
-    n = d.size
-    drive = PreparedDrive(timestamp_s=np.arange(n, dtype=float), direction_code=np.zeros(n, int),
-                          tx_position_m=np.zeros((n, 3)), rx_position_m=np.zeros((n, 3)),
-                          distance_m=d, normals=normals, uniforms=np.full(n, 0.5))
-    assert hexes(link_decades(drive, fading)) == hexes(decades)
-    assert (hexes(channel_pass(drive, DEFAULT_RADIO, fading, link_decades(drive, fading)))
-            == hexes(channel_pass(drive, DEFAULT_RADIO, fading))
-            == hexes(np.round(slow, LOG_DECIMALS)))
+    assert hexes(slow_rx_power(DEFAULT_RADIO, fading, decades, normals)) == hexes(slow)
+    # A pass over a drive prepared for d0.
+    drive = drive_at(d, normals, np.full(d.size, 0.5), d0)
+    assert hexes(channel_pass(drive, DEFAULT_RADIO, fading)) == hexes(np.round(slow, LOG_DECIMALS))
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +188,7 @@ def test_slow_stage_from_decades_is_the_log_distance_law_bit_for_bit(d0, alpha, 
 def test_lognormal_zero_sigma_is_deterministic():
     fading = FadingParams(slow_model=SlowFadingModel.LOGNORMAL, sigma_db=0.0, alpha=1.7)
     rng = np.random.default_rng(5)
-    got = slow_rx_power(DEFAULT_RADIO, fading, 120.0, rng.standard_normal())
+    got = slow_rx_power(DEFAULT_RADIO, fading, log_decades(120.0, 1.0), rng.standard_normal())
     assert got == pytest.approx(log_distance_rx_power(DEFAULT_RADIO, fading, 120.0), abs=1e-12)
 
 
@@ -202,7 +197,8 @@ def test_lognormal_residual_moments():
     # must look like N(0, 6.03^2) at one-million-sample resolution.
     fading = FadingParams(slow_model=SlowFadingModel.LOGNORMAL, sigma_db=6.03, alpha=1.51)
     rng = np.random.default_rng(20240314)
-    draws = slow_rx_power(DEFAULT_RADIO, fading, 200.0, rng.standard_normal(1_000_000))
+    draws = slow_rx_power(DEFAULT_RADIO, fading, log_decades(200.0, 1.0),
+                          rng.standard_normal(1_000_000))
     residuals = draws - log_distance_rx_power(DEFAULT_RADIO, fading, 200.0)
     assert abs(residuals.mean()) < 0.02
     assert residuals.std() == pytest.approx(6.03, rel=0.02)
@@ -211,7 +207,8 @@ def test_lognormal_residual_moments():
 def test_lognormal_residuals_look_gaussian():
     fading = FadingParams(slow_model=SlowFadingModel.LOGNORMAL, sigma_db=6.03)
     rng = np.random.default_rng(99)
-    draws = slow_rx_power(DEFAULT_RADIO, fading, 80.0, rng.standard_normal(200_000))
+    draws = slow_rx_power(DEFAULT_RADIO, fading, log_decades(80.0, 1.0),
+                          rng.standard_normal(200_000))
     residuals = draws - log_distance_rx_power(DEFAULT_RADIO, fading, 80.0)
     assert abs(stats.skew(residuals)) < 0.02
     assert abs(stats.kurtosis(residuals)) < 0.05
@@ -406,7 +403,7 @@ def test_cascade_slow_draws_independent_of_fast_stage():
         slow_model=SlowFadingModel.LOGNORMAL, sigma_db=4.0,
         fast_model=FastFadingModel.NAKAGAMI, nakagami_m=3.0,
     )
-    drive = prepare_drive(trace, scenario)
+    drive = prepare_drive(trace, scenario, 1.0)
     assert len(drive.distance_m) == 64
     a = channel_pass(drive, DEFAULT_RADIO, fading_slow)
     b = channel_pass(drive, DEFAULT_RADIO, fading_both)
@@ -414,7 +411,7 @@ def test_cascade_slow_draws_independent_of_fast_stage():
     # stage has unit linear mean around each slow draw.
     assert np.all(np.isfinite(b))
     fading_det = FadingParams(slow_model=SlowFadingModel.LOGNORMAL, sigma_db=4.0)
-    again = channel_pass(prepare_drive(trace, scenario), DEFAULT_RADIO, fading_det)
+    again = channel_pass(prepare_drive(trace, scenario, 1.0), DEFAULT_RADIO, fading_det)
     assert np.array_equal(a, again)
 
 

@@ -16,6 +16,7 @@ from v2xcal.propagation import (
     FastFadingModel,
     RadioParams,
     SlowFadingModel,
+    log_decades,
 )
 from v2xcal import simulator
 from v2xcal.simulator import (
@@ -146,20 +147,26 @@ def test_asymmetric_rates():
 
 
 def test_equal_rates_share_one_schedule(monkeypatch):
-    # Equal rates: one distance pass serves both directions, and each
-    # direction still sees the positions and distances it would alone.
+    # Equal rates: one distance and decades pass serves both directions, and
+    # each direction still sees the positions and distances it would alone.
     trace = drive_by_trace(duration_s=10.0)
-    calls = []
+    d0 = 7.5
+    calls, decade_calls = [], []
     monkeypatch.setattr(simulator, "link_distance_m",
                         lambda tx, rx: calls.append(len(tx)) or link_distance_m(tx, rx))
+    monkeypatch.setattr(simulator, "log_decades",
+                        lambda d, ref: decade_calls.append(len(d)) or log_decades(d, ref))
     for rates, expected_calls in (((10.0, 10.0), [100]), ((10.0, 4.0), [100, 40])):
         calls.clear()
+        decade_calls.clear()
         drive = prepare_drive(trace, ScenarioConfig(bsm_rate_hz=rates[0], spat_rate_hz=rates[1],
-                                                    master_seed=1))
-        assert calls == expected_calls
+                                                    master_seed=1), d0)
+        assert calls == decade_calls == expected_calls
         v2r = drive.direction_code == Direction.VEHICLE_TO_RSU.stream_code
         assert np.array_equal(drive.distance_m,
                               link_distance_m(drive.tx_position_m, drive.rx_position_m))
+        assert (drive.decades.tobytes()
+                == log_decades(np.maximum(drive.distance_m, 1e-12), d0).tobytes())
         for direction, rate in zip(Direction, rates):
             sent = drive.direction_code == direction.stream_code
             assert np.array_equal(drive.timestamp_s[sent],
