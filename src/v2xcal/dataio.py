@@ -30,9 +30,10 @@ NUL, which a fixed-width cell drops from its end.
 
 A log or a trace may also be given as a file opened in binary mode. One in
 its exported form (ASCII, no \\r or NUL, the header line first, a data line)
-is loaded by one loadtxt pass over the file once 64 KiB chunks have been
-scanned for that form and its newlines counted. Any other file, one whose
-rows do not all read, or a trace of epoch_ms times, is read as its text.
+is loaded by the same loadtxt pass, straight from the file, once 64 KiB
+chunks have been scanned for that form and its newlines counted. Its rows
+meet the same rules and messages as text, row i being line i + 2. Any other
+file, or one with a line that does not load, is read as its text.
 """
 
 from __future__ import annotations
@@ -167,26 +168,30 @@ def line_cells(line: str) -> list:
     return cells
 
 
+def _load(part, rows: int, fields: list, convert, usecols=None):
+    """convert(the record array of (name, dtype) fields that one loadtxt pass reads from part,
+    data lines or a file), or None if a line fails to load or fewer than rows rows load: a
+    blank line was skipped, or an open quote joined two lines."""
+    try:
+        table = np.loadtxt(part, fields, delimiter=",", quotechar='"', comments=None,
+                           usecols=usecols, ndmin=1) if rows else np.zeros(0, fields)
+    except ValueError:
+        return None
+    return convert(table) if len(table) == rows else None
+
+
 def _read(text: str, lines: list, fields: list, convert, check_row, usecols=None) -> tuple:
     """(columns, indexes of the lines they hold, failures) of a document's data lines, read a
     column at a time.
 
-    One loadtxt pass turns the lines into a record array of (name, dtype)
-    fields, and convert turns that into columns, or None if it refuses a
-    row. Only if either fails, or the text holds a NUL, which a fixed-width
-    word field drops from a cell's end, does check_row, which raises for a
-    row (a list of cells) that does not read, name each bad line as
-    (index, reason), one at a time; the other lines are then loaded again.
+    The lines load as _load reads them; convert turns the table into
+    columns, or None if it refuses a row. Only if either fails, or the text
+    holds a NUL, which a fixed-width word field drops from a cell's end,
+    does check_row, which raises for a row (a list of cells) that does not
+    read, name each bad line as (index, reason), one at a time; the other
+    lines are then loaded again.
     """
-    def load(part):
-        try:
-            table = np.loadtxt(part, fields, delimiter=",", quotechar='"', comments=None,
-                               usecols=usecols, ndmin=1) if part else np.zeros(0, fields)
-        except ValueError:
-            return None
-        return convert(table) if len(table) == len(part) else None  # an open quote joins lines
-
-    columns = None if "\0" in text else load(lines)
+    columns = None if "\0" in text else _load(lines, len(lines), fields, convert, usecols)
     if columns is not None:
         return columns, range(len(lines)), []
     failures = []
@@ -196,7 +201,7 @@ def _read(text: str, lines: list, fields: list, convert, check_row, usecols=None
         except (ValueError, OverflowError) as exc:
             failures.append((i, str(exc)))
     read = sorted(set(range(len(lines))) - {i for i, _ in failures})
-    columns = load([lines[i] for i in read])
+    columns = _load([lines[i] for i in read], len(read), fields, convert, usecols)
     if columns is None or not (failures or "\0" in text):
         raise ValueError("a row fails to load, yet no check names it")
     return columns, read, failures
@@ -238,19 +243,21 @@ def _data_lines(text: str, headers: tuple, kind: str) -> list:
     raise ValueError(f"expected {kind} header {','.join(headers)}")
 
 
-def _errors(text: str, read, failures: list, rules) -> list:
+def _errors(text: str | None, read, failures: list, rules) -> list:
     """(row number, reason) of each data line that failed to read or, once read, breaks a rule.
 
     Rows are lines counted from 1, blank ones included, and come in order.
+    With no text, the rows were loaded from a file, which holds no blank
+    line, so row i is line i + 2.
     """
     errors = sorted(failures + [(read[i], reason) for i, reason in rule_errors(rules)])
     if not errors:
         return []
-    rows = [k for k, _ in numbered_lines(text)]
+    rows = range(1, len(read) + 2) if text is None else [k for k, _ in numbered_lines(text)]
     return [(rows[i + 1], reason) for i, reason in errors]
 
 
-def _refuse_first_row(text: str, read, failures: list, rules) -> None:
+def _refuse_first_row(text: str | None, read, failures: list, rules) -> None:
     errors = _errors(text, read, failures, rules)
     if errors:
         raise ValueError("row {}: {}".format(*errors[0]))
@@ -271,35 +278,23 @@ def _exported_data_lines(fh: BinaryIO, header: bytes) -> int:
     return newlines + (last != b"\n")
 
 
-def _load_exported(fh: BinaryIO, headers: tuple, fields: list, convert):
-    """convert(the table of a file in the exported form of headers, loaded by one loadtxt pass
-    straight from it), or None if the file is in another form or a line does not load."""
-    lines = _exported_data_lines(fh, (",".join(headers) + "\n").encode())
-    if not lines:
-        return None
-    try:
-        table = np.loadtxt(fh, fields, delimiter=",", quotechar='"', comments=None, ndmin=1)
-    except ValueError:
-        return None
-    # Fewer rows than lines: a blank line was skipped or a quoted cell joined two lines.
-    return convert(table) if len(table) == lines else None
-
-
-def _loaded_or_text(source: str | BinaryIO, load) -> tuple:
-    """(load(source), None) if source is a file that load reads straight, else (None, the text
-    of source): the str itself, or the file decoded as a text-mode open decodes it (strict
-    UTF-8, \\r\\n and \\r read as \\n)."""
+def _exported_columns(source: str | BinaryIO, headers: tuple, fields: list, convert) -> tuple:
+    """(columns, read, failures, text) of a document given as its text or as a file: for a file
+    in the exported form of headers whose lines all _load straight from it, its columns,
+    range(rows), [] and None; else None for each and the text to parse, the str itself or the
+    file decoded as a text-mode open decodes it (strict UTF-8, \\r\\n and \\r read as \\n)."""
     if isinstance(source, str):
-        return None, source
-    loaded = load(source)
+        return None, None, None, source
+    rows = _exported_data_lines(source, (",".join(headers) + "\n").encode())
+    columns = _load(source, rows, fields, convert) if rows else None
     logger.debug("%s: %s", getattr(source, "name", "file"),
-                 "read as text" if loaded is None else "loaded straight from its file")
-    if loaded is not None:
-        return loaded, None
+                 "read as text" if columns is None else "loaded straight from its file")
+    if columns is not None:
+        return columns, range(rows), [], None
     source.seek(0)
     reader = io.TextIOWrapper(source, encoding="utf-8")
     try:
-        return None, reader.read()
+        return None, None, None, reader.read()
     finally:
         reader.detach()  # the file stays open for its owner
 
@@ -616,33 +611,8 @@ def _trace_fields(kind: str, epoch_ms: bool) -> list:
             ("last", f"{kind}1")]
 
 
-def _load_exported_trace(fh: BinaryIO):
-    """The Trace of a trace file in export_trace_csv's form whose every row reads and keeps
-    every rule, loaded straight from the file; else None."""
-    # No last field: a row of more or fewer cells fails to load.
-    columns = _load_exported(fh, TRACE_HEADERS, _trace_fields("S", False)[:-1],
-                             partial(_trace_columns, epoch_ms=False))
-    try:
-        return None if columns is None else Trace(**columns)
-    except ValueError:  # a record breaks a rule, or the times run backwards
-        return None
-
-
-def parse_trace_csv(source: str | BinaryIO, epoch_ms: bool = False) -> Trace:
-    """Parse a message-log CSV document, given as its text or as a seekable file opened in
-    binary mode, into a Trace.
-
-    Raises TraceParseError with row numbers (lines counted from 1, blank
-    ones included) and reasons for malformed rows, or with a
-    document-level message for missing columns, an empty document, or
-    out-of-order timestamps.
-
-    A file in export_trace_csv's form whose rows all read is loaded straight
-    from it unless epoch_ms is set; any other is parsed as its text-mode read.
-    """
-    trace, text = _loaded_or_text(source, lambda fh: None if epoch_ms else _load_exported_trace(fh))
-    if trace is not None:
-        return trace
+def _read_trace(text: str, epoch_ms: bool, convert) -> tuple:
+    """_read of a trace document's data lines, whose header names every column."""
     lines = _lines(text)
     if not lines:
         raise TraceParseError("document has no header row")
@@ -657,13 +627,34 @@ def parse_trace_csv(source: str | BinaryIO, epoch_ms: bool = False) -> Trace:
         raise TraceParseError(f"missing required columns: {', '.join(missing)}")
     if len(lines) == 1:
         raise TraceParseError("document has a header but no data rows")
-
     positions = [columns[name] for name in TRACE_HEADERS]
     kind = "S" if text.isascii() else "U"  # bytes hold an ASCII cell in a quarter of the space
-    trace, read, failures = _read(
-        text, lines[1:], _trace_fields(kind, epoch_ms), partial(_trace_columns, epoch_ms=epoch_ms),
+    return _read(
+        text, lines[1:], _trace_fields(kind, epoch_ms), convert,
         partial(_check_trace_row, width=len(header), positions=positions, epoch_ms=epoch_ms),
         usecols=positions + [len(header) - 1])
+
+
+def parse_trace_csv(source: str | BinaryIO, epoch_ms: bool = False) -> Trace:
+    """Parse a message-log CSV document, given as its text or as a seekable file opened in
+    binary mode, into a Trace.
+
+    Raises TraceParseError with row numbers (lines counted from 1, blank
+    ones included) and reasons for malformed rows, or with a
+    document-level message for missing columns, an empty document, or
+    out-of-order timestamps.
+
+    A file in export_trace_csv's form, its times ISO or (with epoch_ms)
+    epoch milliseconds, whose lines all load is loaded straight from it;
+    its rows meet the same rules and messages as text, row i being line
+    i + 2. Any other file is parsed as its text-mode read.
+    """
+    convert = partial(_trace_columns, epoch_ms=epoch_ms)
+    # No last field: a row of more or fewer cells fails to load.
+    trace, read, failures, text = _exported_columns(
+        source, TRACE_HEADERS, _trace_fields("S", epoch_ms)[:-1], convert)
+    if text is not None:
+        trace, read, failures = _read_trace(text, epoch_ms, convert)
     errors = _errors(text, read, failures, _record_rules(trace))
     if errors:
         shown = "; ".join(f"row {row_num}: {reason}" for row_num, reason in errors[:10])
@@ -880,16 +871,6 @@ def _delivery_log(columns: dict) -> tuple:
     ]
 
 
-def _load_exported_log(fh: BinaryIO):
-    """The DeliveryLog of a log file in export_log_csv's form whose every row reads and keeps
-    every rule, loaded straight from the file; else None."""
-    columns = _load_exported(fh, LOG_HEADERS, _LOG_FIELDS, _log_columns)
-    if columns is None:
-        return None
-    log, rules = _delivery_log(columns)
-    return None if rule_errors(rules) else log
-
-
 def parse_log_csv(source: str | BinaryIO) -> DeliveryLog:
     """Parse a delivery-log CSV, given as its text or as a seekable file opened in binary mode;
     the distance column is rederived from positions.
@@ -898,15 +879,16 @@ def parse_log_csv(source: str | BinaryIO) -> DeliveryLog:
     non-finite number, is refused, so the reason column alone carries the
     outcome. The first bad row, in row order, is named in the ValueError.
 
-    A file in export_log_csv's form, whose rows all read, is loaded
-    straight from it. Any other file is decoded as a text-mode open does
-    (strict UTF-8, \\r\\n and \\r read as \\n) and parsed as that text.
+    A file in export_log_csv's form whose lines all load is loaded straight
+    from it; its rows meet the same rules and messages as text, row i being
+    line i + 2. Any other file is decoded as a text-mode open does (strict
+    UTF-8, \\r\\n and \\r read as \\n) and parsed as that text.
     """
-    log, text = _loaded_or_text(source, _load_exported_log)
-    if log is not None:
-        return log
-    columns, read, failures = _read(text, _data_lines(text, LOG_HEADERS, "log"), _LOG_FIELDS,
-                                    _log_columns, _check_log_row)
+    columns, read, failures, text = _exported_columns(source, LOG_HEADERS, _LOG_FIELDS,
+                                                      _log_columns)
+    if text is not None:
+        columns, read, failures = _read(text, _data_lines(text, LOG_HEADERS, "log"), _LOG_FIELDS,
+                                        _log_columns, _check_log_row)
     log, rules = _delivery_log(columns)
     _refuse_first_row(text, read, failures, rules)
     return log

@@ -589,6 +589,38 @@ def test_a_trace_file_reads_as_its_text_mode_read(tmp_path, file):
                 == _text_mode_outcome(path, parse_trace_csv, epoch_ms=epoch_ms))
 
 
+#: _TRACE_FILE with its times in epoch milliseconds.
+_EPOCH_TRACE_FILE = b"\n".join([_HEADER_LINE, b"%d" % (_T0_US // 1000) + _FIRST[27:],
+                                b"%d" % (_T0_US // 1000 + 100) + _SECOND[27:], b""])
+
+
+@pytest.mark.parametrize("parse, data, kwargs, error", [
+    (parse_log_csv, _LOG_FILE + _LOG_ROW.replace(",5.0", ",5.5").encode() + b"\n",
+     {}, ("ValueError", "row 3: distance column 5.5 disagrees with positions (5.000000000)")),
+    (parse_trace_csv, b"\n".join([_HEADER_LINE, _FIRST, _SECOND.replace(b"45.", b"95."), b""]),
+     {}, ("TraceParseError", "malformed rows: row 3: latitude 95.0 outside [-90, 90]")),
+    (parse_trace_csv, b"\n".join([_HEADER_LINE, _SECOND, _FIRST, b""]),
+     {}, ("TraceParseError", "timestamps not non-decreasing at record 1")),
+    (parse_trace_csv, _EPOCH_TRACE_FILE, {"epoch_ms": True}, None),
+], ids=["log-distance", "trace-latitude", "trace-backwards", "trace-epoch-ms"])
+def test_an_exported_file_loads_from_it_with_a_bad_row_or_epoch_times(tmp_path, caplog, parse,
+                                                                        data, kwargs, error):
+    # Each file is in its exported form and every line loads, so it is read straight from the
+    # file, yet its rows meet the text route's rules and messages; its CRLF copy is read as text.
+    exported, crlf = tmp_path / "exported.csv", tmp_path / "crlf.csv"
+    exported.write_bytes(data)
+    crlf.write_bytes(data.replace(b"\n", b"\r\n"))
+    outcomes = []
+    with caplog.at_level("DEBUG", logger="v2xcal.dataio"):
+        for path in (exported, crlf):
+            with open(path, "rb") as fh:
+                outcomes.append(_outcome(parse, fh, **kwargs))
+    assert outcomes == [_text_mode_outcome(exported, parse, **kwargs)] * 2
+    assert isinstance(outcomes[0], list) if error is None else outcomes[0] == error
+    assert [record.getMessage() for record in caplog.records] == [
+        f"{exported}: loaded straight from its file", f"{crlf}: read as text"]
+
+
 def test_an_exported_trace_reads_from_its_file_in_less_memory_than_its_text(tmp_path):
     # The 3,001-row acceptance trace, 321 kB. Loaded from the open file, the read
     # peaks about 0.76 MB above its input; read as text, which it holds next to
