@@ -23,10 +23,10 @@ pass turns the data lines into float, int64 and fixed-width word columns,
 cells unquoted as csv does: bytes for a log and an ASCII trace, UCS-4 for any
 other trace, widths counted in characters either way. Exported words take
 codes by one comparison per word, other trace spellings by one lookup per
-distinct cell, exported times are read by integer arithmetic, and the
-format's rules run on whole columns. Only a line that fails to load meets a
-per-row check, which names it; so does every line of a document holding a
-NUL, which a fixed-width cell drops from its end.
+distinct cell, exported times by numpy's datetime64 parse (epoch milliseconds
+by one integer bound), and the format's rules run on whole columns. Only a
+line that fails to load meets a per-row check, which names it; so does every
+line of a document holding a NUL, which a fixed-width cell drops from its end.
 
 A log or a trace may also be given as a file opened in binary mode. One in
 its exported form (ASCII, no \\r or NUL, the header line first, a data line)
@@ -45,7 +45,7 @@ import logging
 import math
 from dataclasses import dataclass, replace
 from datetime import datetime, timedelta, timezone
-from functools import partial, reduce
+from functools import partial
 from typing import BinaryIO
 
 import numpy as np
@@ -415,6 +415,8 @@ class GeodeticPosition:
             raise ValueError(f"latitude {self.latitude_deg} outside [-90, 90]")
         if not -180.0 <= self.longitude_deg <= 180.0:
             raise ValueError(f"longitude {self.longitude_deg} outside [-180, 180]")
+        if not math.isfinite(self.altitude_ft):
+            raise ValueError(f"altitude_ft must be finite, got {self.altitude_ft}")
 
 
 @dataclass(frozen=True)
@@ -498,56 +500,50 @@ def _normalize_header(name: str) -> str:
 def _parse_time_us(value: str, epoch_ms: bool) -> int:
     """Microseconds since the Unix epoch of one time cell."""
     if epoch_ms:
-        try:
-            t = EPOCH + timedelta(milliseconds=_parse_number(value, int))
-        except OverflowError:
-            raise ValueError(f"time {value.strip()} ms lies outside years 1-9999") from None
-    else:
-        text = value.strip()
-        if "\0" in text:  # fromisoformat reads "...Z\0x" as the time before the NUL
-            raise ValueError(f"time {text!r} holds a NUL")
-        if text.endswith("Z") or text.endswith("z"):
-            text = text[:-1] + "+00:00"
-        t = datetime.fromisoformat(text)
-        if t.tzinfo is None:
-            # GPS loggers commonly omit the offset; the convention here is UTC.
-            t = t.replace(tzinfo=timezone.utc)
-        t = t.astimezone(timezone.utc)
-    return (t - EPOCH) // _MICROSECOND
+        ms = _parse_number(value, int)
+        if not _TIME_RANGE_US[0] // 1000 <= ms <= _TIME_RANGE_US[1] // 1000:
+            raise ValueError(f"time {value.strip()} ms lies outside years 1-9999")
+        return ms * 1000
+    text = value.strip()
+    if "\0" in text:  # fromisoformat reads "...Z\0x" as the time before the NUL
+        raise ValueError(f"time {text!r} holds a NUL")
+    if text.endswith("Z") or text.endswith("z"):
+        text = text[:-1] + "+00:00"
+    t = datetime.fromisoformat(text)
+    if t.tzinfo is None:
+        # GPS loggers commonly omit the offset; the convention here is UTC.
+        t = t.replace(tzinfo=timezone.utc)
+    return (t.astimezone(timezone.utc) - EPOCH) // _MICROSECOND
 
 
 #: The widest time and word cells the trace reader takes, padding included.
 _TIME_WIDTH, _WORD_WIDTH = 40, 16
 #: export_trace_csv's time as code units ("0" for any digit), then the NUL that pads a
-#: cell; the span of code units each place takes; where the seven numbers sit.
+#: cell; the span of code units each place takes.
 _EXPORTED_TIME = np.frombuffer(b"0000-00-00T00:00:00.000000Z\0", np.uint8)
 _TIME_SPAN = np.where(_EXPORTED_TIME == ord("0"), 9, 0).astype(np.uint8)
-_TIME_FIELDS = ((0, 4), (5, 7), (8, 10), (11, 13), (14, 16), (17, 19), (20, 26))
-_MONTH_DAYS = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
 
 
 def _exported_time_us(cells: np.ndarray) -> tuple:
-    """(microseconds, mask) of the time cells spelled as export_trace_csv writes them, the day
-    counted by the Gregorian days-from-civil rule. A cell outside the mask has another spelling
-    or names no existing time, year 0 included; its microseconds are 0.
+    """(microseconds, mask) of the time cells spelled as export_trace_csv writes them, read by
+    numpy's datetime64 parse, the inverse of the writer's. A cell outside the mask has another
+    spelling or names no existing time, year 0 included; its microseconds are 0. numpy refuses
+    a whole column for one time that does not exist, and the mask is then empty.
 
     The pattern is checked on the cells' own code units: bytes of S cells, code points of U.
     """
     unit = np.dtype(np.uint8 if cells.dtype.kind == "S" else np.uint32)
     points = cells.view((unit, cells.itemsize // unit.itemsize))  # a view, strided or not
-    digits = points[:, :len(_EXPORTED_TIME)] - _EXPORTED_TIME  # below its span wraps far above
-    ok = np.all(digits <= _TIME_SPAN, axis=1)
-    # Horner's rule down each number's digit columns: no BLAS product, whose buffers cost memory.
-    year, month, day, hour, minute, second, micro = (
-        reduce(lambda n, k: n * 10 + digits[:, k], range(a + 1, b), digits[:, a].astype(np.int64))
-        for a, b in _TIME_FIELDS)
-    leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
-    ok &= ((year >= 1) & (day >= 1) & (hour < 24) & (minute < 60) & (second < 60)
-           & (day <= _MONTH_DAYS[np.where(month <= 12, month, 0)] + (leap & (month == 2))))
-    y = year - (month <= 2)  # years from March, so that a leap day ends its year
-    days = (y * 365 + y // 4 - y // 100 + y // 400 + (153 * ((month + 9) % 12) + 2) // 5
-            + day - 719469)
-    return np.where(ok, (((days * 24 + hour) * 60 + minute) * 60 + second) * 10**6 + micro, 0), ok
+    # A unit below its span wraps far above it.
+    ok = np.all(points[:, :len(_EXPORTED_TIME)] - _EXPORTED_TIME <= _TIME_SPAN, axis=1)
+    stamps = points[ok, :26].astype(np.uint8, copy=False).view("S26")[:, 0]  # ASCII, as matched
+    time_us = np.zeros(len(cells), np.int64)
+    try:
+        time_us[ok] = stamps.astype("M8[us]").view(np.int64)
+    except ValueError:
+        return time_us, np.zeros_like(ok)
+    ok &= time_us >= _TIME_RANGE_US[0]  # numpy reads year 0, which datetime refuses
+    return np.where(ok, time_us, 0), ok
 
 
 def _word_code(cell, kinds: tuple, aliases: dict) -> int:
@@ -690,7 +686,7 @@ def project_enu(trace: Trace, rsu: GeodeticPosition) -> EnuTrace:
 
     Equirectangular small-angle projection: x = R * dlon * cos(lat_rsu),
     y = R * dlat, z from the altitude difference. Adequate well inside the
-    50 km guard radius; any record beyond it is refused.
+    50 km guard radius; a record beyond it, across or in height, is refused.
     """
     lat0 = math.radians(rsu.latitude_deg)
     lon0 = math.radians(rsu.longitude_deg)
@@ -700,14 +696,14 @@ def project_enu(trace: Trace, rsu: GeodeticPosition) -> EnuTrace:
     y = EARTH_RADIUS_M * (np.radians(trace.latitude_deg) - lat0)
     z = trace.altitude_ft * FT_TO_M - rsu.altitude_ft * FT_TO_M
 
-    ground_range = np.sqrt(x**2 + y**2)
-    too_far = np.nonzero(ground_range > MAX_PROJECTION_RANGE_M)[0]
-    if too_far.size:
-        i = int(too_far[0])
-        raise ValueError(
-            f"record {i} lies {ground_range[i] / 1000.0:.1f} km from the RSU; "
-            f"projection is limited to {MAX_PROJECTION_RANGE_M / 1000.0:.0f} km"
-        )
+    # Ground range, then height above and below: the log's rounding overflows a huge height.
+    for offset, where, spec in ((np.sqrt(x**2 + y**2), "from", ".1f"), (z, "above", ".6g"),
+                                (-z, "below", ".6g")):
+        too_far = np.flatnonzero(offset > MAX_PROJECTION_RANGE_M)
+        if too_far.size:
+            i = int(too_far[0])
+            raise ValueError(f"record {i} lies {offset[i] / 1000.0:{spec}} km {where} the RSU; "
+                             f"projection is limited to {MAX_PROJECTION_RANGE_M / 1000.0:.0f} km")
 
     times = (trace.time_us - trace.time_us[0]) / 1e6
     return EnuTrace(times_s=times, x_m=x, y_m=y, z_m=z)

@@ -140,8 +140,11 @@ class ScenarioConfig:
         check_width("bin_width_m", self.bin_width_m)
         check_width("heatmap_cell_m", self.heatmap_cell_m)
         for name in ("rsu_x_m", "rsu_y_m", "rsu_z_m"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+            if not math.isfinite(float(value) * 10.0**LOG_DECIMALS):  # as np.round scales it
+                raise ValueError(f"{name} {value} overflows its {LOG_DECIMALS}-decimal rounding")
         if not isinstance(self.master_seed, int) or self.master_seed < 0:
             raise ValueError(f"master_seed must be a non-negative integer, got {self.master_seed!r}")
         table = self.snr_thresholds_db

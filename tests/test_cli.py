@@ -243,6 +243,45 @@ def test_simulate_refuses_epoch_ms_outside_the_calendar(tmp_path, capsys):
     assert "epoch.csv" in err and "row 3: time -99999999999999999999 ms" in err
 
 
+@pytest.mark.parametrize("command", ["simulate", "calibrate"])
+def test_a_record_far_above_the_rsu_is_refused_by_name(dataset, tmp_path, capsys, command):
+    # The vehicle's logged z, rounded to 9 decimals, overflowed to inf, and the run
+    # failed with "distance must be finite and positive", naming no file or record.
+    trace = tmp_path / "high.csv"
+    lines = read(dataset["trace"]).split("\n")
+    cells = lines[2].split(",")
+    lines[2] = ",".join([*cells[:3], "1e300", *cells[4:]])
+    trace.write_text("\n".join(lines), encoding="utf-8")
+    out = tmp_path / "o"
+    args = (["simulate", str(trace), "--out", str(out)] if command == "simulate"
+            else calibrate_args({**dataset, "trace": str(trace)}, out))
+    assert main(args) == 1
+    assert capsys.readouterr().err == (f"error: {trace}: record 1 lies 3.048e+296 km above the "
+                                       f"RSU; projection is limited to 50 km\n")
+
+
+@pytest.mark.parametrize("setting, code, message", [
+    ("rsu.altitude_ft = 1e308", 1,
+     "{trace}: record 0 lies 3.048e+304 km below the RSU; projection is limited to 50 km"),
+    ("scenario.rsu_x_m = 1e308", 2,
+     "{cfg}: invalid configuration: rsu_x_m 1e+308 overflows its 9-decimal rounding"),
+    ("scenario.rsu_y_m = -1e300", 2,
+     "{cfg}: invalid configuration: rsu_y_m -1e+300 overflows its 9-decimal rounding"),
+    ("scenario.rsu_z_m = 1.8e299", 2,
+     "{cfg}: invalid configuration: rsu_z_m 1.8e+299 overflows its 9-decimal rounding"),
+], ids=["rsu-altitude", "rsu-x", "rsu-y", "rsu-z"])
+def test_a_huge_rsu_altitude_or_offset_is_refused_by_name(dataset, tmp_path, capsys, setting,
+                                                           code, message):
+    # Each failed the run with "distance must be finite and positive", exit 1: the
+    # RSU's logged position, rounded to 9 decimals, overflowed to inf.
+    cfg = tmp_path / "cfg.txt"
+    cfg.write_text(setting + "\n", encoding="utf-8")
+    assert main(["simulate", dataset["trace"], "--config", str(cfg),
+                 "--out", str(tmp_path / "o")]) == code
+    assert capsys.readouterr().err == (
+        "error: " + message.format(trace=dataset["trace"], cfg=cfg) + "\n")
+
+
 # ---------------------------------------------------------------------------
 # calibrate
 # ---------------------------------------------------------------------------

@@ -234,6 +234,8 @@ _finite = st.floats(allow_nan=False, allow_infinity=False)
 _positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 _width = st.floats(min_value=MIN_WIDTH_M, allow_infinity=False)
 _negative = st.floats(max_value=0.0, exclude_max=True, allow_infinity=False)
+#: RSU offsets the scenario takes: their 9-decimal rounding must not overflow to inf.
+_offset = st.floats(min_value=-1e299, max_value=1e299)
 _unit = st.floats(min_value=0.0, max_value=1.0)
 _seed = st.integers(min_value=0, max_value=2**63)
 _gene_values = {
@@ -281,7 +283,7 @@ _run_configs = st.builds(
                      nakagami_m=st.floats(min_value=0.5, allow_infinity=False),
                      reference_distance_m=_positive),
     scenario=st.builds(
-        ScenarioConfig, rsu_x_m=_finite, rsu_y_m=_finite, rsu_z_m=_finite,
+        ScenarioConfig, rsu_x_m=_offset, rsu_y_m=_offset, rsu_z_m=_offset,
         bsm_rate_hz=_positive, spat_rate_hz=_positive, bin_width_m=_width,
         heatmap_cell_m=_width, master_seed=_seed,
         # The file form overrides single rates of the full table, so a

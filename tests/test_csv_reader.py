@@ -562,6 +562,8 @@ _TRACE_FILE = export_trace_csv(Trace(
     speed_mph=[30.0, 30.0], transmission_code=[0, 1], message_code=[0, 1],
     direction_code=[0, 1])).encode()
 _HEADER_LINE, _FIRST, _SECOND, _ = _TRACE_FILE.split(b"\n")
+#: _TRACE_FILE with a second time of a day that does not exist: numpy refuses its whole column.
+_LEAP_DAY_FILE = _TRACE_FILE.replace(_SECOND, b"2023-02-29" + _SECOND[10:])
 
 
 # The examples from the swapped header to the backward times each take the file route, and
@@ -580,6 +582,8 @@ _HEADER_LINE, _FIRST, _SECOND, _ = _TRACE_FILE.split(b"\n")
 @example(file=(b"\n".join([_HEADER_LINE, _SECOND, _FIRST, b""]), False))  # times run backwards
 @example(file=(_TRACE_FILE.replace(b"DSRC", b"LTE"), False))  # a word no column decodes
 @example(file=(_TRACE_FILE.replace(b"time,latitude", b"timestamp,lat", 1), False))  # an alias
+@example(file=(_LEAP_DAY_FILE, False))  # row 3: day is out of range for month
+@example(file=(_LEAP_DAY_FILE.replace(b"\n", b"\r\n"), False))
 def test_a_trace_file_reads_as_its_text_mode_read(tmp_path, file):
     data, epoch_ms = file
     path = tmp_path / "trace.csv"
@@ -621,16 +625,22 @@ def test_an_exported_file_loads_from_it_with_a_bad_row_or_epoch_times(tmp_path, 
         f"{exported}: loaded straight from its file", f"{crlf}: read as text"]
 
 
-def test_an_exported_trace_reads_from_its_file_in_less_memory_than_its_text(tmp_path):
-    # The 3,001-row acceptance trace, 321 kB. Loaded from the open file, the read
-    # peaks about 0.76 MB above its input; read as text, which it holds next to
-    # a list of its lines, it peaks about 1.6 MB above it.
+def _acceptance_trace_file(tmp_path):
+    """The 3,001-row acceptance trace, written by export_trace_csv to a file."""
     config = RunConfig()
     route = SynthSection(waypoints_enu_m=((-2000.0, 8.0, 0.0), (2000.0, 8.0, 0.0)),
                          duration_s=300.0)
     path = tmp_path / "trace.csv"
     path.write_bytes(export_trace_csv(generate_synthetic(route, config.radio, config.fading,
                                                          config.rsu, config.scenario)[0]).encode())
+    return path
+
+
+def test_an_exported_trace_reads_from_its_file_in_less_memory_than_its_text(tmp_path):
+    # The 3,001-row acceptance trace, 321 kB. Loaded from the open file, the read
+    # peaks about 0.76 MB above its input; read as text, which it holds next to
+    # a list of its lines, it peaks about 1.6 MB above it.
+    path = _acceptance_trace_file(tmp_path)
     with open(path, "rb") as fh:
         parse_trace_csv(fh)  # the first call imports what the reader uses lazily
         tracemalloc.start()
@@ -642,6 +652,29 @@ def test_an_exported_trace_reads_from_its_file_in_less_memory_than_its_text(tmp_
             tracemalloc.stop()
     assert len(trace) == 3001
     assert peak - before <= 1.1e6
+
+
+def test_exported_times_decode_in_less_memory_than_calendar_arithmetic(tmp_path, monkeypatch):
+    # The time field of the 3,001-row acceptance trace as loaded from its file, 41-byte cells
+    # of the loaded table. numpy's datetime64 parse peaks about 0.18 MB above it; the
+    # integer calendar arithmetic it replaced peaked at 0.36 MB.
+    path = _acceptance_trace_file(tmp_path)
+    loaded = []
+    monkeypatch.setattr("v2xcal.dataio._exported_time_us",
+                        lambda cells: loaded.append(cells) or _exported_time_us(cells))
+    with open(path, "rb") as fh:
+        parse_trace_csv(fh)
+    (cells,) = loaded
+    assert cells.shape == (3001,) and cells.dtype == "S41"
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        _, ok = _exported_time_us(cells)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ok.all()
+    assert peak - before <= 0.26e6
 
 
 # ---------------------------------------------------------------------------
@@ -666,13 +699,23 @@ def _numpy_us(text: str):
         return None
 
 
+def _read_alone(text: str, string_kind: str):
+    """_exported_time_us of a column of this one time: its microseconds, or None if unread."""
+    time_us, ok = _exported_time_us(np.array([text], dtype=string_kind + "41"))
+    return int(time_us[0]) if ok[0] else None
+
+
 def _assert_times_read_as_the_parsers_do(texts: list, string_kind: str):
-    time_us, ok = _exported_time_us(np.array(texts, dtype=string_kind + "41"))
-    for text, us, read in zip(texts, time_us.tolist(), ok.tolist()):
+    for text in texts:
         expected = _iso_us(text)
-        assert (us if read else None) == expected, text
+        assert _read_alone(text, string_kind) == expected, text
         if expected is not None:  # numpy also reads year 0, which datetime refuses
             assert _numpy_us(text) == expected, text
+    # numpy refuses a whole column for one time that does not exist; then no cell is read.
+    time_us, ok = _exported_time_us(np.array(texts, dtype=string_kind + "41"))
+    column = all(_numpy_us(text) is not None for text in texts)
+    assert [us if read else None for us, read in zip(time_us.tolist(), ok.tolist())] == [
+        _read_alone(text, string_kind) if column else None for text in texts]
 
 
 def _spelled(y, mo, d, h, mi, s, us):
@@ -712,8 +755,9 @@ def test_exported_times_at_the_calendar_edges(string_kind):
                "2024-03-14T15:60:00.000000Z", "2024-03-14T15:00:60.000000Z",
                "0000-01-01T00:00:00.000000Z"]
     _assert_times_read_as_the_parsers_do(valid + damaged, string_kind)
-    cells = np.array(valid + damaged, dtype=string_kind + "41")
-    assert _exported_time_us(cells)[1].tolist() == [True] * len(valid) + [False] * len(damaged)
+    assert [_read_alone(text, string_kind) is not None for text in valid + damaged] == (
+        [True] * len(valid) + [False] * len(damaged))
+    assert _exported_time_us(np.array(valid, dtype=string_kind + "41"))[1].all()
 
 
 def test_every_exported_log_word_decodes_as_the_per_distinct_lookup():

@@ -326,6 +326,26 @@ def test_project_refuses_far_records():
     assert MAX_PROJECTION_RANGE_M == 50_000.0
 
 
+@pytest.mark.parametrize("alt_ft, message", [
+    (900.0 + 50_100.0 / FT_TO_M, "record 1 lies 50.1 km above the RSU"),
+    (900.0 - 50_100.0 / FT_TO_M, "record 1 lies 50.1 km below the RSU"),
+    (1e300, "record 1 lies 3.048e+296 km above the RSU"),
+], ids=["above", "below", "overflowing"])
+def test_project_refuses_records_far_above_or_below(alt_ft, message):
+    rsu = GeodeticPosition(latitude_deg=45.0, longitude_deg=-93.0, altitude_ft=900.0)
+    trace = make_trace([make_record(0.0, alt_ft=900.0), make_record(1.0, alt_ft=alt_ft)])
+    with pytest.raises(ValueError) as error:
+        project_enu(trace, rsu)
+    assert str(error.value) == message + "; projection is limited to 50 km"
+
+
+@pytest.mark.parametrize("alt_ft", [math.inf, -math.inf, math.nan])
+def test_rsu_altitude_must_be_finite(alt_ft):
+    # project_enu blamed the trace for it: "z_m contains non-finite values".
+    with pytest.raises(ValueError, match=f"altitude_ft must be finite, got {alt_ft}"):
+        GeodeticPosition(latitude_deg=45.0, longitude_deg=-93.0, altitude_ft=alt_ft)
+
+
 def test_project_agrees_with_haversine_nearby():
     rsu = GeodeticPosition(latitude_deg=45.0, longitude_deg=-93.0)
     lat, lon = 45.02, -92.97  # a few km out

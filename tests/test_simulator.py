@@ -197,6 +197,22 @@ def test_direction_endpoints():
     assert all(tx == site for tx in log.tx_position_m[~v2r].tolist())
 
 
+@pytest.mark.parametrize("name", ["rsu_x_m", "rsu_y_m", "rsu_z_m"])
+def test_an_rsu_offset_is_refused_where_its_logged_rounding_overflows(name):
+    # The largest offset whose 9-decimal rounding is finite, the next float up, and beyond.
+    edge = 1.7976931348623156e299
+    for value in (edge, np.nextafter(edge, math.inf), 1e308):
+        for signed in (value, -value):
+            with np.errstate(over="ignore"):
+                finite = bool(np.isfinite(np.round(signed, 9)))
+            if finite:
+                ScenarioConfig(**{name: signed})
+            else:
+                with pytest.raises(ValueError, match=f"^{name} .* overflows its 9-decimal"):
+                    ScenarioConfig(**{name: signed})
+            assert finite == (value == edge)
+
+
 def test_parked_vehicle_next_to_antenna_gets_everything():
     trace = EnuTrace(times_s=[0.0, 10.0], x_m=[1.0, 1.0], y_m=[0.0, 0.0], z_m=[0.0, 0.0])
     scenario = ScenarioConfig(master_seed=7)
