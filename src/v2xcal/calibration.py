@@ -26,7 +26,7 @@ import numpy as np
 
 from .propagation import (LOG_DECIMALS, SUPPORTED_DATA_RATES_MBPS, FadingParams, FastFadingModel,
                           RadioParams, SlowFadingModel, free_space_rx_power, to_db)
-from .dataio import line_cells, numbered_lines
+from .dataio import _data_lines, _write_columns, line_cells, numbered_lines
 from .simulator import (EnuTrace, PdrCurve, ScenarioConfig, bin_indices, check_bin_width,
                         delivery_pass, pdr_rmse, prepare_drive)
 # Not called here: bench/tracing.py times these under the v2xcal.calibration names.
@@ -389,8 +389,6 @@ def evolve(config: GaConfig, observed: PdrCurve, trace: EnuTrace, scenario: Scen
 
 HISTORY_HEADERS = ("generation", "individual", *GENE_NAMES, "rmse")
 
-_FLOAT_TEXT = "%.9f".__mod__
-
 
 def parse_typed_value(name: str, text: str, like):
     """Read text as a value of like's type; name labels the errors.
@@ -412,13 +410,13 @@ def parse_typed_value(name: str, text: str, like):
     return value
 
 
-def typed_formatter(like, float_text=repr):
+def typed_formatter(like):
     """The text form of values of like's type, which parse_typed_value reads back."""
     if isinstance(like, enum.Enum):
         return lambda value: value.value
     if isinstance(like, int):
         return str
-    return lambda value: float_text(float(value))
+    return lambda value: repr(float(value))
 
 
 def _known_gene(name: str) -> str:
@@ -454,39 +452,34 @@ def parse_frozen_genes(entries, base: Genome | None = None) -> tuple:
 
 
 def history_to_csv(result: CalibrationResult) -> str:
-    """One row per objective evaluation, fixed decimal formatting; no cell needs quoting."""
-    genes = [(name, typed_formatter(getattr(_PACKAGE_GENOME, name), _FLOAT_TEXT))
-             for name in GENE_NAMES]
-    rows = [",".join([str(rec.generation), str(rec.individual),
-                      *(text(getattr(rec.genome, name)) for name, text in genes),
-                      _FLOAT_TEXT(rec.rmse)]) for rec in result.history]
-    return "\n".join([",".join(HISTORY_HEADERS), *rows, ""])
+    """One row per objective evaluation, by dataio's column writer: floats in "{:.9f}", the
+    rest as typed_formatter writes them; no cell needs quoting."""
+    rows = [(rec.generation, rec.individual, *rec.genome.as_dict().values(), rec.rmse)
+            for rec in result.history]
+    likes = (0, 0, *_PACKAGE_GENOME.as_dict().values(), 0.0)
+    return _write_columns(HISTORY_HEADERS, [
+        np.array([row[j] for row in rows], dtype=float) if isinstance(like, float)
+        else np.array([*map(typed_formatter(like), (row[j] for row in rows))], dtype="S")
+        for j, like in enumerate(likes)])
 
 
 def parse_history_csv(text: str) -> list:
     """Read history_to_csv text back into HistoryRecords.
 
-    Like the dataio readers, it skips blank lines anywhere and numbers rows
-    by line, blank ones counted.
+    Its header and blank lines are read as the dataio readers read them:
+    blank lines are skipped anywhere and count in row numbers.
     """
-    lines = numbered_lines(text)
-    try:
-        header = tuple(line_cells(lines[0][1]))
-    except (IndexError, ValueError):
-        header = ()
-    if header != HISTORY_HEADERS:
-        raise ValueError(f"expected history header {','.join(HISTORY_HEADERS)}")
     history = []
-    for row_num, line in lines[1:]:
+    for i, line in enumerate(_data_lines(text, HISTORY_HEADERS, "history")):
         try:
             row = line_cells(line)
             if len(row) != len(HISTORY_HEADERS):
                 raise ValueError(f"expected {len(HISTORY_HEADERS)} fields, got {len(row)}")
-            genes = {name: parse_gene_value(name, text) for name, text in zip(GENE_NAMES, row[2:])}
+            genes = {name: parse_gene_value(name, cell) for name, cell in zip(GENE_NAMES, row[2:])}
             history.append(HistoryRecord(int(row[0]), int(row[1]), Genome(**genes),
                                          parse_typed_value("rmse", row[-1], 0.0)))
         except ValueError as exc:
-            raise ValueError(f"row {row_num}: {exc}") from None
+            raise ValueError(f"row {numbered_lines(text)[i + 1][0]}: {exc}") from None
     return history
 
 

@@ -12,7 +12,8 @@ Identical inputs and flags produce identical output bytes.
 
 Exit codes: 0 success, 1 for errors in the content of an input file (the
 message names the file), 2 for usage and startup errors (bad flags,
-unreadable files, bad configuration keys, incompatible bin geometry, an
+unreadable files, bad configuration keys, incompatible bin geometry, a
+message rate that would schedule more than simulator.MAX_PACKETS packets, an
 --out directory that cannot be created or written).
 """
 
@@ -45,8 +46,8 @@ from .dataio import (
     parse_trace_csv,
     project_enu,
 )
-from .simulator import (BinCountError, BinWidthError, Direction, heatmap, pdr_curve,
-                        run_scenario)
+from .simulator import (BinCountError, BinWidthError, Direction, ScheduleError, heatmap,
+                        pdr_curve, run_scenario)
 
 log = logging.getLogger(__name__)
 
@@ -175,7 +176,7 @@ def cmd_calibrate(args) -> int:
                         base_radio=config.radio, base_fading=config.fading)
     except BinWidthError as exc:
         raise UsageError(f"{args.observed_pdr}: {exc} m (observed vs configured)") from None
-    except BinCountError:
+    except (BinCountError, ScheduleError):
         raise
     except ValueError as exc:
         raise ValueError(f"calibrating {args.observed_pdr} on {args.trace}: {exc}") from None
@@ -345,6 +346,9 @@ def main(argv=None) -> int:
     except BinCountError as exc:
         source = "scenario.bin_width_m" if getattr(args, "bin_width", None) is None else "--bin-width"
         print(f"error: {source}: {exc}", file=sys.stderr)
+        return 2
+    except ScheduleError as exc:  # simulate's or calibrate's; synth names its route
+        print(f"error: {args.trace}: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -6,7 +6,8 @@ speed_mph, transmission_type, message_type, direction. In memory a Trace, like
 a DeliveryLog, holds one numpy array per column. SynthSection is the recipe of
 a synthetic route, which generate_synthetic drives for all samples at once.
 Every export has a parse counterpart that restores the original values
-exactly; the four share one column writer and one column reader.
+exactly; the four share one column writer and one column reader, and
+calibration's history.csv shares the writer and the header and blank-line rule.
 
 The writer lays out each block of rows as one uint8 matrix of NUL-padded
 cells, renders its floats in one pass and drops the NULs. For |x| < 2**22,
@@ -50,8 +51,9 @@ from typing import BinaryIO
 
 import numpy as np
 
-from .propagation import DELIVERED, REASONS, FadingParams, RadioParams
+from .propagation import DELIVERED, LOG_DECIMALS, REASONS, FadingParams, RadioParams
 from .simulator import (
+    MAX_PACKETS,
     DeliveryLog,
     Direction,
     EnuTrace,
@@ -151,11 +153,6 @@ def numbered_lines(text: str) -> list:
             if line.strip(_BLANK)]
 
 
-def _lines(text: str) -> list:
-    """The non-blank lines of a document, header first."""
-    return [line for _, line in numbered_lines(text)]
-
-
 def line_cells(line: str) -> list:
     """The cells of one line as csv.reader splits them; a quote left open is refused."""
     reader = csv.reader((line, ""))
@@ -234,7 +231,7 @@ def _parse_number(cell: str, kind=float):
 
 def _data_lines(text: str, headers: tuple, kind: str) -> list:
     """The data lines of a document whose header holds exactly these cells."""
-    lines = _lines(text)
+    lines = [line for _, line in numbered_lines(text)]
     try:
         if lines and tuple(line_cells(lines[0])) == headers:
             return lines[1:]
@@ -609,7 +606,7 @@ def _trace_fields(kind: str, epoch_ms: bool) -> list:
 
 def _read_trace(text: str, epoch_ms: bool, convert) -> tuple:
     """_read of a trace document's data lines, whose header names every column."""
-    lines = _lines(text)
+    lines = [line for _, line in numbered_lines(text)]
     if not lines:
         raise TraceParseError("document has no header row")
     try:
@@ -732,11 +729,17 @@ def generate_synthetic(synth: SynthSection, radio: RadioParams, fading: FadingPa
     Deterministic in its arguments; the dataset is self-contained, and
     calibrating against the returned curve with scenario.master_seed equal
     to synth.seed can reach zero error. Raises ValueError unless synth has
-    one leg speed per waypoint pair and its drive sends a packet.
+    one leg speed per waypoint pair, its drive sends a packet, it makes at
+    most MAX_PACKETS records and each altitude survives the 9-decimal
+    rounding, which ScenarioConfig asks of the RSU offsets.
     """
     if len(synth.leg_speeds_mps) != len(synth.waypoints_enu_m) - 1:
         raise ValueError("need one leg speed per waypoint pair")
-    n_samples = int(math.floor(synth.duration_s * synth.sample_rate_hz + 1e-9)) + 1
+    samples = synth.duration_s * synth.sample_rate_hz + 1e-9
+    if not samples < MAX_PACKETS:  # floor(samples) + 1 records, tested before any exists
+        raise ValueError(f"synth.duration_s {synth.duration_s} s at synth.sample_rate_hz "
+                         f"{synth.sample_rate_hz} Hz would make more than {MAX_PACKETS} records")
+    n_samples = int(math.floor(samples)) + 1
     t = np.arange(n_samples) / synth.sample_rate_hz
 
     # Each sample lies on the first leg whose time covers what remains of
@@ -764,12 +767,20 @@ def generate_synthetic(synth: SynthSection, radio: RadioParams, fading: FadingPa
     lat = rsu.latitude_deg + np.degrees(pos[:, 1] / EARTH_RADIUS_M)
     lon = rsu.longitude_deg + np.degrees(
         pos[:, 0] / (EARTH_RADIUS_M * math.cos(math.radians(rsu.latitude_deg))))
+    with np.errstate(over="ignore"):  # an overflow is refused below, not warned of
+        altitude_ft = np.round(rsu.altitude_ft + pos[:, 2] / FT_TO_M, 9)
+    if not np.isfinite(altitude_ft).all():
+        z = pos[np.argmin(np.isfinite(altitude_ft)), 2]
+        raise ValueError((f"rsu.altitude_ft {rsu.altitude_ft}"
+                          if not math.isfinite(float(rsu.altitude_ft) * 10.0**LOG_DECIMALS)
+                          else f"synth.waypoints_enu_m: the altitude_ft of z {z:.6g} m")
+                         + f" overflows its {LOG_DECIMALS}-decimal rounding")
     start_us = (_SYNTHETIC_START - EPOCH) // _MICROSECOND
     trace = Trace(
         time_us=start_us + np.rint(t * 1e6).astype(np.int64),
         latitude_deg=[round(v, 9) for v in lat.tolist()],
         longitude_deg=[round(v, 9) for v in lon.tolist()],
-        altitude_ft=np.round(rsu.altitude_ft + pos[:, 2] / FT_TO_M, 9),
+        altitude_ft=altitude_ft,
         heading_deg=heading_deg,
         speed_mph=speed_mph,
         transmission_code=np.full(n_samples, TRANSMISSION_TYPES.index(TransmissionType.DSRC)),

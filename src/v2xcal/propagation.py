@@ -323,11 +323,6 @@ def _check_omega(omega_mw) -> np.ndarray:
     return omega
 
 
-def nakagami_power(omega_mw, m, unit_gamma):
-    """Nakagami-m received power (mW) with mean omega_mw from unit_gamma_draws(m, u)."""
-    return _check_omega(omega_mw) / m * unit_gamma
-
-
 def nakagami_power_sample(omega_mw, m, rng, size=None):
     """Draw received power (mW) from a Nakagami-m envelope with mean omega_mw.
 
@@ -337,7 +332,8 @@ def nakagami_power_sample(omega_mw, m, rng, size=None):
     uniform per draw), which keeps draws varying smoothly with m under a
     fixed random stream.
     """
-    sample = nakagami_power(omega_mw, m, unit_gamma_draws(m, rng.random(size)))
+    unit_gamma = unit_gamma_draws(m, rng.random(size))  # draw and check m before omega
+    sample = _check_omega(omega_mw) / m * unit_gamma
     return float(sample) if size is None and np.ndim(omega_mw) == 0 else sample
 
 
@@ -355,7 +351,7 @@ def nakagami_rx_power(slow_dbm, m, uniforms):
     """Fast stage: power (dBm) after Nakagami-m fading of slow-stage power slow_dbm, one
     uniform per packet; slow_dbm + to_db(y / m) where omega/m * y underflows to 0 mW."""
     y = unit_gamma_draws(m, uniforms)
-    power = nakagami_power(to_linear(slow_dbm), m, y)
+    power = _check_omega(to_linear(slow_dbm)) / m * y
     return to_db(np.where(power > 0.0, power, y / m)) + np.where(power > 0.0, 0.0, slow_dbm)
 
 

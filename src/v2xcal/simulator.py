@@ -111,6 +111,17 @@ class BinCountError(ValueError):
     """A bin width would split the packets' distances into more than MAX_BINS bins."""
 
 
+#: Most packets one direction of a drive may send, and most records a synthetic
+#: route may hold: each is a row of arrays from its schedule to its log.csv line,
+#: and a drive lasts minutes, while a long trace or a high rate would schedule
+#: billions. 10**6 is a 27-hour drive at 10 Hz.
+MAX_PACKETS = 10**6
+
+
+class ScheduleError(ValueError):
+    """A message rate would send more than MAX_PACKETS packets one way over a drive."""
+
+
 def bin_indices(distance_m: np.ndarray, bin_width_m: float) -> np.ndarray:
     """floor(distance / bin_width) of each packet, refused above MAX_BINS bins."""
     bins = np.floor(distance_m / bin_width_m)
@@ -302,9 +313,13 @@ class HeatmapGrid(_CountTable):
                 *count_rules(sent, delivered)]
 
 
-def _send_count(duration_s: float, rate_hz: float) -> int:
+def _send_count(duration_s: float, rate_hz: float, key: str) -> int:
     # Inclusive start, exclusive end: sends at k/rate for k < duration*rate.
-    return int(math.floor(duration_s * rate_hz + _COUNT_EPS))
+    sends = duration_s * rate_hz + _COUNT_EPS
+    if not sends < MAX_PACKETS + 1:  # a float test: math.floor refuses inf
+        raise ScheduleError(f"scenario.{key} {rate_hz} Hz over {duration_s} s would schedule "
+                            f"more than {MAX_PACKETS} packets")
+    return int(math.floor(sends))
 
 
 def _round_log(arr):
@@ -366,16 +381,17 @@ def prepare_drive(trace: EnuTrace, scenario: ScenarioConfig,
     """Schedule every packet of the trace and draw its random numbers; bin none.
 
     Per direction, the shadowing and fast-fading draws come from two child
-    streams seeded by (master_seed, direction), consumed in packet order.
+    streams seeded by (master_seed, direction), consumed in packet order. A
+    rate that would send more than MAX_PACKETS packets one way raises
+    ScheduleError before any array of them exists.
     """
     rsu = _round_log(np.array([scenario.rsu_x_m, scenario.rsu_y_m, scenario.rsu_z_m], dtype=float))
     parts, schedules = [], {}  # send times, positions, distances and decades of each distinct rate
-    for direction, rate in (
-        (Direction.VEHICLE_TO_RSU, scenario.bsm_rate_hz),
-        (Direction.RSU_TO_VEHICLE, scenario.spat_rate_hz),
-    ):
+    for direction, key in ((Direction.VEHICLE_TO_RSU, "bsm_rate_hz"),
+                           (Direction.RSU_TO_VEHICLE, "spat_rate_hz")):
+        rate = getattr(scenario, key)
         if rate not in schedules:
-            times = _round_log(np.arange(_send_count(trace.duration_s, rate), dtype=float) / rate)
+            times = _round_log(np.arange(_send_count(trace.duration_s, rate, key), dtype=float) / rate)
             vehicle = _round_log(np.column_stack(trace.position_at(times)))
             distance = link_distance_m(vehicle, rsu[None, :])
             schedules[rate] = times, vehicle, distance, log_decades(

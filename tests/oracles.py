@@ -6,7 +6,7 @@ closed-form link budgets and numerically integrated delivery probabilities
 two is meaningful evidence rather than a tautology. The synthetic route has
 a scalar reference too: one sample at a time, with plain floats, and so do
 the four CSV exports: one row at a time through csv.writer, one "{:.9f}"
-call per float. So do the four CSV parsers: one record at a time through
+call per float; and history.csv, as its own row writer spelled it. So do the four CSV parsers: one record at a time through
 csv.reader, one float() per number and one dict lookup per word. The GA
 tournament has one too: a loop over its entrants. The heatmap's cells have
 one from np.unique over the rows of cell keys.
@@ -15,6 +15,7 @@ one from np.unique over the rows of cell keys.
 from __future__ import annotations
 
 import csv
+import enum
 import io
 import math
 from dataclasses import fields
@@ -23,6 +24,7 @@ from datetime import datetime, timedelta, timezone
 import numpy as np
 from scipy import special
 
+from v2xcal.calibration import CONTINUOUS_GENES, GENE_NAMES, HISTORY_HEADERS
 from v2xcal.dataio import (
     _BIN_EDGE_TOL_M,
     _CODE_COLUMNS,
@@ -265,6 +267,22 @@ def heatmap_csv(grid) -> str:
         for x, y, sent, delivered, pct in zip(
             grid.center_x_m.tolist(), grid.center_y_m.tolist(), grid.sent.tolist(),
             grid.delivered.tolist(), grid.pdr_pct.tolist())))
+
+
+def history_csv(history) -> str:
+    """calibration.history_to_csv's text of a list of HistoryRecords as a row writer spelled
+    it: str of an integer, a model's value, and "%.9f" of each float gene and the rmse."""
+    nine = "%.9f".__mod__
+
+    def gene(name, value):
+        if name in CONTINUOUS_GENES:
+            return nine(float(value))
+        return value.value if isinstance(value, enum.Enum) else str(value)
+
+    rows = [",".join([str(rec.generation), str(rec.individual),
+                      *(gene(name, getattr(rec.genome, name)) for name in GENE_NAMES),
+                      nine(rec.rmse)]) for rec in history]
+    return "\n".join([",".join(HISTORY_HEADERS), *rows, ""])
 
 
 # ---------------------------------------------------------------------------

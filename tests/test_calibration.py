@@ -7,7 +7,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from v2xcal.calibration import (
     CONTINUOUS_GENES,
@@ -34,6 +34,7 @@ from v2xcal.calibration import (
 )
 from v2xcal.dataio import GeodeticPosition, SynthSection, generate_synthetic, project_enu
 from v2xcal.propagation import (
+    SUPPORTED_DATA_RATES_MBPS,
     FadingParams,
     FastFadingModel,
     RadioParams,
@@ -446,6 +447,28 @@ def test_history_round_trip_empty():
     empty = CalibrationResult(best_genome=default_genome(), best_rmse=math.inf,
                               history=[], evaluations=0)
     assert parse_history_csv(history_to_csv(empty)) == []
+
+
+#: Any genome the writer may meet: every float, nan and the infinities included,
+#: which the column writer spells one at a time, every data rate and model.
+_ANY_GENOME = st.builds(Genome, **{
+    name: st.floats() for name in CONTINUOUS_GENES}, **{
+    "data_rate_mbps": st.sampled_from(SUPPORTED_DATA_RATES_MBPS),
+    "slow_model": st.sampled_from(SlowFadingModel),
+    "fast_model": st.sampled_from(FastFadingModel)})
+_HISTORIES = st.lists(st.builds(
+    HistoryRecord, st.integers(min_value=0), st.integers(min_value=0), _ANY_GENOME,
+    st.one_of(st.just(INFEASIBLE_RMSE), st.floats())), max_size=30)
+
+
+@settings(max_examples=200, deadline=None)
+@given(history=_HISTORIES)
+@example(history=[])
+@example(history=[HistoryRecord(0, 0, calibrated_genome(), INFEASIBLE_RMSE)])
+def test_history_csv_is_the_per_row_writers_bytes(history):
+    result = CalibrationResult(best_genome=default_genome(), best_rmse=0.0, history=history,
+                               evaluations=len(history))
+    assert history_to_csv(result) == oracles.history_csv(history)
 
 
 def test_history_parse_rejects_bad_documents():

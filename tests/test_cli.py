@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -282,6 +283,60 @@ def test_a_huge_rsu_altitude_or_offset_is_refused_by_name(dataset, tmp_path, cap
         "error: " + message.format(trace=dataset["trace"], cfg=cfg) + "\n")
 
 
+@pytest.mark.parametrize("command", ["simulate", "calibrate", "synth"])
+def test_a_message_rate_past_max_packets_is_refused_by_name(dataset, tmp_path, capsys, command):
+    # np.arange was asked for 6e301 sends: "Maximum allowed size exceeded", exit 1
+    # (exit 2 from synth), naming neither the key nor the trace.
+    cfg, out = tmp_path / "rate.txt", tmp_path / "o"
+    cfg.write_text("scenario.spat_rate_hz = 1e300\n", encoding="utf-8")
+    argv = {"simulate": ["simulate", dataset["trace"], "--out", str(out)],
+            "calibrate": calibrate_args(dataset, out),
+            "synth": ["synth", dataset["spec"], "--out", str(out)]}[command]
+    assert main([*argv, "--config", str(cfg)]) == 2
+    source = "synthetic route" if command == "synth" else dataset["trace"]
+    assert capsys.readouterr().err == (f"error: {source}: scenario.spat_rate_hz 1e+300 Hz over "
+                                       f"60.0 s would schedule more than 1000000 packets\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "calibrate"])
+def test_a_trace_a_year_long_is_refused_naming_its_file_and_span(dataset, tmp_path, capsys,
+                                                                 command):
+    # Its two records, a year apart, scheduled 315,360,000 packets a direction.
+    trace, out = tmp_path / "year.csv", tmp_path / "o"
+    trace.write_text(
+        "time,latitude,longitude,altitude_ft,heading_deg,speed_mph,"
+        "transmission_type,message_type,direction\n"
+        "2023-01-01T00:00:00.000000Z,45.0001,-93.0,0,90,30,DSRC,BSM,Sent\n"
+        "2024-01-01T00:00:00.000000Z,45.0002,-93.0,0,90,30,DSRC,BSM,Sent\n", encoding="utf-8")
+    argv = (["simulate", str(trace), "--out", str(out)] if command == "simulate"
+            else calibrate_args({**dataset, "trace": str(trace)}, out))
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (f"error: {trace}: scenario.bsm_rate_hz 10.0 Hz over "
+                                       f"31536000.0 s would schedule more than 1000000 packets\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("setting, message", [
+    ("synth.duration_s = 1e300",
+     "synth.duration_s 1e+300 s at synth.sample_rate_hz 10.0 Hz would make more than 1000000 "
+     "records"),
+    ("rsu.altitude_ft = 1e300", "rsu.altitude_ft 1e+300 overflows its 9-decimal rounding"),
+    ("synth.waypoints_enu_m = -400.0,8.0,1e299; 400.0,8.0,1e299",
+     "synth.waypoints_enu_m: the altitude_ft of z 1e+299 m overflows its 9-decimal rounding"),
+], ids=["duration", "rsu-altitude", "waypoint-z"])
+def test_synth_refuses_a_route_numpy_cannot_hold_by_key(tmp_path, capsys, setting, message):
+    # The duration died in np.arange ("synthetic route: Maximum allowed size exceeded");
+    # each altitude printed numpy's overflow RuntimeWarning, then blamed "record 0".
+    cfg, out = tmp_path / "cfg.txt", tmp_path / "o"
+    cfg.write_text(setting + "\n", encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["synth", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: synthetic route: {message}\n"
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # calibrate
 # ---------------------------------------------------------------------------
@@ -527,6 +582,17 @@ def test_no_command_loads_costly_modules(dataset, sim_out, tmp_path):
     assert (tmp_path / "pdr.csv").exists() and (tmp_path / "heatmap.csv").exists()
     assert "nakagami" in read(str(cal / "history.csv"))
     assert (tmp_path / "sim" / "log.csv").exists()
+
+
+def test_log_only_commands_never_load_numpy_random(dataset, sim_out, tmp_path):
+    # pdr and heatmap draw nothing, and numpy.random costs a fresh process about
+    # 14 ms and 1.7 MB. simulate, which draws, is the check's positive control.
+    log = str(sim_out / "log.csv")
+    assert _loaded_modules(["numpy.random"], ["pdr", log, "--out", str(tmp_path)],
+                           ["heatmap", log, "--out", str(tmp_path)]) == []
+    assert (tmp_path / "pdr.csv").exists() and (tmp_path / "heatmap.csv").exists()
+    assert _loaded_modules(["numpy.random"], ["simulate", dataset["trace"],
+                                              "--out", str(tmp_path / "sim")]) == ["numpy.random"]
 
 
 def test_one_parser_serves_every_call_of_a_process(dataset, sim_out, tmp_path):

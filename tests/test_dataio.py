@@ -1,6 +1,8 @@
 """Parsing, projection, synthesis, and CSV round-trip checks."""
 
 import math
+import tracemalloc
+import warnings
 from dataclasses import fields
 from datetime import datetime, timedelta, timezone
 
@@ -8,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
+from v2xcal import dataio
 from v2xcal.dataio import (
     _BLOCK_ROWS,
     _digit_words,
@@ -487,6 +490,61 @@ def test_overflowing_leg_is_refused():
     with pytest.raises(ValueError, match="waypoints 1 and 2 are too far apart"):
         synthetic_spec(waypoints_enu_m=((0.0, 0.0, 0.0), (100.0, 0.0, 0.0),
                                         (1e308, -1e308, 0.0)), leg_speeds_mps=(10.0, 10.0))
+
+
+def test_a_synthetic_route_past_max_packets_is_refused_before_any_record_exists(monkeypatch):
+    # n_samples had no bound: synth.duration_s = 1e300 died in np.arange with
+    # "Maximum allowed size exceeded", naming no key.
+    with pytest.raises(ValueError) as refusal:
+        synthesize(synthetic_spec(duration_s=1e300))
+    assert str(refusal.value) == ("synth.duration_s 1e+300 s at synth.sample_rate_hz 10.0 Hz "
+                                  "would make more than 1000000 records")
+    monkeypatch.setattr(dataio, "MAX_PACKETS", 401)
+    assert len(synthesize(synthetic_spec())[0]) == 401  # 40 s at 10 Hz, at the bound
+    with pytest.raises(ValueError, match="^synth.duration_s 40.1 s .* more than 401 records$"):
+        synthesize(synthetic_spec(duration_s=40.1))  # 402 records
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="^synth.duration_s 40000.0 s at synth.sample_rate_hz "
+                                             "10.0 Hz would make more than 401 records$"):
+            synthesize(synthetic_spec(duration_s=40_000.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000  # its 400,001 sample times alone would take 3.2 MB
+
+
+#: The largest altitude, in feet, whose 9-decimal rounding is finite.
+_ROUNDING_EDGE = 1.7976931348623156e299
+
+
+@pytest.mark.parametrize("altitude_ft, z_m, message", [
+    (math.nextafter(_ROUNDING_EDGE, math.inf), 0.0,
+     "rsu.altitude_ft 1.797693134862316e+299 overflows its 9-decimal rounding"),
+    (-1e300, 0.0, "rsu.altitude_ft -1e+300 overflows its 9-decimal rounding"),
+    (0.0, 1e299, "synth.waypoints_enu_m: the altitude_ft of z 1e+299 m overflows its "
+                 "9-decimal rounding"),
+    (1e299, 1e299, "synth.waypoints_enu_m: the altitude_ft of z 1e+299 m overflows its "
+                   "9-decimal rounding"),
+], ids=["rsu-past-edge", "rsu-negative", "waypoint", "both"])
+def test_a_synthetic_altitude_is_refused_where_its_rounding_overflows(altitude_ft, z_m, message):
+    # np.round warned of an overflow, then Trace refused "record 0: altitude_ft must
+    # be finite", blaming a record of the trace being built.
+    spec = synthetic_spec(waypoints_enu_m=((-400.0, 8.0, z_m), (400.0, 8.0, z_m)))
+    rsu = GeodeticPosition(RSU.latitude_deg, RSU.longitude_deg, altitude_ft)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning on the way
+        with pytest.raises(ValueError) as refusal:
+            synthesize(spec, rsu=rsu)
+    assert str(refusal.value) == message
+
+
+def test_a_synthetic_altitude_at_the_rounding_edge_is_kept():
+    rsu = GeodeticPosition(RSU.latitude_deg, RSU.longitude_deg, _ROUNDING_EDGE)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        trace, _ = synthesize(synthetic_spec(), rsu=rsu)
+    assert set(trace.altitude_ft.tolist()) == {_ROUNDING_EDGE}
 
 
 @st.composite

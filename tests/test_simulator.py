@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -26,6 +27,7 @@ from v2xcal.simulator import (
     HeatmapGrid,
     PdrCurve,
     ScenarioConfig,
+    ScheduleError,
     heatmap,
     link_distance_m,
     pdr_curve,
@@ -211,6 +213,36 @@ def test_an_rsu_offset_is_refused_where_its_logged_rounding_overflows(name):
                 with pytest.raises(ValueError, match=f"^{name} .* overflows its 9-decimal"):
                     ScenarioConfig(**{name: signed})
             assert finite == (value == edge)
+
+
+def test_a_rate_is_refused_before_it_schedules_more_than_max_packets(monkeypatch):
+    # np.arange(_send_count(...)) had no bound: a trace a year long scheduled 3.2e8
+    # packets a direction, and a count that overflows to inf raised OverflowError.
+    year = EnuTrace(times_s=[0.0, 365 * 86400.0], x_m=[1.0, 1.0], y_m=[0.0, 0.0],
+                    z_m=[0.0, 0.0])
+    for scenario, refused in ((ScenarioConfig(), "bsm_rate_hz 10.0"),
+                              (ScenarioConfig(spat_rate_hz=1e308), "bsm_rate_hz 10.0"),
+                              (ScenarioConfig(bsm_rate_hz=1e308), "bsm_rate_hz 1e+308")):
+        with pytest.raises(ScheduleError) as refusal:
+            prepare_drive(year, scenario, 1.0)
+        assert str(refusal.value) == (f"scenario.{refused} Hz over 31536000.0 s would schedule "
+                                      f"more than 1000000 packets")
+    # At the bound, 600 sends a direction over 60 s at 10 Hz, and one send past it.
+    minute = EnuTrace(times_s=[0.0, 60.0], x_m=[1.0, 1.0], y_m=[0.0, 0.0], z_m=[0.0, 0.0])
+    monkeypatch.setattr(simulator, "MAX_PACKETS", 600)
+    assert len(prepare_drive(minute, ScenarioConfig(), 1.0).timestamp_s) == 1200
+    with pytest.raises(ScheduleError, match="^scenario.spat_rate_hz 10.02 Hz over 60.0 s"):
+        prepare_drive(minute, ScenarioConfig(spat_rate_hz=10.02), 1.0)  # 601 sends
+    tracemalloc.start()
+    try:
+        with pytest.raises(ScheduleError) as refusal:
+            prepare_drive(minute, ScenarioConfig(bsm_rate_hz=1e4), 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(refusal.value) == ("scenario.bsm_rate_hz 10000.0 Hz over 60.0 s would schedule "
+                                  "more than 600 packets")
+    assert peak < 100_000  # the 600,000 send times alone would take 4.8 MB
 
 
 def test_parked_vehicle_next_to_antenna_gets_everything():
